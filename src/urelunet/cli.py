@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import sys
 from pathlib import Path
@@ -70,7 +71,7 @@ def _merge(base: dict, override: dict) -> dict:
 
 
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
-    cfg = DEFAULT_CONFIG
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = _merge(cfg, json.load(fh))
@@ -191,7 +192,6 @@ def cmd_fit(cfg: dict) -> int:
             grad_tol=float(tc["grad_tol"]),
             step_tol=float(tc["step_tol"]),
             jacobian_mode=str(tc["jacobian_mode"]),
-            rng_seed=int(cfg["seed"]),
             holdout_fraction=float(tc.get("holdout_fraction", 0.0)),
         )
         net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
@@ -269,21 +269,14 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
     paths = cfg["paths"]
     net = _load_model(paths["model"])
     total = pwl.region_count(net)
+    # enumerate_regions yields exactly this many cells
+    emitted = max(0, min(limit, total))
     out = output or "regions.jsonl"
-    emitted = 0
     with open(out, "w", encoding="utf-8") as fh:
-        header_pos = fh.tell()
-        # header rewritten below once the emitted count is known
-        fh.write(" " * 80 + "\n")
+        header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
         for region in pwl.enumerate_regions(net, limit=limit):
             fh.write(region.to_json() + "\n")
-            emitted += 1
-        fh.seek(header_pos)
-        header = json.dumps(
-            {"total_cells": total, "emitted": emitted, "truncated": emitted < total},
-            sort_keys=True,
-        )
-        fh.write(header + " " * (80 - len(header) - 1))
     print(f"output={out}")
     print(f"total_cells={total}")
     print(f"emitted={emitted}")

@@ -53,6 +53,12 @@ def cpd_als(
     Factors are initialized from a seeded standard normal; the best of
     `n_restarts` runs (by relative reconstruction error) is returned.
     Iteration stops when the relative error change drops below `tol`.
+
+    When N > m^2, ALS runs on an exact compression of mode 3: with the thin
+    QR `Q R` of the N x m^2 mode-3 unfolding, T = G x_3 Q for the
+    m x m x m^2 core G, and ALS on G with C = Q C' gives the same iterates
+    and errors as ALS on T at a cost independent of N (CANDELINC; Bro &
+    Andersson, 1998). The returned C is lifted back to N x r.
     """
     T = tensor.data
     m, _, N = T.shape
@@ -66,11 +72,12 @@ def cpd_als(
         A = _unit_columns(rng.standard_normal((m, r)))
         return CpdFactors(A=A, B=A.copy(), C=np.zeros((N, r)), r=r, rel_error=0.0)
 
+    G, Q = _compress_mode3(T)
     best: CpdFactors | None = None
     for restart in range(n_restarts):
         rng = np.random.default_rng(seed + restart)
         try:
-            fac = _als_run(T, r, max_iter, tol, rng, normT2)
+            fac = _als_run(G, Q, N, r, max_iter, tol, rng, normT2)
         except np.linalg.LinAlgError:
             continue
         if best is None or fac.rel_error < best.rel_error:
@@ -82,22 +89,39 @@ def cpd_als(
     return best
 
 
-def _als_run(T, r, max_iter, tol, rng, normT2) -> CpdFactors:
+def _compress_mode3(T):
+    """Core G and orthonormal Q with T[:, :, k] = sum_p G[:, :, p] Q[k, p].
+
+    Q is None when N <= m^2: the core would be no smaller than T itself.
+    """
     m, _, N = T.shape
+    if N <= m * m:
+        return T, None
+    Q, R = np.linalg.qr(T.reshape(m * m, N).T)
+    return R.T.reshape(m, m, -1), Q
+
+
+def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
+    m = G.shape[0]
     A = rng.standard_normal((m, r))
     B = rng.standard_normal((m, r))
-    C = rng.standard_normal((N, r))
+    C0 = rng.standard_normal((N, r))
+    C = C0 if Q is None else Q.T @ C0
+    # the first A and B updates use the Gram of the full start C0, as ALS on T
+    # does; from the first C update on, C^T C equals the Gram of the lift Q C
+    CtC = C0.T @ C0
     prev = np.inf
     err = np.inf
     it = 0
     history = []
     for it in range(1, max_iter + 1):
-        A = _solve_mode(np.einsum("ijk,jl,kl->il", T, B, C), B, C)
-        B = _solve_mode(np.einsum("ijk,il,kl->jl", T, A, C), A, C)
-        C = _solve_mode(np.einsum("ijk,il,jl->kl", T, A, B), A, B)
-        # direct residual norm; the Gram-matrix shortcut cancels catastrophically
-        # once the fit is tight
-        resid = T - np.einsum("il,jl,kl->ijk", A, B, C)
+        A = _solve_mode(np.einsum("ijk,jl,kl->il", G, B, C), (B.T @ B) * CtC)
+        B = _solve_mode(np.einsum("ijk,il,kl->jl", G, A, C), (A.T @ A) * CtC)
+        C = _solve_mode(np.einsum("ijk,il,jl->kl", G, A, B), (A.T @ A) * (B.T @ B))
+        CtC = C.T @ C
+        # direct residual norm, on the core since ||T - [[A,B,QC]]|| = ||G - [[A,B,C]]||;
+        # the Gram-matrix shortcut cancels catastrophically once the fit is tight
+        resid = G - np.einsum("il,jl,kl->ijk", A, B, C)
         err = np.sqrt(np.sum(resid * resid) / normT2)
         history.append(float(err))
         if np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
@@ -106,7 +130,7 @@ def _als_run(T, r, max_iter, tol, rng, normT2) -> CpdFactors:
     return CpdFactors(
         A=A,
         B=B,
-        C=C,
+        C=C if Q is None else Q @ C,
         r=r,
         rel_error=float(err),
         iterations=it,
@@ -114,12 +138,11 @@ def _als_run(T, r, max_iter, tol, rng, normT2) -> CpdFactors:
     )
 
 
-def _solve_mode(M, F1, F2):
-    G = (F1.T @ F1) * (F2.T @ F2)
+def _solve_mode(M, gram):
     # tiny ridge keeps near-singular normal equations solvable; genuine
     # singularity still raises and triggers a restart
-    G = G + np.eye(G.shape[0]) * (1e-14 * max(np.trace(G), 1e-300))
-    return np.linalg.solve(G, M.T).T
+    gram = gram + np.eye(gram.shape[0]) * (1e-14 * max(np.trace(gram), 1e-300))
+    return np.linalg.solve(gram, M.T).T
 
 
 def _unit_columns(V: np.ndarray) -> np.ndarray:
@@ -169,7 +192,8 @@ def init_transform(
     """Initialization pipeline for the linear transform: Hessian stack -> CPD -> merge.
 
     Operating points default to every regressor row; `max_points` subsamples
-    them uniformly to bound the tensor size.
+    them uniformly to bound the size and cost of the Hessian stack; ALS runs
+    on a core of at most m^2 slices however many points are used.
     """
     if n > dataset.m:
         raise ValueError("n must not exceed the regressor dimension m")

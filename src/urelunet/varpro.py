@@ -24,7 +24,6 @@ class TrainConfig:
     grad_tol: float = 1e-10
     step_tol: float = 1e-12
     jacobian_mode: str = "kaufman"
-    rng_seed: int = 0
     holdout_fraction: float = 0.0
 
     def __post_init__(self):

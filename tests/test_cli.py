@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 
@@ -7,7 +8,7 @@ import pytest
 
 from urelunet import cli
 from urelunet.dataset import load_csv
-from urelunet.network import UReluNet, param_count
+from urelunet.network import UReluNet, make_net, param_count
 from urelunet.pwl import PwlRegion
 
 from conftest import parse_kv
@@ -46,6 +47,12 @@ class TestConfig:
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"seed": 5}))
         assert cli.load_config(str(p), [], seed=99)["seed"] == 99
+
+    def test_defaults_not_mutated(self):
+        before = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg = cli.load_config(None, ["net.q=12", "init.new_key=1"], seed=7)
+        assert cfg["net"]["q"] == 12 and cfg["seed"] == 7
+        assert cli.DEFAULT_CONFIG == before
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
@@ -196,3 +203,20 @@ class TestRegions:
         header = json.loads(lines[0])
         assert header["emitted"] == 10
         assert header["truncated"] is True
+
+    def test_long_header_kept_on_its_own_line(self, tmp_path):
+        # total_cells = 10**30 makes the header longer than 80 characters
+        rng = np.random.default_rng(22)
+        n, q = 30, 10
+        net = make_net(rng.normal(size=(n, n)), q, rng.normal(size=n * q + 1), rng.normal(size=(50, n)))
+        model = tmp_path / "model.json"
+        model.write_text(net.to_json())
+        out = tmp_path / "regions.jsonl"
+        rc, _, _ = run_main(
+            ["--set", f"paths.model={model}", "regions", "--limit", "2", "--output", str(out)]
+        )
+        assert rc == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[0]) == {"total_cells": q**n, "emitted": 2, "truncated": True}
+        assert len(PwlRegion.from_json(lines[1]).cell) == n
+        assert len(lines) == 3

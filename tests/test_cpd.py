@@ -21,6 +21,35 @@ def symmetric_tensor(m, N, r, seed, cond_guard=True):
     return HessianTensor(data=T, points=np.zeros((N, m))), V, W
 
 
+def reference_als(T, r, max_iter, tol, seed):
+    """Uncompressed ALS on the full tensor, one run from `seed`; returns (A, B, C, errors)."""
+    rng = np.random.default_rng(seed)
+    m, _, N = T.shape
+    normT2 = float(np.sum(T * T))
+    A = rng.standard_normal((m, r))
+    B = rng.standard_normal((m, r))
+    C = rng.standard_normal((N, r))
+
+    def solve(M, F1, F2):
+        G = (F1.T @ F1) * (F2.T @ F2)
+        G = G + np.eye(r) * (1e-14 * max(np.trace(G), 1e-300))
+        return np.linalg.solve(G, M.T).T
+
+    prev = np.inf
+    history = []
+    for _ in range(max_iter):
+        A = solve(np.einsum("ijk,jl,kl->il", T, B, C), B, C)
+        B = solve(np.einsum("ijk,il,kl->jl", T, A, C), A, C)
+        C = solve(np.einsum("ijk,il,jl->kl", T, A, B), A, B)
+        resid = T - np.einsum("il,jl,kl->ijk", A, B, C)
+        err = np.sqrt(np.sum(resid * resid) / normT2)
+        history.append(err)
+        if np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
+            break
+        prev = err
+    return A, B, C, np.array(history)
+
+
 def congruence(A, B):
     """Best-match column cosines after unit normalization."""
     An = A / np.linalg.norm(A, axis=0)
@@ -68,6 +97,23 @@ class TestCpdAls:
         fac_p = cpd_als(permuted, r=2, seed=3)
         assert fac_p.rel_error <= 1e-8
         assert np.all(congruence(fac.A, fac_p.A) >= 0.999)
+
+    def test_compressed_matches_full_tensor_als(self):
+        # N = 200 > m^2 = 36, so ALS runs on a 6 x 6 x 36 core
+        m, N, r = 6, 200, 3
+        rng = np.random.default_rng(20)
+        terms = enumerate_terms(m, 3)
+        model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
+        tensor = stack_hessians(model, rng.normal(size=(N, m)))
+        fac = cpd_als(tensor, r=r, max_iter=50, tol=1e-8, seed=21, n_restarts=1)
+        A, B, C, history = reference_als(tensor.data, r, max_iter=50, tol=1e-8, seed=21)
+        assert fac.iterations == len(history)
+        np.testing.assert_allclose(fac.error_history, history, rtol=1e-10)
+        for got, want in ((fac.A, A), (fac.B, B), (fac.C, C)):
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert fac.C.shape == (N, r)
+        direct = np.linalg.norm(tensor.data - fac.reconstruct()) / np.linalg.norm(tensor.data)
+        assert fac.rel_error == pytest.approx(direct, rel=1e-10)
 
     def test_bad_rank_rejected(self):
         tensor, _, _ = symmetric_tensor(4, 10, 1, seed=5)
