@@ -54,11 +54,11 @@ def cpd_als(
     `n_restarts` runs (by relative reconstruction error) is returned.
     Iteration stops when the relative error change drops below `tol`.
 
-    When N > m^2, ALS runs on an exact compression of mode 3: with the thin
-    QR `Q R` of the N x m^2 mode-3 unfolding, T = G x_3 Q for the
-    m x m x m^2 core G, and ALS on G with C = Q C' gives the same iterates
-    and errors as ALS on T at a cost independent of N (CANDELINC; Bro &
-    Andersson, 1998). The returned C is lifted back to N x r.
+    ALS runs on an exact compression of mode 3: with the thin QR `Q R` of
+    the N x m^2 mode-3 unfolding, T = G x_3 Q for the m x m x min(N, m^2)
+    core G, and ALS on G with C = Q C' gives the same iterates and errors as
+    ALS on T at a cost independent of N (CANDELINC; Bro & Andersson, 1998).
+    The returned C is lifted back to N x r.
     """
     T = tensor.data
     m, _, N = T.shape
@@ -90,13 +90,8 @@ def cpd_als(
 
 
 def _compress_mode3(T):
-    """Core G and orthonormal Q with T[:, :, k] = sum_p G[:, :, p] Q[k, p].
-
-    Q is None when N <= m^2: the core would be no smaller than T itself.
-    """
+    """Core G and orthonormal Q with T[:, :, k] = sum_p G[:, :, p] Q[k, p]."""
     m, _, N = T.shape
-    if N <= m * m:
-        return T, None
     Q, R = np.linalg.qr(T.reshape(m * m, N).T)
     return R.T.reshape(m, m, -1), Q
 
@@ -106,7 +101,7 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
     A = rng.standard_normal((m, r))
     B = rng.standard_normal((m, r))
     C0 = rng.standard_normal((N, r))
-    C = C0 if Q is None else Q.T @ C0
+    C = Q.T @ C0
     # the first A and B updates use the Gram of the full start C0, as ALS on T
     # does; from the first C update on, C^T C equals the Gram of the lift Q C
     CtC = C0.T @ C0
@@ -130,7 +125,7 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
     return CpdFactors(
         A=A,
         B=B,
-        C=C if Q is None else Q @ C,
+        C=Q @ C,
         r=r,
         rel_error=float(err),
         iterations=it,

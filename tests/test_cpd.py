@@ -98,9 +98,10 @@ class TestCpdAls:
         assert fac_p.rel_error <= 1e-8
         assert np.all(congruence(fac.A, fac_p.A) >= 0.999)
 
-    def test_compressed_matches_full_tensor_als(self):
-        # N = 200 > m^2 = 36, so ALS runs on a 6 x 6 x 36 core
-        m, N, r = 6, 200, 3
+    # N = 200 > m^2 = 36 runs ALS on a 6 x 6 x 36 core; with N = 20, Q is square
+    @pytest.mark.parametrize("N", [200, 20])
+    def test_compressed_matches_full_tensor_als(self, N):
+        m, r = 6, 3
         rng = np.random.default_rng(20)
         terms = enumerate_terms(m, 3)
         model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
