@@ -45,7 +45,6 @@ DEFAULT_CONFIG = {
         "grad_tol": 1e-10,
         "step_tol": 1e-12,
         "jacobian_mode": "kaufman",
-        "holdout_fraction": 0.0,
     },
     "datagen": {
         "params_file": "boucwen_params.json",
@@ -192,7 +191,6 @@ def cmd_fit(cfg: dict) -> int:
             grad_tol=float(tc["grad_tol"]),
             step_tol=float(tc["step_tol"]),
             jacobian_mode=str(tc["jacobian_mode"]),
-            holdout_fraction=float(tc.get("holdout_fraction", 0.0)),
         )
         net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
         stage = "persist"
@@ -235,6 +233,17 @@ def cmd_eval(cfg: dict) -> int:
     except SimulationDiverged as exc:
         diverged = True
         div_index = exc.index
+    else:
+        # a finite free run can still be too large to square or sum
+        with np.errstate(over="ignore"):
+            value = rmse(data.y[seed_len:], y_s[seed_len:])
+            if not np.isfinite(value):
+                diverged = True
+                sq_err = (data.y[seed_len:] - y_s[seed_len:]) ** 2
+                bad = ~np.isfinite(sq_err)
+                if not bad.any():  # every square is finite, only their sum overflows
+                    bad = ~np.isfinite(np.cumsum(sq_err))
+                div_index = seed_len + int(np.argmax(bad))
     ds = build_regressors(data, spec)
     cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
     if diverged:
@@ -242,7 +251,6 @@ def cmd_eval(cfg: dict) -> int:
         print(f"divergence_index={div_index}")
     else:
         n_s = len(data) - seed_len
-        value = rmse(data.y[seed_len:], y_s[seed_len:])
         print("diverged=false")
         print(f"n_s={n_s}")
         print(f"rmse={value:.6e}")

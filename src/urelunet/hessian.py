@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfit import PolyNarxModel
+from .polyfit import PolyNarxModel, PolyTerm
 
 
 @dataclass(frozen=True)
@@ -58,20 +58,14 @@ def stack_hessians(model: PolyNarxModel, points: np.ndarray) -> HessianTensor:
             if exps[a] >= 2:
                 red = exps.copy()
                 red[a] -= 2
-                H[a, a, :] += c * exps[a] * (exps[a] - 1) * _monomial(P, red)
+                H[a, a, :] += c * exps[a] * (exps[a] - 1) * PolyTerm(tuple(red)).evaluate(P)
             # off-diagonal entries: d^2/du_a du_b, b > a
             for b in vars_present[ia + 1 :]:
                 red = exps.copy()
                 red[a] -= 1
                 red[b] -= 1
-                val = c * exps[a] * exps[b] * _monomial(P, red)
+                val = c * exps[a] * exps[b] * PolyTerm(tuple(red)).evaluate(P)
                 H[a, b, :] += val
                 H[b, a, :] += val
     return HessianTensor(data=H, points=P)
 
-
-def _monomial(P: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    out = np.ones(P.shape[0])
-    for j in np.nonzero(exps)[0]:
-        out *= P[:, j] ** exps[j]
-    return out

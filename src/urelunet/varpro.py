@@ -24,7 +24,6 @@ class TrainConfig:
     grad_tol: float = 1e-10
     step_tol: float = 1e-12
     jacobian_mode: str = "kaufman"
-    holdout_fraction: float = 0.0
 
     def __post_init__(self):
         if self.max_iter < 1:
@@ -33,8 +32,6 @@ class TrainConfig:
             raise ValueError("damping multipliers must be > 1")
         if self.jacobian_mode not in ("full", "kaufman"):
             raise ValueError("jacobian_mode must be 'full' or 'kaufman'")
-        if not 0.0 <= self.holdout_fraction < 1.0:
-            raise ValueError("holdout_fraction must be in [0, 1)")
 
 
 @dataclass
@@ -45,7 +42,6 @@ class TrainReport:
     accepted: int
     rejected: int
     status: str
-    holdout_rmse_db: float | None = None
 
     def to_json(self) -> str:
         return json.dumps(
@@ -56,7 +52,6 @@ class TrainReport:
                 "accepted": self.accepted,
                 "rejected": self.rejected,
                 "status": self.status,
-                "holdout_rmse_db": self.holdout_rmse_db,
             },
             sort_keys=True,
         )
@@ -67,18 +62,32 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def solve_weights(B: np.ndarray, y: np.ndarray, rcond: float = PINV_RCOND):
+def _augmented_pinv(B: np.ndarray):
+    """The augmented basis [1, B], its pseudo-inverse and its rank.
+
+    Singular values at or below PINV_RCOND times the largest are dropped, so a
+    rank-deficient basis gets the minimum-norm solution.
+    """
+    Btil = np.column_stack([np.ones(B.shape[0]), B])
+    u, sv, vt = np.linalg.svd(Btil, full_matrices=False)
+    keep = sv > PINV_RCOND * sv.max()
+    inv = np.zeros_like(sv)
+    inv[keep] = 1.0 / sv[keep]
+    return Btil, vt.T @ (inv[:, None] * u.T), int(keep.sum())
+
+
+def solve_weights(B: np.ndarray, y: np.ndarray):
     """Minimum-norm least-squares weights for the augmented basis [1, B].
 
-    Returns (w, rank); w[0] is the constant weight.
+    Returns (w, rank); w[0] is the constant weight. Training solves for its
+    weights with the same pseudo-inverse.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     y = np.asarray(y, dtype=float)
     if B.shape[0] != len(y):
         raise ValueError("row count of B must match length of y")
-    Btil = np.column_stack([np.ones(B.shape[0]), B])
-    w, _, rank, _ = np.linalg.lstsq(Btil, y, rcond=rcond)
-    return w, int(rank)
+    _, pinv, rank = _augmented_pinv(B)
+    return pinv @ y, rank
 
 
 @dataclass(frozen=True)
@@ -92,8 +101,6 @@ class BasisDerivative:
 
     mask: np.ndarray  # (N, n, q) activation pattern x_i(k) - beta_ij > 0
     dbeta: np.ndarray  # (m, n, q) knot sensitivities
-    k_min: np.ndarray  # (n,) argmin sample per dimension (lowest index on ties)
-    k_max: np.ndarray  # (n,) argmax sample per dimension
     U: np.ndarray
 
     def column(self, s: int, t: int) -> np.ndarray:
@@ -103,6 +110,22 @@ class BasisDerivative:
         block = self.mask[:, t, :] * (self.U[:, s][:, None] - self.dbeta[s, t, :][None, :])
         D[:, t * q : (t + 1) * q] = block
         return D
+
+
+def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, min_sign: float):
+    """Activation mask (N, n, q) and knot sensitivities dbeta (m, n, q) at X = U V.
+
+    Knot j of dimension i sits at x_i(k_min) + s_j (x_i(k_max) - x_i(k_min)),
+    where k_min and k_max are the samples holding that dimension's extremes
+    (the lowest index on ties), so it moves with V through those two samples.
+    `min_sign` multiplies the k_min contribution; only +1 is correct.
+    """
+    mask = (X[:, :, None] - beta[None, :, :]) > 0.0
+    Umin = U[np.argmin(X, axis=0), :].T  # (m, n)
+    Umax = U[np.argmax(X, axis=0), :].T
+    s = knot_fractions(beta.shape[1])
+    dbeta = s[None, None, :] * (Umax - Umin)[:, :, None] + min_sign * Umin[:, :, None]
+    return mask, dbeta
 
 
 def dB_dV(
@@ -115,39 +138,31 @@ def dB_dV(
     selects the sign of the min-sample contribution: "plus" is the form that
     follows from differentiating the grid definition and is the default;
     "minus" is retained only for regression-testing the incorrect variant.
+    `vp_jacobian` builds its Jacobian from this same derivative.
     """
     if sign_mode not in ("plus", "minus"):
         raise ValueError("sign_mode must be 'plus' or 'minus'")
-    U = dataset.U
-    X = transform(U, net.V)
-    q = net.q
-    beta = bias_grid(X, q)
-    mask = (X[:, :, None] - beta[None, :, :]) > 0.0
-    k_min = np.argmin(X, axis=0)
-    k_max = np.argmax(X, axis=0)
-    s = knot_fractions(q)
-    Umin = U[k_min, :].T  # (m, n)
-    Umax = U[k_max, :].T
+    X = transform(dataset.U, net.V)
     min_sign = 1.0 if sign_mode == "plus" else -1.0
-    dbeta = s[None, None, :] * (Umax - Umin)[:, :, None] + min_sign * Umin[:, :, None]
-    return BasisDerivative(mask=mask, dbeta=dbeta, k_min=k_min, k_max=k_max, U=U)
+    mask, dbeta = _basis_derivative(dataset.U, X, bias_grid(X, net.q), min_sign)
+    return BasisDerivative(mask=mask, dbeta=dbeta, U=dataset.U)
 
 
 class _VpState:
     """Everything the residual and Jacobian share at a fixed V."""
 
     def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int):
-        self.V = np.asarray(V, dtype=float)
         self.U = dataset.U
-        self.y = dataset.y
-        self.q = q
-        self.X = transform(self.U, self.V)
+        self.X = transform(self.U, V)
         self.beta = bias_grid(self.X, q)
-        self.B = build_B(self.X, self.beta)
-        self.Btil = np.column_stack([np.ones(self.B.shape[0]), self.B])
-        self.pinv = np.linalg.pinv(self.Btil, rcond=PINV_RCOND)
-        self.w = self.pinv @ self.y
-        self.r = self.y - self.Btil @ self.w
+        self.Btil, self.pinv, _ = _augmented_pinv(build_B(self.X, self.beta))
+        self.w = self.pinv @ dataset.y
+        self.r = dataset.y - self.Btil @ self.w
+
+
+def _sum_knots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """out[k, t, s] = sum_j A[k, t, j] * D[s, t, j]: one matmul per dimension t."""
+    return (A.transpose(1, 0, 2) @ D.transpose(1, 2, 0)).transpose(1, 0, 2)
 
 
 def vp_residual(V: np.ndarray, dataset: RegressionDataset, q: int) -> np.ndarray:
@@ -160,42 +175,32 @@ def vp_jacobian(
 ) -> np.ndarray:
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
-    "full" is the exact two-term form; "kaufman" drops the transposed term,
-    giving the usual cheaper approximation with the same first-order behavior
-    near the optimum.
+    Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`
+    (plus sign). With P the projector onto the complement of [1, B], "full"
+    is the exact two-term Golub-Pereyra form
+    -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r; "kaufman" drops the
+    second term, giving the usual cheaper approximation with the same
+    gradient J^T r.
     """
     if mode not in ("full", "kaufman"):
         raise ValueError("mode must be 'full' or 'kaufman'")
     st = _VpState(V, dataset, q)
-    U, y, q_ = st.U, st.y, st.q
+    U = st.U
     N, m = U.shape
-    n = st.V.shape[1]
-    s = knot_fractions(q_)
-    mask = (st.X[:, :, None] - st.beta[None, :, :]) > 0.0
-    k_min = np.argmin(st.X, axis=0)
-    k_max = np.argmax(st.X, axis=0)
-    Umin = U[k_min, :].T  # (m, n)
-    Delta = (U[k_max, :] - U[k_min, :]).T  # (m, n)
-    wmat = st.w[1:].reshape(n, q_)
+    n = st.X.shape[1]
+    mask, dbeta = _basis_derivative(U, st.X, st.beta, 1.0)
 
-    # d(B w)/dv_st, all variables at once: shape (N, n, m), var index t*m + s
-    Mw = np.einsum("ktj,tj->kt", mask, wmat)
-    Msw = np.einsum("ktj,j,tj->kt", mask, s, wmat)
-    G = (
-        U[:, None, :] * Mw[:, :, None]
-        - Delta.T[None, :, :] * Msw[:, :, None]
-        - Umin.T[None, :, :] * Mw[:, :, None]
-    ).reshape(N, n * m)
+    # (dB/dv_st) w for every variable at once: shape (N, n, m), index t*m + s
+    Mw = mask * st.w[1:].reshape(n, q)
+    G = (U[:, None, :] * Mw.sum(axis=2)[:, :, None] - _sum_knots(Mw, dbeta)).reshape(N, n * m)
     J = -(G - st.Btil @ (st.pinv @ G))
 
     if mode == "full":
-        dbeta = s[None, None, :] * Delta[:, :, None] + Umin[:, :, None]  # (m, n, q)
-        Rm = np.einsum("ktj,k->tj", mask, st.r)
-        P1 = np.einsum("ks,ktj->stj", U, mask * st.r[:, None, None])
-        Cmat = P1 - dbeta * Rm[None, :, :]  # (m, n, q)
-        blocks = st.pinv.T[:, 1:].reshape(N, n, q_)
-        term2 = np.einsum("ktj,stj->kts", blocks, Cmat).reshape(N, n * m)
-        J = J - term2
+        # (dB/dv_st)^T r for every variable: shape (m, n, q)
+        Mr = mask * st.r[:, None, None]
+        C = (U.T @ Mr.reshape(N, n * q)).reshape(m, n, q) - dbeta * Mr.sum(axis=0)[None, :, :]
+        blocks = st.pinv.T[:, 1:].reshape(N, n, q)
+        J = J - _sum_knots(blocks, C).reshape(N, n * m)
     return J
 
 
@@ -215,9 +220,8 @@ def train(
     if V.ndim != 2 or V.shape[0] != dataset.m:
         raise ValueError(f"V0 must be {dataset.m} x n")
     m, n = V.shape
-    fit_ds, holdout = _split_holdout(dataset, config.holdout_fraction)
 
-    r = vp_residual(V, fit_ds, q)
+    r = vp_residual(V, dataset, q)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite residual at the initial transform")
     cost = float(r @ r)
@@ -229,7 +233,7 @@ def train(
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        J = vp_jacobian(V, fit_ds, q, mode=config.jacobian_mode)
+        J = vp_jacobian(V, dataset, q, mode=config.jacobian_mode)
         g = J.T @ r
         if np.max(np.abs(g)) < config.grad_tol:
             status = "grad_tol"
@@ -249,7 +253,7 @@ def train(
                 break
             V_new = V + delta.reshape(n, m).T if delta is not None else None
             if V_new is not None:
-                r_new = vp_residual(V_new, fit_ds, q)
+                r_new = vp_residual(V_new, dataset, q)
                 cost_new = float(r_new @ r_new)
             else:
                 cost_new = np.inf
@@ -268,9 +272,9 @@ def train(
         if not moved:
             break
 
-    st = _VpState(V, fit_ds, q)
+    st = _VpState(V, dataset, q)
     net = make_net(V, q, st.w, st.X, regressor_spec=dataset.spec)
-    final_rmse = math.sqrt(cost / fit_ds.n_samples)
+    final_rmse = math.sqrt(cost / dataset.n_samples)
     report = TrainReport(
         iterations=iterations,
         residual_history=history,
@@ -278,26 +282,6 @@ def train(
         accepted=accepted,
         rejected=rejected,
         status=status,
-        holdout_rmse_db=_holdout_rmse_db(net, holdout),
     )
     return net, report
 
-
-def _split_holdout(dataset: RegressionDataset, fraction: float):
-    if fraction <= 0.0:
-        return dataset, None
-    N = dataset.n_samples
-    n_fit = max(int(round(N * (1.0 - fraction))), 2)
-    fit = RegressionDataset(U=dataset.U[:n_fit], y=dataset.y[:n_fit], spec=dataset.spec)
-    hold = RegressionDataset(U=dataset.U[n_fit:], y=dataset.y[n_fit:], spec=dataset.spec)
-    return fit, (hold if hold.n_samples else None)
-
-
-def _holdout_rmse_db(net: UReluNet, holdout) -> float | None:
-    if holdout is None:
-        return None
-    from .network import forward
-
-    resid = holdout.y - forward(net, holdout.U)
-    value = float(np.sqrt(np.mean(resid**2)))
-    return 20.0 * math.log10(value) if value > 0 else -math.inf

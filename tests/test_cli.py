@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from urelunet import cli
-from urelunet.dataset import load_csv
+from urelunet.dataset import RegressorSpec, TimeSeriesData, load_csv, save_csv, simulate_free_run
 from urelunet.network import UReluNet, make_net, param_count
 from urelunet.pwl import PwlRegion
 
@@ -159,6 +159,30 @@ class TestEval:
         assert float(kv["rmse_db"]) < 0.0
         assert float(kv["cond_u"]) > 1.0
         assert float(kv["cond_x"]) > 1.0
+
+    def test_overflowing_free_run_reported_as_divergence(self, tmp_path):
+        # y(t) = 1.5 y(t-1) stays finite for 1024 samples (about 1e180), but
+        # its squared error overflows
+        X = np.array([[-1.0], [1.0]])
+        net = make_net(np.array([[0.0], [1.0]]), 2, np.array([-1.5, 1.5, 0.0]), X, RegressorSpec(0, 1))
+        model = tmp_path / "model.json"
+        model.write_text(net.to_json())
+        y = np.zeros(1024)
+        y[0] = 1.0
+        validation = tmp_path / "validation.csv"
+        save_csv(validation, TimeSeriesData(u=np.zeros(1024), y=y, sample_rate=1.0))
+        y_s = simulate_free_run(net, np.zeros(1024), y[:1], RegressorSpec(0, 1))
+        assert np.isfinite(y_s).all()
+        with np.errstate(over="ignore"):
+            expected = int(np.flatnonzero(~np.isfinite((y - y_s) ** 2))[0])
+        rc, out, _ = run_main(
+            ["--set", f"paths.model={model}", "--set", f"paths.validation={validation}", "eval"]
+        )
+        assert rc == 0
+        kv = parse_kv(out)
+        assert kv["diverged"] == "true"
+        assert int(kv["divergence_index"]) == expected
+        assert "rmse" not in kv
 
     def test_missing_model_exit_code(self, tmp_path):
         rc, _, err = run_main(

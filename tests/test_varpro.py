@@ -197,6 +197,24 @@ class TestJacobian:
         r = vp_residual(V, ds, 4)
         assert np.abs(diff.T @ r).max() <= 1e-8 * max(np.abs(diff).max(), 1.0)
 
+    def test_kaufman_columns_project_basis_derivative(self):
+        # column t*m + s is -P (dB/dv_st) w with the derivative criterion 3 checks
+        m, n, q = 5, 3, 4
+        V, ds = safe_instance(N=90, m=m, n=n, q=q, seed=23)
+        X = transform(ds.U, V)
+        B = build_B(X, bias_grid(X, q))
+        w, _ = solve_weights(B, ds.y)
+        Btil = np.column_stack([np.ones(ds.n_samples), B])
+        pinv = np.linalg.pinv(Btil, rcond=1e-10)
+        d = dB_dV(make_net(V, q, w, X), ds)
+        J = vp_jacobian(V, ds, q, mode="kaufman")
+        for t in range(n):
+            for s in range(m):
+                g = d.column(s, t) @ w[1:]
+                expected = -(g - Btil @ (pinv @ g))
+                col = J[:, t * m + s]
+                assert np.abs(col - expected).max() <= 1e-10 * np.abs(expected).max()
+
     def test_bad_mode(self):
         V, ds = safe_instance(N=20, m=3, n=2, q=3, seed=22)
         with pytest.raises(ValueError):
@@ -247,14 +265,6 @@ class TestTrain:
             _, report = train(V, ds, 4, TrainConfig(max_iter=10, jacobian_mode=mode))
             assert report.residual_history[-1] <= report.residual_history[0]
 
-    def test_holdout_reported(self):
-        V, ds = safe_instance(N=200, m=4, n=2, q=4, seed=35)
-        _, report = train(
-            V, ds, 4, TrainConfig(max_iter=5, holdout_fraction=0.25)
-        )
-        assert report.holdout_rmse_db is not None
-        assert np.isfinite(report.holdout_rmse_db)
-
     def test_report_json_round_trip(self):
         import json
 
@@ -275,5 +285,3 @@ class TestTrain:
             TrainConfig(max_iter=0)
         with pytest.raises(ValueError):
             TrainConfig(jacobian_mode="secret")
-        with pytest.raises(ValueError):
-            TrainConfig(holdout_fraction=1.0)
