@@ -195,7 +195,10 @@ def cmd_fit(cfg: dict) -> int:
         net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
         stage = "persist"
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
-        Path(paths["report"]).write_text(report.to_json() + "\n", encoding="utf-8")
+        doc = {**json.loads(report.to_json()), "frols_err": list(poly.err_values)}
+        Path(paths["report"]).write_text(
+            json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
+        )
         Path(str(paths["report"]) + ".history.csv").write_text(
             report.history_csv(), encoding="utf-8"
         )
@@ -207,6 +210,7 @@ def cmd_fit(cfg: dict) -> int:
         return 1
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
+    print(f"frols_esr={1.0 - sum(poly.err_values)!r}")
     print(f"parameters={param_count(net)}")
     print(f"iterations={report.iterations}")
     print(f"accepted_steps={report.accepted}")

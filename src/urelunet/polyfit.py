@@ -127,13 +127,16 @@ def frols_select(
 ) -> PolyNarxModel:
     """Greedy forward selection of polynomial terms by error reduction ratio.
 
-    Each iteration orthogonalizes the remaining candidate columns against the
-    already-selected ones (classical Gram-Schmidt with a second pass for
-    conditioning) and picks the candidate explaining the largest fraction of
-    the remaining output energy. Selection stops when the cumulative error
-    reduction ratio reaches 1 - esr_tol or max_terms terms are selected. The
-    final coefficients are re-estimated by ordinary least squares on the raw
-    selected columns.
+    Fast orthogonal least squares (Zhu & Billings, 1996; Li, Peng & Irwin,
+    2005): the unit-scaled candidate columns are kept as they are, and each
+    candidate's squared norm and correlation with y, orthogonal to the
+    selected basis, are downdated after every selection. Only the chosen
+    column is orthogonalized against the selected basis (classical
+    Gram-Schmidt, applied twice). Each step picks the candidate explaining the
+    largest fraction of the remaining output energy. Selection stops when the
+    cumulative error reduction ratio reaches 1 - esr_tol or max_terms terms
+    are selected. The final coefficients are re-estimated by ordinary least
+    squares on the raw selected columns.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
@@ -143,32 +146,35 @@ def frols_select(
     N = len(y)
     if N <= max_terms:
         raise ValueError(f"need more samples ({N}) than max_terms ({max_terms})")
-    # Single N x K working matrix; raw columns are re-evaluated from the terms
-    # for the final OLS refit, which keeps the peak memory at one copy even for
+    # Single N x K matrix of candidate columns, written here and only read
+    # afterwards; raw columns are re-evaluated from the terms for the final
+    # OLS refit, which keeps the peak memory at one copy even for
     # benchmark-sized candidate sets.
     K = len(candidates)
     W = np.empty((N, K))
     for j, term in enumerate(candidates):
         W[:, j] = term.evaluate(dataset.U)
-    # Unit-norm scaling stabilizes the Gram-Schmidt arithmetic; ERR itself is
-    # scale-invariant and the final OLS refit is done on raw columns.
-    norms = np.linalg.norm(W, axis=0)
+    # Unit-norm scaling stabilizes the orthogonalization arithmetic; ERR
+    # itself is scale-invariant and the final OLS refit is done on raw
+    # columns. A zero-norm column is all zeros already.
+    norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     alive = norms > 0
-    W[:, alive] /= norms[alive]
-    W[:, ~alive] = 0.0
+    W /= np.where(alive, norms, 1.0)
     yty = float(y @ y)
     if yty == 0:
         # Zero target: the first candidate with a zero coefficient.
         return PolyNarxModel(terms=(candidates[0],), coeffs=np.zeros(1), m=dataset.m)
 
+    # Squared norms and correlations with y of the columns' components
+    # orthogonal to the selected basis Q.
+    wn2 = np.einsum("ij,ij->j", W, W)
+    wy = W.T @ y
     selected: list[int] = []
     err_values: list[float] = []
-    Q = np.empty((N, 0))
+    Q = np.empty((N, max_terms))
     esr = 1.0
     drop_tol = 1e-10
-    chunk = 1024
-    for _ in range(max_terms):
-        wn2 = np.einsum("ij,ij->j", W, W)
+    for k in range(max_terms):
         ok = alive.copy()
         ok[selected] = False
         degenerate = ok & (wn2 <= drop_tol)
@@ -183,24 +189,25 @@ def frols_select(
             if not selected:
                 raise ValueError("all candidate columns are degenerate")
             break
-        wy = W.T @ y
         err = np.zeros(K)
         err[ok] = wy[ok] ** 2 / (wn2[ok] * yty)
         best = int(np.argmax(err))
         selected.append(best)
         err_values.append(float(err[best]))
-        q = W[:, best] / np.sqrt(wn2[best])
-        Q = np.column_stack([Q, q])
         esr -= err[best]
         if esr <= esr_tol or len(selected) == max_terms:
             break
-        # orthogonalize the survivors against the new direction, then a second
-        # pass against the whole selected basis to guard conditioning; chunked
-        # to bound temporary memory at benchmark scale
-        for lo in range(0, K, chunk):
-            sl = slice(lo, min(lo + chunk, K))
-            W[:, sl] -= q[:, None] * (q @ W[:, sl])[None, :]
-            W[:, sl] -= Q @ (Q.T @ W[:, sl])
+        q = W[:, best].copy()
+        for _ in range(2):
+            q -= Q[:, :k] @ (Q[:, :k].T @ q)
+        q /= np.linalg.norm(q)
+        Q[:, k] = q
+        # q is orthogonal to the earlier basis, so q @ w_j equals q @ (the
+        # component of w_j orthogonal to it): one read-only pass over W
+        # downdates every candidate.
+        c = q @ W
+        wn2 -= c * c
+        wy -= c * (q @ y)
 
     cols = np.empty((N, len(selected)))
     for j, idx in enumerate(selected):

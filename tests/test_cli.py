@@ -142,6 +142,15 @@ class TestFit:
         assert hist[-1] < hist[0]
         assert all(b < a for a, b in zip(hist, hist[1:]))
 
+    def test_frols_err_trail_reported(self, desk_pipeline):
+        kv = desk_pipeline["fit"]
+        report = json.loads(desk_pipeline["report"].read_text())
+        assert len(report["frols_err"]) == int(kv["selected_terms"])
+        assert sum(report["frols_err"]) == pytest.approx(
+            1.0 - float(kv["frols_esr"]), abs=1e-9
+        )
+        assert {"iterations", "residual_history", "final_rmse_db", "accepted"} <= set(report)
+
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.train={tmp_path / 'absent.csv'}", "fit"]

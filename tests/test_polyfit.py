@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,47 @@ from urelunet.polyfit import (
 def make_ds(U, y):
     n_y = U.shape[1] - 1
     return RegressionDataset(U=U, y=y, spec=RegressorSpec(n_u=0, n_y=n_y))
+
+
+def reference_frols(U, y, candidates, max_terms, esr_tol, drop_tol=1e-10):
+    """FROLS that orthogonalizes every candidate column at every step.
+
+    Each step subtracts the new direction from all columns and projects them
+    once more against the whole selected basis, then recomputes every norm
+    and correlation. Returns (selected indices, err values, refit coeffs).
+    """
+    W = np.column_stack([t.evaluate(U) for t in candidates])
+    norms = np.linalg.norm(W, axis=0)
+    alive = norms > 0
+    W[:, alive] /= norms[alive]
+    yty = float(y @ y)
+    selected, err_values = [], []
+    Q = np.empty((len(y), 0))
+    esr = 1.0
+    for _ in range(max_terms):
+        wn2 = np.einsum("ij,ij->j", W, W)
+        ok = alive.copy()
+        ok[selected] = False
+        alive &= ~(ok & (wn2 <= drop_tol))
+        ok &= alive
+        if not ok.any():
+            break
+        wy = W.T @ y
+        err = np.zeros(W.shape[1])
+        err[ok] = wy[ok] ** 2 / (wn2[ok] * yty)
+        best = int(np.argmax(err))
+        selected.append(best)
+        err_values.append(float(err[best]))
+        esr -= err[best]
+        if esr <= esr_tol:
+            break
+        q = W[:, best] / np.sqrt(wn2[best])
+        Q = np.column_stack([Q, q])
+        W -= np.outer(q, q @ W)
+        W -= Q @ (Q.T @ W)
+    cols = np.column_stack([candidates[i].evaluate(U) for i in selected])
+    coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    return selected, err_values, coeffs
 
 
 class TestEnumerateTerms:
@@ -89,6 +131,50 @@ class TestFrols:
         for term in model.terms:
             col = term.evaluate(U)
             assert abs(resid @ col) <= 1e-8 * np.linalg.norm(col) * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("collinear", [False, True])
+    def test_matches_full_orthogonalization(self, collinear):
+        # The downdated norms must select what explicit re-orthogonalization
+        # of every column selects. With `collinear`, regressor 1 is regressor
+        # 0 plus 1e-6 noise, so several columns fall below the drop tolerance.
+        rng = np.random.default_rng(8)
+        U = rng.normal(size=(400, 10))
+        if collinear:
+            U[:, 1] = U[:, 0] + 1e-6 * rng.normal(size=400)
+        y = (
+            U[:, 0]
+            - 0.5 * U[:, 2] * U[:, 3]
+            + 0.2 * U[:, 4] ** 3
+            + 0.3 * U[:, 1] * U[:, 5]
+            + 0.05 * rng.normal(size=400)
+        )
+        candidates = enumerate_terms(10, 3)
+        assert len(candidates) == 286
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            model = frols_select(make_ds(U, y), candidates, max_terms=30, esr_tol=1e-12)
+            ref_idx, ref_err, ref_coeffs = reference_frols(
+                U, y, candidates, max_terms=30, esr_tol=1e-12
+            )
+        assert len(ref_idx) == 30
+        assert model.terms == tuple(candidates[i] for i in ref_idx)
+        np.testing.assert_allclose(model.err_values, ref_err, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(model.coeffs, ref_coeffs, rtol=1e-10)
+
+    def test_degenerate_columns_warned_and_skipped(self):
+        # U1 = 2 U0 makes e.g. (0, 1, 0) a multiple of (1, 0, 0) and (0, 2, 0)
+        # of (2, 0, 0): once one is selected, the other is numerically zero.
+        rng = np.random.default_rng(9)
+        U = rng.normal(size=(200, 3))
+        U[:, 1] = 2.0 * U[:, 0]
+        y = U[:, 0] + U[:, 0] ** 2 - U[:, 2] + 0.5 * U[:, 0] * U[:, 2]
+        y += 0.01 * rng.normal(size=200)
+        with pytest.warns(UserWarning, match="numerically zero"):
+            model = frols_select(
+                make_ds(U, y), enumerate_terms(3, 2), max_terms=8, esr_tol=1e-12
+            )
+        cols = model.design_matrix(U)
+        assert np.linalg.matrix_rank(cols) == len(model.terms)
 
     def test_degenerate_candidates_error(self):
         U = np.zeros((50, 2))
