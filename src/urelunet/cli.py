@@ -6,6 +6,7 @@ import argparse
 import copy
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -155,21 +156,34 @@ def cmd_datagen(cfg: dict) -> int:
     return 0
 
 
+def _frols_esr(err_values) -> str:
+    """1 - sum(ERR), or "undefined" when FROLS saw a zero target and the ERR is 0/0."""
+    return repr(1.0 - sum(err_values)) if len(err_values) else "undefined"
+
+
 def cmd_fit(cfg: dict) -> int:
     paths = cfg["paths"]
-    stage = "load"
+    stage_s: dict[str, float] = {}
+    stage, started = "load", time.perf_counter()
+
+    def enter(next_stage: str) -> None:
+        nonlocal stage, started
+        now = time.perf_counter()
+        stage_s[stage] = now - started
+        stage, started = next_stage, now
+
     try:
         data = load_csv(paths["train"])
-        stage = "regressors"
+        enter("regressors")
         spec = _spec(cfg)
         ds = build_regressors(data, spec)
-        stage = "polynomial"
+        enter("polynomial")
         pc = cfg["poly"]
         candidates = polyfit.enumerate_terms(ds.m, int(pc["max_degree"]))
         poly = polyfit.frols_select(
             ds, candidates, max_terms=int(pc["max_terms"]), esr_tol=float(pc["esr_tol"])
         )
-        stage = "initialization"
+        enter("initialization")
         ic = cfg["init"]
         V0 = cpd.init_transform(
             ds,
@@ -181,7 +195,7 @@ def cmd_fit(cfg: dict) -> int:
             seed=int(cfg["seed"]),
             n_restarts=int(ic["cpd_restarts"]),
         )
-        stage = "training"
+        enter("training")
         tc = cfg["train"]
         config = TrainConfig(
             max_iter=int(tc["max_iter"]),
@@ -193,9 +207,13 @@ def cmd_fit(cfg: dict) -> int:
             jacobian_mode=str(tc["jacobian_mode"]),
         )
         net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
-        stage = "persist"
+        enter("persist")
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
-        doc = {**json.loads(report.to_json()), "frols_err": list(poly.err_values)}
+        doc = {
+            **json.loads(report.to_json()),
+            "frols_err": list(poly.err_values),
+            "stage_s": stage_s,
+        }
         Path(paths["report"]).write_text(
             json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -210,12 +228,14 @@ def cmd_fit(cfg: dict) -> int:
         return 1
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
-    print(f"frols_esr={1.0 - sum(poly.err_values)!r}")
+    print(f"frols_esr={_frols_esr(poly.err_values)}")
     print(f"parameters={param_count(net)}")
     print(f"iterations={report.iterations}")
     print(f"accepted_steps={report.accepted}")
     print(f"train_rmse_db={report.final_rmse_db:.4f}")
     print(f"status={report.status}")
+    for name, seconds in stage_s.items():
+        print(f"stage_{name}_s={seconds:.6f}")
     return 0
 
 

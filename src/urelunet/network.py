@@ -1,7 +1,9 @@
-"""Single-hidden-layer network with univariate ReLU ramps on a data-derived knot grid."""
+"""Single-hidden-layer network on a data-derived knot grid: per dimension, one linear
+neuron and univariate ReLU ramps."""
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -41,15 +43,36 @@ def bias_grid(X: np.ndarray, q: int) -> np.ndarray:
     return lo[:, None] + (hi - lo)[:, None] * s[None, :]
 
 
+@functools.lru_cache(maxsize=16)
+def _activation_floor(n: int, q: int) -> np.ndarray:
+    """Read-only 1 x n x q floor, -inf for knot 0 and 0 elsewhere.
+
+    The max with it keeps the first neuron linear and ramps the rest. Its
+    shape matches a single row exactly, which keeps a free-run step as cheap
+    as a max with the scalar 0.
+    """
+    floor = np.zeros((1, n, q))
+    floor[:, :, 0] = -np.inf
+    floor.flags.writeable = False
+    return floor
+
+
 def build_B(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Ramp activations max(0, x_i - beta_ij), columns ordered dimension-major, knot-minor."""
+    """Neuron activations, columns ordered dimension-major, knot-minor.
+
+    The first neuron of each dimension is linear, x_i - beta_i0; the others are
+    ramps max(0, x_i - beta_ij). On the training data x_i >= beta_i0, so the
+    two forms agree there; below the grid the linear neuron keeps the
+    coordinate's linear term.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     N, n = X.shape
     if beta.shape[0] != n:
         raise ValueError(f"beta has {beta.shape[0]} rows, X has {n} columns")
     q = beta.shape[1]
-    return np.maximum(0.0, X[:, :, None] - beta[None, :, :]).reshape(N, n * q)
+    D = X[:, :, None] - beta[None, :, :]
+    return np.maximum(D, _activation_floor(n, q), out=D).reshape(N, n * q)
 
 
 @dataclass(frozen=True)
@@ -163,14 +186,14 @@ def make_net(
 
 
 def forward(net: UReluNet, U: np.ndarray) -> np.ndarray:
-    """Evaluate the network on the rows of U: constant weight plus ramp combination."""
+    """Evaluate the network on the rows of U: constant weight plus neuron combination."""
     X = transform(U, net.V)
     B = build_B(X, net.beta)
     return net.w[0] + B @ net.w[1:]
 
 
 def param_count(net: UReluNet) -> int:
-    """Trainable parameters: V entries, ramp weights, and the constant weight.
+    """Trainable parameters: V entries, neuron weights, and the constant weight.
 
     The knot grid (beta, s) is derived from data and not counted.
     """

@@ -72,7 +72,11 @@ def region_of(net: UReluNet, x: np.ndarray) -> tuple[int, ...]:
 
 
 def affine_in_region(net: UReluNet, cell) -> PwlRegion:
-    """The exact affine map on one cell: active ramp weights summed per dimension."""
+    """The exact affine map on one cell: active neuron weights summed per dimension.
+
+    The first neuron of each dimension is linear, so it is active in every
+    cell; cell 0 therefore has the same map as cell 1 in that dimension.
+    """
     cell = tuple(int(k) for k in cell)
     if len(cell) != net.n:
         raise ValueError(f"cell must have {net.n} indices")
@@ -84,8 +88,9 @@ def affine_in_region(net: UReluNet, cell) -> PwlRegion:
         if not 0 <= k <= q:
             raise ValueError(f"cell index {k} out of range 0..{q} in dimension {i}")
         wi = net.w[1 + i * q : 1 + (i + 1) * q]
-        a[i] = float(np.sum(wi[:k]))
-        b -= float(np.sum(wi[:k] * net.beta[i, :k]))
+        active = max(k, 1)
+        a[i] = float(np.sum(wi[:active]))
+        b -= float(np.sum(wi[:active] * net.beta[i, :active]))
         lo = -np.inf if k == 0 else float(net.beta[i, k - 1])
         hi = float(net.beta[i, k]) if k < q else float(net.x_max[i])
         bounds.append((lo, hi))

@@ -28,6 +28,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
+        if not (math.isfinite(self.lm_lambda0) and self.lm_lambda0 > 0):
+            raise ValueError("lm_lambda0 must be finite and > 0")
         if self.lm_up <= 1 or self.lm_down <= 1:
             raise ValueError("damping multipliers must be > 1")
         if self.jacobian_mode not in ("full", "kaufman"):
@@ -119,6 +121,11 @@ def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, min_sign: 
     where k_min and k_max are the samples holding that dimension's extremes
     (the lowest index on ties), so it moves with V through those two samples.
     `min_sign` multiplies the k_min contribution; only +1 is correct.
+
+    The mask also covers column (i, 0), although that neuron is linear. On the
+    data that define the grid this is exact: x_i >= beta_i0 everywhere, and at
+    k_min, where the mask is off, the derivative u(k_min) - dbeta[:, i, 0] is
+    exactly 0. Unmasking the column would change the rounding of the Jacobian.
     """
     mask = (X[:, :, None] - beta[None, :, :]) > 0.0
     Umin = U[np.argmin(X, axis=0), :].T  # (m, n)
@@ -131,7 +138,7 @@ def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, min_sign: 
 def dB_dV(
     net: UReluNet, dataset: RegressionDataset, sign_mode: str = "plus"
 ) -> BasisDerivative:
-    """Analytic derivative structure of the ramp basis with respect to V.
+    """Analytic derivative structure of the basis with respect to V.
 
     The knot grid is treated as a function of V (recomputed from X = U V), so
     each knot moves with the per-dimension min and max samples. `sign_mode`
@@ -152,6 +159,9 @@ class _VpState:
     """Everything the residual and Jacobian share at a fixed V."""
 
     def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int):
+        self.V = np.array(V, dtype=float)
+        self.dataset = dataset
+        self.q = q
         self.U = dataset.U
         self.X = transform(self.U, V)
         self.beta = bias_grid(self.X, q)
@@ -160,18 +170,45 @@ class _VpState:
         self.r = dataset.y - self.Btil @ self.w
 
 
+def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None) -> _VpState:
+    """The state at V, taken from the one-entry `cache` when it was built at exactly this V.
+
+    Without a cache every call builds its own state. With one, a miss drops the
+    held state before building the new one, which the cache then holds.
+    """
+    if cache is None:
+        return _VpState(V, dataset, q)
+    st = cache.get("state")
+    if st is not None and st.dataset is dataset and st.q == q and np.array_equal(st.V, V):
+        return st
+    cache.clear()
+    st = cache["state"] = _VpState(V, dataset, q)
+    return st
+
+
 def _sum_knots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
     """out[k, t, s] = sum_j A[k, t, j] * D[s, t, j]: one matmul per dimension t."""
     return (A.transpose(1, 0, 2) @ D.transpose(1, 2, 0)).transpose(1, 0, 2)
 
 
-def vp_residual(V: np.ndarray, dataset: RegressionDataset, q: int) -> np.ndarray:
-    """Projected residual y - [1, B(V)] [1, B(V)]^+ y at the given transform."""
-    return _VpState(V, dataset, q).r
+def vp_residual(
+    V: np.ndarray, dataset: RegressionDataset, q: int, *, cache: dict | None = None
+) -> np.ndarray:
+    """Projected residual y - [1, B(V)] [1, B(V)]^+ y at the given transform.
+
+    `cache` is an optional one-entry dict that keeps the factorization for a
+    later `vp_jacobian` call at the same V.
+    """
+    return _state(V, dataset, q, cache).r
 
 
 def vp_jacobian(
-    V: np.ndarray, dataset: RegressionDataset, q: int, mode: str = "full"
+    V: np.ndarray,
+    dataset: RegressionDataset,
+    q: int,
+    mode: str = "full",
+    *,
+    cache: dict | None = None,
 ) -> np.ndarray:
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
@@ -180,11 +217,12 @@ def vp_jacobian(
     is the exact two-term Golub-Pereyra form
     -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r; "kaufman" drops the
     second term, giving the usual cheaper approximation with the same
-    gradient J^T r.
+    gradient J^T r. With a `cache` that holds the state built at exactly this
+    V (by `vp_residual`), the factorization is reused rather than rebuilt.
     """
     if mode not in ("full", "kaufman"):
         raise ValueError("mode must be 'full' or 'kaufman'")
-    st = _VpState(V, dataset, q)
+    st = _state(V, dataset, q, cache)
     U = st.U
     N, m = U.shape
     n = st.X.shape[1]
@@ -213,15 +251,18 @@ def train(
     """Levenberg-Marquardt over vec(V) with weights eliminated by projection.
 
     A step solves (J^T J + lambda diag(J^T J)) d = -J^T r and is accepted only
-    if the squared residual decreases. The returned network has its knot grid
-    frozen from the training data at the final accepted V.
+    if the squared residual decreases. Each trial point is factorized once: the
+    Jacobian at an accepted point and the returned network reuse the SVD of
+    [1, B] that the trial built. The returned network has its knot grid frozen
+    from the training data at the final accepted V.
     """
     V = np.array(V0, dtype=float)
     if V.ndim != 2 or V.shape[0] != dataset.m:
         raise ValueError(f"V0 must be {dataset.m} x n")
     m, n = V.shape
 
-    r = vp_residual(V, dataset, q)
+    cache: dict = {}
+    r = vp_residual(V, dataset, q, cache=cache)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite residual at the initial transform")
     cost = float(r @ r)
@@ -233,7 +274,7 @@ def train(
     iterations = 0
 
     for iterations in range(1, config.max_iter + 1):
-        J = vp_jacobian(V, dataset, q, mode=config.jacobian_mode)
+        J = vp_jacobian(V, dataset, q, mode=config.jacobian_mode, cache=cache)
         g = J.T @ r
         if np.max(np.abs(g)) < config.grad_tol:
             status = "grad_tol"
@@ -253,7 +294,7 @@ def train(
                 break
             V_new = V + delta.reshape(n, m).T if delta is not None else None
             if V_new is not None:
-                r_new = vp_residual(V_new, dataset, q)
+                r_new = vp_residual(V_new, dataset, q, cache=cache)
                 cost_new = float(r_new @ r_new)
             else:
                 cost_new = np.inf
@@ -272,7 +313,7 @@ def train(
         if not moved:
             break
 
-    st = _VpState(V, dataset, q)
+    st = _state(V, dataset, q, cache)
     net = make_net(V, q, st.w, st.X, regressor_spec=dataset.spec)
     final_rmse = math.sqrt(cost / dataset.n_samples)
     report = TrainReport(

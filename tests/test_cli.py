@@ -2,12 +2,22 @@ import contextlib
 import copy
 import io
 import json
+import time
 
 import numpy as np
 import pytest
 
-from urelunet import cli
-from urelunet.dataset import RegressorSpec, TimeSeriesData, load_csv, save_csv, simulate_free_run
+from urelunet import boucwen, cli
+from urelunet.dataset import (
+    RegressorSpec,
+    TimeSeriesData,
+    build_regressors,
+    load_csv,
+    rmse,
+    rmse_db,
+    save_csv,
+    simulate_free_run,
+)
 from urelunet.network import UReluNet, make_net, param_count
 from urelunet.pwl import PwlRegion
 
@@ -113,6 +123,30 @@ class TestDatagen:
         assert "square" in err
 
 
+def small_fit_args(tmp_path, zero_target=False):
+    """Arguments of a fast `fit` on a 300-sample record of a small NARX system."""
+    u = np.random.default_rng(11).normal(size=300)
+    y = np.zeros(300)
+    if not zero_target:
+        for t in range(2, 300):
+            y[t] = 0.5 * y[t - 1] + u[t] - 0.3 * u[t - 1] ** 2 + 0.1 * u[t - 2] ** 3
+    save_csv(tmp_path / "train.csv", TimeSeriesData(u=u, y=y, sample_rate=1.0))
+    settings = {
+        "paths.train": tmp_path / "train.csv",
+        "paths.model": tmp_path / "model.json",
+        "paths.report": tmp_path / "report.json",
+        "regressors.n_u": 2,
+        "regressors.n_y": 1,
+        "init.n": 2,
+        "net.q": 3,
+        "train.max_iter": 5,
+    }
+    args = []
+    for key, value in settings.items():
+        args += ["--set", f"{key}={value}"]
+    return args
+
+
 def configs_dir():
     from conftest import CONFIGS
 
@@ -150,6 +184,33 @@ class TestFit:
             1.0 - float(kv["frols_esr"]), abs=1e-9
         )
         assert {"iterations", "residual_history", "final_rmse_db", "accepted"} <= set(report)
+
+    def test_stage_times_reported(self, tmp_path):
+        start = time.perf_counter()
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])
+        wall = time.perf_counter() - start
+        assert rc == 0, err
+        kv = parse_kv(out)
+        stages = ["load", "regressors", "polynomial", "initialization", "training"]
+        stage_s = json.loads((tmp_path / "report.json").read_text())["stage_s"]
+        assert sorted(stage_s) == sorted(stages)
+        for name in stages:
+            assert stage_s[name] >= 0.0
+            assert float(kv[f"stage_{name}_s"]) == pytest.approx(stage_s[name], abs=1e-6)
+        assert sum(stage_s.values()) <= wall
+
+    def test_zero_target_esr_undefined(self, tmp_path):
+        # FROLS's error reduction ratios are 0/0 when y is identically zero
+        rc, out, err = run_main(small_fit_args(tmp_path, zero_target=True) + ["fit"])
+        assert rc == 0, err
+        assert parse_kv(out)["frols_esr"] == "undefined"
+        assert json.loads((tmp_path / "report.json").read_text())["frols_err"] == []
+
+    def test_zero_lambda0_rejected(self, tmp_path):
+        args = small_fit_args(tmp_path) + ["--set", "train.lm_lambda0=0"]
+        rc, _, err = run_main(args + ["fit"])
+        assert rc == 1
+        assert "error=stage:training" in err
 
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
@@ -198,6 +259,26 @@ class TestEval:
             ["--set", f"paths.model={tmp_path / 'absent.json'}", "eval"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("seed", [100, 102])
+    def test_free_run_finite_below_training_range(self, desk_pipeline, seed):
+        # validation multisines at the training level that take some
+        # regressor below its training minimum; both diverge when the first
+        # neuron of each dimension is a ramp instead of linear
+        cfg = cli.load_config(str(cli_config_path()), [], None)
+        dg = cfg["datagen"]
+        params, init = boucwen.load_params(configs_dir() / "desk_boucwen.json")
+        rec = cli._generate_record(
+            params, init, dg["validation_excitation"], int(dg["validation_samples"]), dg, seed
+        )
+        net = UReluNet.from_json(desk_pipeline["model"].read_text())
+        spec = net.regressor_spec
+        X = build_regressors(rec, spec).U @ net.V
+        assert np.any(X < net.x_min)
+        seed_len = max(spec.n_u, spec.n_y)
+        y_s = simulate_free_run(net, rec.u, rec.y[:seed_len], spec)
+        assert np.all(np.isfinite(y_s))
+        assert rmse_db(rmse(rec.y[seed_len:], y_s[seed_len:])) < -70.0
 
 
 class TestSimulate:

@@ -86,11 +86,13 @@ class TestBuildB:
     )
     @settings(max_examples=50, deadline=None)
     def test_elementwise_oracle(self, X, beta):
+        # the first neuron of each dimension is linear, the others are ramps
         B = build_B(X, beta)
         for k in range(7):
             for i in range(2):
                 for j in range(3):
-                    assert B[k, i * 3 + j] == max(0.0, X[k, i] - beta[i, j])
+                    d = X[k, i] - beta[i, j]
+                    assert B[k, i * 3 + j] == (d if j == 0 else max(0.0, d))
 
     def test_monotone_in_x(self):
         rng = np.random.default_rng(4)

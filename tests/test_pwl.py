@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from urelunet.network import make_net, forward, transform
+from urelunet.network import UReluNet, make_net, forward, transform
 from urelunet.pwl import (
     PwlRegion,
     affine_in_region,
@@ -71,11 +71,31 @@ class TestAffineInRegion:
                 x[i] = net.beta[i, k]
                 assert abs(lo.evaluate_x(x) - hi.evaluate_x(x)) <= 1e-9
 
-    def test_below_grid_cell_is_constant(self):
+    def test_below_grid_cell_extends_first_cell(self):
+        # the first neuron is linear, so cell 0 keeps the map of cell 1
         net, _ = random_net(2, 2, 3, seed=5)
-        reg = affine_in_region(net, (0, 0))
-        np.testing.assert_array_equal(reg.a, 0.0)
-        assert reg.b == float(net.w[0])
+        for below, first in (((0, 0), (1, 1)), ((0, 2), (1, 2)), ((3, 0), (3, 1))):
+            lo, hi = affine_in_region(net, below), affine_in_region(net, first)
+            np.testing.assert_array_equal(lo.a, hi.a)
+            assert lo.b == hi.b
+
+    def test_forward_below_grid_matches_cell_zero_map(self):
+        # x_0 = u_0 + u_1 and x_1 = u_0 - u_1 on knots 0, 1, 2 per dimension
+        V = np.array([[1.0, 1.0], [1.0, -1.0]])
+        w = np.array([0.5, 2.0, -1.0, 0.25, -3.0, 0.5, 4.0])
+        beta = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
+        net = UReluNet(V=V, q=3, beta=beta, w=w, x_min=[0.0, 0.0], x_max=[3.0, 3.0])
+        U = np.array([[-1.0, -0.5], [-2.0, 0.5], [0.25, -1.0]])
+        X = transform(U, V)
+        assert np.all(X.min(axis=1) < net.x_min.min())  # each row leaves the grid
+        y = forward(net, U)
+        for u, x, yk in zip(U, X, y):
+            reg = affine_in_region(net, region_of(net, x))
+            assert yk == pytest.approx(reg.evaluate_x(x), abs=1e-12)
+            assert yk == pytest.approx(reg.evaluate_u(u), abs=1e-12)
+        # by hand: row 0 has x = (-1.5, -0.5), below the first knot in both
+        # dimensions, where only the linear neurons act
+        assert y[0] == pytest.approx(0.5 + 2.0 * -1.5 + -3.0 * -0.5, abs=1e-12)
 
     def test_u_slope_is_transform_of_x_slope(self):
         net, _ = random_net(4, 2, 4, seed=6)

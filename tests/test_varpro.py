@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from urelunet import varpro
 from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.network import bias_grid, build_B, forward, make_net, transform
 from urelunet.varpro import (
@@ -285,3 +286,76 @@ class TestTrain:
             TrainConfig(max_iter=0)
         with pytest.raises(ValueError):
             TrainConfig(jacobian_mode="secret")
+
+    @pytest.mark.parametrize("lam0", [0.0, -1e-3, float("inf"), float("nan")])
+    def test_lambda0_must_be_finite_and_positive(self, lam0):
+        # with lambda0 = 0 a rejected trial leaves lambda at 0 and the same
+        # step is retried forever
+        with pytest.raises(ValueError, match="lm_lambda0"):
+            TrainConfig(lm_lambda0=lam0)
+
+
+class TestTrialStateReuse:
+    """`train` factorizes each trial point once and reuses it for the Jacobian."""
+
+    @staticmethod
+    def _count_factorizations(monkeypatch):
+        calls = []
+        original = varpro._augmented_pinv
+
+        def counted(B):
+            calls.append(B.shape)
+            return original(B)
+
+        monkeypatch.setattr(varpro, "_augmented_pinv", counted)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["kaufman", "full"])
+    def test_one_factorization_per_trial(self, monkeypatch, mode):
+        V, ds = safe_instance(N=120, m=4, n=2, q=4, seed=40)
+        trials = []
+        original = varpro.vp_residual
+
+        def traced(V, *args, **kwargs):
+            trials.append(V)
+            return original(V, *args, **kwargs)
+
+        monkeypatch.setattr(varpro, "vp_residual", traced)
+        calls = self._count_factorizations(monkeypatch)
+        net, report = train(V, ds, 4, TrainConfig(max_iter=12, jacobian_mode=mode))
+        assert report.accepted >= 3 and report.rejected >= 1
+        assert len(trials) == 1 + report.accepted + report.rejected
+        # the network is built from the last trial's state unless it was rejected
+        last_rejected = not np.array_equal(trials[-1], net.V)
+        assert len(calls) == len(trials) + int(last_rejected)
+
+    @pytest.mark.parametrize("mode", ["kaufman", "full"])
+    def test_bit_identical_to_rebuilding_every_jacobian(self, monkeypatch, mode):
+        V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=41)
+        config = TrainConfig(max_iter=15, jacobian_mode=mode)
+        net, report = train(V, ds, 4, config)
+        original = varpro.vp_jacobian
+        monkeypatch.setattr(
+            varpro,
+            "vp_jacobian",
+            lambda *args, cache=None, **kwargs: original(*args, **kwargs),
+        )
+        net_ref, report_ref = train(V, ds, 4, config)
+        np.testing.assert_array_equal(net.V, net_ref.V)
+        np.testing.assert_array_equal(net.w, net_ref.w)
+        np.testing.assert_array_equal(net.beta, net_ref.beta)
+        assert report.residual_history == report_ref.residual_history
+
+    def test_jacobian_rebuilds_state_for_another_V(self, monkeypatch):
+        V, ds = safe_instance(N=80, m=4, n=2, q=4, seed=42)
+        cache = {}
+        vp_residual(V, ds, 4, cache=cache)
+        V2 = V.copy()
+        V2[0, 0] = np.nextafter(V2[0, 0], np.inf)  # differs in the last bit only
+        calls = self._count_factorizations(monkeypatch)
+        for mode in ("full", "kaufman"):
+            J = vp_jacobian(V2, ds, 4, mode=mode, cache=cache)
+            np.testing.assert_array_equal(J, vp_jacobian(V2, ds, 4, mode=mode))
+        # one build per uncached call, and one for the first cached call only
+        assert len(calls) == 2 + 1
+        assert np.array_equal(cache["state"].V, V2)
