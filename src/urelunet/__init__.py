@@ -15,7 +15,7 @@ from .dataset import (
     simulate_free_run,
 )
 from .network import UReluNet, bias_grid, build_B, forward, make_net, param_count, transform
-from .polyfit import PolyNarxModel, PolyTerm, enumerate_terms, frols_select, poly_eval
+from .polyfit import PolyNarxModel, PolyTerm, enumerate_terms, frols_select, monomials
 from .varpro import TrainConfig, TrainReport, solve_weights, train, vp_jacobian, vp_residual
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "PolyTerm",
     "enumerate_terms",
     "frols_select",
-    "poly_eval",
+    "monomials",
     "TrainConfig",
     "TrainReport",
     "solve_weights",

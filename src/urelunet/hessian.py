@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfit import PolyNarxModel, PolyTerm
+from .polyfit import PolyNarxModel, monomials
 
 
 @dataclass(frozen=True)
@@ -14,17 +14,12 @@ class HessianTensor:
     """m x m x N stack of polynomial Hessians evaluated at N operating points."""
 
     data: np.ndarray
-    points: np.ndarray
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=float)
-        points = np.atleast_2d(np.asarray(self.points, dtype=float))
         if data.ndim != 3 or data.shape[0] != data.shape[1]:
             raise ValueError("data must be m x m x N")
-        if data.shape[2] != points.shape[0]:
-            raise ValueError("slice count must match number of points")
         object.__setattr__(self, "data", data)
-        object.__setattr__(self, "points", points)
 
     @property
     def m(self) -> int:
@@ -33,14 +28,6 @@ class HessianTensor:
     @property
     def n_points(self) -> int:
         return self.data.shape[2]
-
-
-def poly_hessian_at(model: PolyNarxModel, u: np.ndarray) -> np.ndarray:
-    """Exact Hessian of the polynomial at a single point, by exponent-rule differentiation."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.m,):
-        raise ValueError(f"expected vector of length {model.m}, got shape {u.shape}")
-    return stack_hessians(model, u[None, :]).data[:, :, 0]
 
 
 def stack_hessians(model: PolyNarxModel, points: np.ndarray) -> HessianTensor:
@@ -58,14 +45,14 @@ def stack_hessians(model: PolyNarxModel, points: np.ndarray) -> HessianTensor:
             if exps[a] >= 2:
                 red = exps.copy()
                 red[a] -= 2
-                H[a, a, :] += c * exps[a] * (exps[a] - 1) * PolyTerm(tuple(red)).evaluate(P)
+                H[a, a, :] += c * exps[a] * (exps[a] - 1) * monomials(red, P)[:, 0]
             # off-diagonal entries: d^2/du_a du_b, b > a
             for b in vars_present[ia + 1 :]:
                 red = exps.copy()
                 red[a] -= 1
                 red[b] -= 1
-                val = c * exps[a] * exps[b] * PolyTerm(tuple(red)).evaluate(P)
+                val = c * exps[a] * exps[b] * monomials(red, P)[:, 0]
                 H[a, b, :] += val
                 H[b, a, :] += val
-    return HessianTensor(data=H, points=P)
+    return HessianTensor(data=H)
 

@@ -29,19 +29,6 @@ class PolyTerm:
             raise ValueError("exponents must be non-negative")
         object.__setattr__(self, "exponents", exps)
 
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
-
-    def evaluate(self, U: np.ndarray) -> np.ndarray:
-        """Evaluate the monomial on each row of U (or a single vector)."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        out = np.ones(U.shape[0])
-        for j, e in enumerate(self.exponents):
-            if e:
-                out *= U[:, j] ** e
-        return out
-
 
 @dataclass(frozen=True)
 class PolyNarxModel:
@@ -66,12 +53,15 @@ class PolyNarxModel:
         object.__setattr__(self, "coeffs", coeffs)
 
     def __call__(self, u: np.ndarray) -> float:
-        return poly_eval(self, u)
+        """Evaluate the model at a single m-vector."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.m,):
+            raise ValueError(f"expected vector of length {self.m}, got shape {u.shape}")
+        return float(self.predict(u[None, :])[0])
 
     def design_matrix(self, U: np.ndarray) -> np.ndarray:
         """Evaluate every term on the rows of U; returns N x n_terms."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return np.column_stack([t.evaluate(U) for t in self.terms])
+        return monomials([t.exponents for t in self.terms], U)
 
     def predict(self, U: np.ndarray) -> np.ndarray:
         return self.design_matrix(U) @ self.coeffs
@@ -92,6 +82,38 @@ class PolyNarxModel:
             coeffs=np.array(doc["coeffs"], dtype=float),
             m=int(doc["m"]),
         )
+
+
+def monomials(exponents, U: np.ndarray) -> np.ndarray:
+    """Evaluate monomials on the rows of U (or a single vector); returns N x K.
+
+    `exponents` is one length-m exponent vector or K of them. Column k is the
+    product, in variable order, of U[:, j] ** e over the nonzero exponents of
+    term k, starting from ones. Each distinct power is computed once, and each
+    column is built in one contiguous buffer and stored once.
+    """
+    U = np.atleast_2d(np.asarray(U, dtype=float))
+    E = np.atleast_2d(np.asarray(exponents, dtype=int))
+    if E.ndim != 2 or E.shape[1] != U.shape[1]:
+        raise ValueError(f"U has {U.shape[1]} columns, the terms have {E.shape[-1]} variables")
+    if E.min(initial=0) < 0:
+        raise ValueError("exponents must be non-negative")
+    # powers[j, e - 1] = U[:, j] ** e, in one block: contiguous rows to
+    # multiply by, and one allocation that is returned whole when freed
+    top = E.max(axis=0, initial=0).tolist()
+    powers = np.empty((U.shape[1], max(top, default=0), U.shape[0]))
+    for j, d in enumerate(top):
+        for e in range(1, d + 1):
+            powers[j, e - 1] = U[:, j] ** e
+    out = np.empty((U.shape[0], E.shape[0]))
+    col = np.empty(U.shape[0])
+    for k, exps in enumerate(E.tolist()):
+        col.fill(1.0)
+        for j, e in enumerate(exps):
+            if e:
+                col *= powers[j, e - 1]
+        out[:, k] = col
+    return out
 
 
 def enumerate_terms(m: int, max_degree: int) -> list[PolyTerm]:
@@ -151,9 +173,7 @@ def frols_select(
     # OLS refit, which keeps the peak memory at one copy even for
     # benchmark-sized candidate sets.
     K = len(candidates)
-    W = np.empty((N, K))
-    for j, term in enumerate(candidates):
-        W[:, j] = term.evaluate(dataset.U)
+    W = monomials([t.exponents for t in candidates], dataset.U)
     # Unit-norm scaling stabilizes the orthogonalization arithmetic; ERR
     # itself is scale-invariant and the final OLS refit is done on raw
     # columns. A zero-norm column is all zeros already.
@@ -209,9 +229,7 @@ def frols_select(
         wn2 -= c * c
         wy -= c * (q @ y)
 
-    cols = np.empty((N, len(selected)))
-    for j, idx in enumerate(selected):
-        cols[:, j] = candidates[idx].evaluate(dataset.U)
+    cols = monomials([candidates[i].exponents for i in selected], dataset.U)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return PolyNarxModel(
         terms=tuple(candidates[i] for i in selected),
@@ -220,17 +238,3 @@ def frols_select(
         err_values=tuple(err_values),
     )
 
-
-def poly_eval(model: PolyNarxModel, u: np.ndarray) -> float:
-    """Evaluate the polynomial model at a single m-vector."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.m,):
-        raise ValueError(f"expected vector of length {model.m}, got shape {u.shape}")
-    total = 0.0
-    for term, c in zip(model.terms, model.coeffs):
-        val = 1.0
-        for x, e in zip(u, term.exponents):
-            if e:
-                val *= x**e
-        total += c * val
-    return total

@@ -170,7 +170,7 @@ def test_criterion_05_cpd_recovery():
                 if np.linalg.cond(Vt) < 10 and np.linalg.cond(W) < 10:
                     break
             T = np.einsum("il,jl,kl->ijk", Vt, Vt, W)
-            tensor = HessianTensor(data=T, points=np.zeros((50, 10)))
+            tensor = HessianTensor(data=T)
             fac = cpd.cpd_als(tensor, r=r, seed=seed, tol=1e-12)
             ok = fac.rel_error <= 1e-6 and congruence(Vt, fac.A) >= 0.999
             hits += int(ok)

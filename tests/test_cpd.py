@@ -18,7 +18,7 @@ def symmetric_tensor(m, N, r, seed, cond_guard=True):
         if np.linalg.cond(V) < 10 and np.linalg.cond(W) < 10:
             break
     T = np.einsum("il,jl,kl->ijk", V, V, W)
-    return HessianTensor(data=T, points=np.zeros((N, m))), V, W
+    return HessianTensor(data=T), V, W
 
 
 def reference_als(T, r, max_iter, tol, seed):
@@ -67,7 +67,7 @@ class TestCpdAls:
         assert np.all(congruence(V, fac.B) >= 0.999)
 
     def test_zero_tensor(self):
-        tensor = HessianTensor(data=np.zeros((4, 4, 6)), points=np.zeros((6, 4)))
+        tensor = HessianTensor(data=np.zeros((4, 4, 6)))
         fac = cpd_als(tensor, r=1, seed=0)
         assert fac.rel_error == 0.0
         assert np.all(fac.C == 0)
@@ -77,7 +77,7 @@ class TestCpdAls:
         v = rng.normal(size=5)
         w = rng.normal(size=12)
         T = np.einsum("i,j,k->ijk", v, v, w)
-        fac = cpd_als(HessianTensor(data=T, points=np.zeros((12, 5))), r=1, seed=1)
+        fac = cpd_als(HessianTensor(data=T), r=1, seed=1)
         vn = v / np.linalg.norm(v)
         for F in (fac.A, fac.B):
             cos = abs(vn @ (F[:, 0] / np.linalg.norm(F[:, 0])))
@@ -93,7 +93,7 @@ class TestCpdAls:
         tensor, _, _ = symmetric_tensor(6, 20, 2, seed=3)
         fac = cpd_als(tensor, r=2, seed=3)
         perm = np.random.default_rng(4).permutation(20)
-        permuted = HessianTensor(data=tensor.data[:, :, perm], points=tensor.points)
+        permuted = HessianTensor(data=tensor.data[:, :, perm])
         fac_p = cpd_als(permuted, r=2, seed=3)
         assert fac_p.rel_error <= 1e-8
         assert np.all(congruence(fac.A, fac_p.A) >= 0.999)

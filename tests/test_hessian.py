@@ -1,8 +1,42 @@
 import numpy as np
 import pytest
 
-from urelunet.hessian import poly_hessian_at, stack_hessians
-from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms, poly_eval
+from urelunet.hessian import stack_hessians
+from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms
+
+
+def hessian_at(model, u):
+    return stack_hessians(model, u[None]).data[:, :, 0]
+
+
+def reference_stack(model, P):
+    """Per-entry reference: each Hessian entry from its own reduced monomial."""
+    N, m = P.shape
+    H = np.zeros((m, m, N))
+
+    def reduced(red):
+        col = np.ones(N)
+        for j, e in enumerate(red):
+            if e:
+                col *= P[:, j] ** e
+        return col
+
+    for term, c in zip(model.terms, model.coeffs):
+        exps = np.array(term.exponents)
+        vars_present = np.nonzero(exps)[0]
+        for ia, a in enumerate(vars_present):
+            if exps[a] >= 2:
+                red = exps.copy()
+                red[a] -= 2
+                H[a, a, :] += c * exps[a] * (exps[a] - 1) * reduced(red)
+            for b in vars_present[ia + 1 :]:
+                red = exps.copy()
+                red[a] -= 1
+                red[b] -= 1
+                val = c * exps[a] * exps[b] * reduced(red)
+                H[a, b, :] += val
+                H[b, a, :] += val
+    return H
 
 
 def random_model(m, degree, seed):
@@ -22,8 +56,7 @@ def fd_hessian(model, u, step=1e-5):
             pm[a] += step; pm[b] -= step
             mp[a] -= step; mp[b] += step
             H[a, b] = (
-                poly_eval(model, pp) - poly_eval(model, pm)
-                - poly_eval(model, mp) + poly_eval(model, mm)
+                model(pp) - model(pm) - model(mp) + model(mm)
             ) / (4 * step * step)
     return H
 
@@ -31,13 +64,13 @@ def fd_hessian(model, u, step=1e-5):
 def test_cross_product_term():
     model = PolyNarxModel(terms=(PolyTerm((1, 1)),), coeffs=np.array([1.0]), m=2)
     np.testing.assert_array_equal(
-        poly_hessian_at(model, np.array([5.0, -2.0])), [[0, 1], [1, 0]]
+        hessian_at(model, np.array([5.0, -2.0])), [[0, 1], [1, 0]]
     )
 
 
 def test_cubic_univariate():
     model = PolyNarxModel(terms=(PolyTerm((3,)),), coeffs=np.array([1.0]), m=1)
-    np.testing.assert_allclose(poly_hessian_at(model, np.array([2.0])), [[12.0]])
+    np.testing.assert_allclose(hessian_at(model, np.array([2.0])), [[12.0]])
 
 
 def test_matches_finite_differences():
@@ -45,7 +78,7 @@ def test_matches_finite_differences():
     rng = np.random.default_rng(1)
     for _ in range(5):
         u = rng.normal(size=3)
-        H = poly_hessian_at(model, u)
+        H = hessian_at(model, u)
         Hfd = fd_hessian(model, u)
         scale = max(np.abs(Hfd).max(), 1.0)
         assert np.abs(H - Hfd).max() / scale <= 1e-6
@@ -93,8 +126,15 @@ def test_stack_matches_pointwise():
     tensor = stack_hessians(model, pts)
     for k in range(6):
         np.testing.assert_allclose(
-            tensor.data[:, :, k], poly_hessian_at(model, pts[k]), rtol=1e-12, atol=1e-12
+            tensor.data[:, :, k], hessian_at(model, pts[k]), rtol=1e-12, atol=1e-12
         )
+
+
+@pytest.mark.parametrize("m, degree", [(4, 3), (10, 3), (30, 2)])
+def test_stack_matches_per_entry_reference(m, degree):
+    model = random_model(m, degree, seed=15)
+    pts = np.random.default_rng(16).normal(size=(9, m))
+    np.testing.assert_array_equal(stack_hessians(model, pts).data, reference_stack(model, pts))
 
 
 def test_benchmark_shape():
@@ -106,4 +146,4 @@ def test_benchmark_shape():
 def test_dimension_mismatch():
     model = random_model(3, 2, seed=14)
     with pytest.raises(ValueError):
-        poly_hessian_at(model, np.zeros(4))
+        stack_hessians(model, np.zeros(4)[None])

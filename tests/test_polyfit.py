@@ -3,6 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.polyfit import (
@@ -10,7 +13,7 @@ from urelunet.polyfit import (
     PolyTerm,
     enumerate_terms,
     frols_select,
-    poly_eval,
+    monomials,
 )
 
 
@@ -26,7 +29,11 @@ def reference_frols(U, y, candidates, max_terms, esr_tol, drop_tol=1e-10):
     once more against the whole selected basis, then recomputes every norm
     and correlation. Returns (selected indices, err values, refit coeffs).
     """
-    W = np.column_stack([t.evaluate(U) for t in candidates])
+    # independent oracle for the candidate columns: one broadcast power and
+    # product over the variables
+    E = np.array([t.exponents for t in candidates])
+    raw = np.prod(U[:, None, :] ** E[None, :, :], axis=2)
+    W = raw.copy()
     norms = np.linalg.norm(W, axis=0)
     alive = norms > 0
     W[:, alive] /= norms[alive]
@@ -55,9 +62,58 @@ def reference_frols(U, y, candidates, max_terms, esr_tol, drop_tol=1e-10):
         Q = np.column_stack([Q, q])
         W -= np.outer(q, q @ W)
         W -= Q @ (Q.T @ W)
-    cols = np.column_stack([candidates[i].evaluate(U) for i in selected])
-    coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
+    coeffs, *_ = np.linalg.lstsq(raw[:, selected], y, rcond=None)
     return selected, err_values, coeffs
+
+
+def reference_monomials(exponents, U):
+    """Per-term reference: start from ones and multiply in U[:, j] ** e in variable order."""
+    cols = []
+    for exps in exponents:
+        col = np.ones(U.shape[0])
+        for j, e in enumerate(exps):
+            if e:
+                col *= U[:, j] ** e
+        cols.append(col)
+    return np.column_stack(cols)
+
+
+@st.composite
+def terms_and_points(draw):
+    m = draw(st.integers(1, 30))
+    degree = draw(st.integers(0, 3))
+    combos = draw(
+        st.lists(st.lists(st.integers(0, m - 1), max_size=degree), min_size=1, max_size=40)
+    )
+    exponents = [tuple(c.count(j) for j in range(m)) for c in combos]
+    N = draw(st.integers(1, 12))
+    U = draw(hnp.arrays(np.float64, (N, m), elements=st.floats(-1e3, 1e3)))
+    return exponents, U
+
+
+class TestMonomials:
+    @given(terms_and_points())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_term_reference(self, case):
+        exponents, U = case
+        np.testing.assert_array_equal(monomials(exponents, U), reference_monomials(exponents, U))
+
+    def test_single_term_and_single_point(self):
+        U = np.array([[2.0, -3.0, 0.5]])
+        np.testing.assert_array_equal(monomials((1, 2, 0), U), [[18.0]])
+        np.testing.assert_array_equal(monomials([(0, 0, 0), (0, 0, 3)], U[0]), [[1.0, 0.125]])
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_column_count_must_match_terms(self, columns):
+        with pytest.raises(ValueError, match="columns"):
+            monomials([(1, 0), (0, 1)], np.ones((5, columns)))
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            monomials([(1, -1)], np.ones((5, 2)))
+
+    def test_no_terms(self):
+        assert monomials(np.empty((0, 3), dtype=int), np.ones((5, 3))).shape == (5, 0)
 
 
 class TestEnumerateTerms:
@@ -128,8 +184,7 @@ class TestFrols:
         y = 1.5 + U[:, 0] - 2.0 * U[:, 2] ** 2 + 0.05 * rng.normal(size=250)
         model = frols_select(make_ds(U, y), enumerate_terms(3, 2), max_terms=6)
         resid = y - model.predict(U)
-        for term in model.terms:
-            col = term.evaluate(U)
+        for col in model.design_matrix(U).T:
             assert abs(resid @ col) <= 1e-8 * np.linalg.norm(col) * np.linalg.norm(y)
 
     @pytest.mark.parametrize("collinear", [False, True])
@@ -183,15 +238,21 @@ class TestFrols:
         with pytest.raises(ValueError, match="degenerate"):
             frols_select(make_ds(U, y), bad, max_terms=2)
 
+    def test_candidate_dimension_mismatch(self):
+        rng = np.random.default_rng(10)
+        U = rng.normal(size=(50, 2))
+        with pytest.raises(ValueError, match="columns"):
+            frols_select(make_ds(U, U[:, 0]), enumerate_terms(3, 2), max_terms=4)
+
 
 class TestPolyEval:
     def test_constant(self):
         model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([5.0]), m=2)
-        assert poly_eval(model, np.array([3.0, -7.0])) == 5.0
+        assert model(np.array([3.0, -7.0])) == 5.0
 
     def test_cross_term(self):
         model = PolyNarxModel(terms=(PolyTerm((1, 1)),), coeffs=np.array([2.0]), m=2)
-        assert poly_eval(model, np.array([3.0, 4.0])) == 24.0
+        assert model(np.array([3.0, 4.0])) == 24.0
 
     def test_matches_term_by_term_oracle(self):
         rng = np.random.default_rng(6)
@@ -204,12 +265,18 @@ class TestPolyEval:
                 c * np.prod([u[j] ** e for j, e in enumerate(t.exponents)])
                 for t, c in zip(terms, coeffs)
             )
-            assert poly_eval(model, u) == pytest.approx(expected, rel=1e-12)
+            assert model(u) == pytest.approx(expected, rel=1e-12)
 
     def test_dimension_mismatch(self):
         model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([1.0]), m=2)
         with pytest.raises(ValueError):
-            poly_eval(model, np.array([1.0]))
+            model(np.array([1.0]))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_predict_rejects_wrong_column_count(self, columns):
+        model = PolyNarxModel(terms=(PolyTerm((1, 0)), PolyTerm((0, 1))), coeffs=np.ones(2), m=2)
+        with pytest.raises(ValueError, match="columns"):
+            model.predict(np.ones((4, columns)))
 
 
 def test_json_round_trip():
