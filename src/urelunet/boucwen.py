@@ -10,6 +10,8 @@ import numpy as np
 from scipy import signal as sps
 
 BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
+NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
+NEWTON_MAX_ITER = 50
 
 
 class IntegrationError(RuntimeError):
@@ -74,8 +76,6 @@ def simulate(
     y0: float = 0.0,
     v0: float = 0.0,
     z0: float = 0.0,
-    newton_tol: float = 1e-10,
-    newton_max_iter: int = 50,
 ) -> SimOutput:
     """Integrate the oscillator with average-acceleration Newmark stepping.
 
@@ -102,7 +102,7 @@ def simulate(
         zd0 = _zdot(p, v, z)
         a1, z1 = a, z
         converged = False
-        for _ in range(newton_max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             y1 = y + h * v + h * h * ((0.5 - bn) * a + bn * a1)
             v1 = v + h * ((1.0 - gn) * a + gn * a1)
             zd1 = _zdot(p, v1, z1)
@@ -126,7 +126,7 @@ def simulate(
             dz = (-J11 * R2 + J21 * R1) / det
             a1 += da
             z1 += dz
-            if abs(da) + abs(dz) <= newton_tol * (1.0 + abs(a1) + abs(z1)):
+            if abs(da) + abs(dz) <= NEWTON_TOL * (1.0 + abs(a1) + abs(z1)):
                 converged = True
                 break
         if not converged:
@@ -181,7 +181,7 @@ def swept_sine(
     return amplitude * np.sin(phase)
 
 
-def decimate(x: np.ndarray, factor: int, fs: float) -> np.ndarray:
+def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     """Zero-phase low-pass (4th-order Butterworth, applied forward-backward)
     with cutoff at 0.8 of the post-decimation Nyquist, then keep every
     factor-th sample."""

@@ -26,6 +26,9 @@ from .dataset import (
 from .network import UReluNet, param_count, transform
 from .varpro import TrainConfig, train
 
+# Total degree of the candidate monomials that FROLS selects from.
+POLY_MAX_DEGREE = 3
+
 DEFAULT_CONFIG = {
     "seed": 0,
     "paths": {
@@ -35,18 +38,10 @@ DEFAULT_CONFIG = {
         "report": "report.json",
     },
     "regressors": {"n_u": 5, "n_y": 4},
-    "poly": {"max_degree": 3, "max_terms": 50, "esr_tol": 1e-6},
-    "init": {"n": 3, "max_points": 2000, "cpd_max_iter": 500, "cpd_tol": 1e-8, "cpd_restarts": 3},
+    "poly": {"max_terms": 50},
+    "init": {"n": 3, "max_points": 2000, "cpd_max_iter": 500, "cpd_restarts": 3},
     "net": {"q": 8},
-    "train": {
-        "max_iter": 100,
-        "lm_lambda0": 1e-3,
-        "lm_up": 10.0,
-        "lm_down": 10.0,
-        "grad_tol": 1e-10,
-        "step_tol": 1e-12,
-        "jacobian_mode": "kaufman",
-    },
+    "train": {"max_iter": 100, "jacobian_mode": "kaufman"},
     "datagen": {
         "params_file": "boucwen_params.json",
         "fs": 15000.0,
@@ -76,18 +71,24 @@ def load_config(path: str | None, overrides: list[str], seed: int | None) -> dic
         with open(path, "r", encoding="utf-8") as fh:
             cfg = _merge(cfg, json.load(fh))
     for item in overrides:
-        key, _, raw = item.partition("=")
-        if not _:
+        key, sep, raw = item.partition("=")
+        if not sep:
             raise ValueError(f"override must look like section.key=value: {item!r}")
         try:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
+        *parents, leaf = key.split(".")
         node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-        node[parts[-1]] = value
+        for p in parents:
+            if p not in node:
+                raise ValueError(f"unknown config key {key!r}")
+            node = node[p]
+            if not isinstance(node, dict):
+                raise ValueError(f"config key {key!r} runs through {p!r}, which is not an object")
+        if leaf not in node:
+            raise ValueError(f"unknown config key {key!r}")
+        node[leaf] = value
     if seed is not None:
         cfg["seed"] = seed
     return cfg
@@ -120,8 +121,8 @@ def _generate_record(params, init, exc, n_out, dg, seed):
     u_sim = _excite(exc, n_sim, fs, seed)
     sim = boucwen.simulate(params, u_sim, fs, **init)
     fs_out = fs / factor
-    u_dec = boucwen.decimate(u_sim, factor, fs)
-    y_dec = boucwen.decimate(sim.y, factor, fs)
+    u_dec = boucwen.decimate(u_sim, factor)
+    y_dec = boucwen.decimate(sim.y, factor)
     return TimeSeriesData(u=u_dec[settle:], y=y_dec[settle:], sample_rate=fs_out)
 
 
@@ -178,11 +179,8 @@ def cmd_fit(cfg: dict) -> int:
         spec = _spec(cfg)
         ds = build_regressors(data, spec)
         enter("polynomial")
-        pc = cfg["poly"]
-        candidates = polyfit.enumerate_terms(ds.m, int(pc["max_degree"]))
-        poly = polyfit.frols_select(
-            ds, candidates, max_terms=int(pc["max_terms"]), esr_tol=float(pc["esr_tol"])
-        )
+        candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
+        poly = polyfit.frols_select(ds, candidates, max_terms=int(cfg["poly"]["max_terms"]))
         enter("initialization")
         ic = cfg["init"]
         V0 = cpd.init_transform(
@@ -191,21 +189,12 @@ def cmd_fit(cfg: dict) -> int:
             n=int(ic["n"]),
             max_points=ic.get("max_points"),
             max_iter=int(ic["cpd_max_iter"]),
-            tol=float(ic["cpd_tol"]),
             seed=int(cfg["seed"]),
             n_restarts=int(ic["cpd_restarts"]),
         )
         enter("training")
         tc = cfg["train"]
-        config = TrainConfig(
-            max_iter=int(tc["max_iter"]),
-            lm_lambda0=float(tc["lm_lambda0"]),
-            lm_up=float(tc["lm_up"]),
-            lm_down=float(tc["lm_down"]),
-            grad_tol=float(tc["grad_tol"]),
-            step_tol=float(tc["step_tol"]),
-            jacobian_mode=str(tc["jacobian_mode"]),
-        )
+        config = TrainConfig(max_iter=int(tc["max_iter"]), jacobian_mode=str(tc["jacobian_mode"]))
         net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
         enter("persist")
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")

@@ -180,7 +180,6 @@ def init_transform(
     n: int,
     max_points: int | None = None,
     max_iter: int = 500,
-    tol: float = 1e-8,
     seed: int = 0,
     n_restarts: int = 3,
 ) -> np.ndarray:
@@ -197,7 +196,5 @@ def init_transform(
         idx = np.linspace(0, points.shape[0] - 1, max_points).astype(int)
         points = points[idx]
     tensor = stack_hessians(poly, points)
-    factors = cpd_als(
-        tensor, r=n, max_iter=max_iter, tol=tol, seed=seed, n_restarts=n_restarts
-    )
+    factors = cpd_als(tensor, r=n, max_iter=max_iter, seed=seed, n_restarts=n_restarts)
     return symmetrize_to_V(factors)

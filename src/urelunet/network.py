@@ -148,6 +148,9 @@ class UReluNet:
     @classmethod
     def from_json(cls, text: str) -> "UReluNet":
         doc = json.loads(text)
+        missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_min", "x_max") if k not in doc]
+        if missing:
+            raise ValueError(f"model JSON has no field {', '.join(missing)}")
         m, n, q = int(doc["m"]), int(doc["n"]), int(doc["q"])
         spec = doc.get("regressor_spec")
         return cls(

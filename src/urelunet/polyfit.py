@@ -42,6 +42,8 @@ class PolyNarxModel:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         terms = tuple(self.terms)
+        if not terms:
+            raise ValueError("a model needs at least one term")
         if len(terms) != len(coeffs):
             raise ValueError("terms and coeffs length mismatch")
         if len(set(t.exponents for t in terms)) != len(terms):

@@ -14,24 +14,23 @@ from .network import UReluNet, bias_grid, build_B, knot_fractions, make_net, tra
 
 PINV_RCOND = 1e-10
 
+# Levenberg-Marquardt: the starting damping, the factor that multiplies it on a
+# rejected trial and divides it on an accepted one, and the stops on the
+# gradient's largest entry and on the step norm.
+LM_LAMBDA0 = 1e-3
+LM_FACTOR = 10.0
+GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class TrainConfig:
     max_iter: int = 100
-    lm_lambda0: float = 1e-3
-    lm_up: float = 10.0
-    lm_down: float = 10.0
-    grad_tol: float = 1e-10
-    step_tol: float = 1e-12
     jacobian_mode: str = "kaufman"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not (math.isfinite(self.lm_lambda0) and self.lm_lambda0 > 0):
-            raise ValueError("lm_lambda0 must be finite and > 0")
-        if self.lm_up <= 1 or self.lm_down <= 1:
-            raise ValueError("damping multipliers must be > 1")
         if self.jacobian_mode not in ("full", "kaufman"):
             raise ValueError("jacobian_mode must be 'full' or 'kaufman'")
 
@@ -267,7 +266,7 @@ def train(
         raise ValueError("non-finite residual at the initial transform")
     cost = float(r @ r)
     history = [cost]
-    lam = config.lm_lambda0
+    lam = LM_LAMBDA0
     accepted = 0
     rejected = 0
     status = "max_iter"
@@ -276,7 +275,7 @@ def train(
     for iterations in range(1, config.max_iter + 1):
         J = vp_jacobian(V, dataset, q, mode=config.jacobian_mode, cache=cache)
         g = J.T @ r
-        if np.max(np.abs(g)) < config.grad_tol:
+        if np.max(np.abs(g)) < GRAD_TOL:
             status = "grad_tol"
             iterations -= 1
             break
@@ -289,7 +288,7 @@ def train(
                 delta = np.linalg.solve(JtJ + lam * np.diag(d), -g)
             except np.linalg.LinAlgError:
                 delta = None
-            if delta is not None and float(np.linalg.norm(delta)) < config.step_tol:
+            if delta is not None and float(np.linalg.norm(delta)) < STEP_TOL:
                 status = "step_tol"
                 break
             V_new = V + delta.reshape(n, m).T if delta is not None else None
@@ -302,11 +301,11 @@ def train(
                 V, r, cost = V_new, r_new, cost_new
                 history.append(cost)
                 accepted += 1
-                lam = max(lam / config.lm_down, 1e-15)
+                lam = max(lam / LM_FACTOR, 1e-15)
                 moved = True
                 break
             rejected += 1
-            lam *= config.lm_up
+            lam *= LM_FACTOR
             if lam > 1e12:
                 status = "stalled"
                 break

@@ -13,7 +13,7 @@ import os
 import numpy as np
 import pytest
 
-from urelunet import boucwen, cpd, polyfit, pwl
+from urelunet import boucwen, cli, cpd, polyfit, pwl
 from urelunet.dataset import (
     RegressionDataset,
     RegressorSpec,
@@ -288,7 +288,7 @@ def test_criterion_09_oscillator_integration():
         tt = np.arange(int(dur * fs_i)) / fs_i
         uu = 120.0 * np.sin(2 * np.pi * 35.0 * tt)
         sim = boucwen.simulate(p, uu, fs_i)
-        return boucwen.decimate(sim.y, factor, fs_i)
+        return boucwen.decimate(sim.y, factor)
 
     y_a = run(15000.0, 20)
     y_b = run(30000.0, 40)
@@ -363,10 +363,8 @@ def test_criterion_11_full_benchmark():
     train_data = load_csv(train_path)
     val_data = load_csv(val_path)
     ds = build_regressors(train_data, spec)
-    cands = polyfit.enumerate_terms(ds.m, cfg["poly"]["max_degree"])
-    poly = polyfit.frols_select(
-        ds, cands, max_terms=cfg["poly"]["max_terms"], esr_tol=cfg["poly"]["esr_tol"]
-    )
+    cands = polyfit.enumerate_terms(ds.m, cli.POLY_MAX_DEGREE)
+    poly = polyfit.frols_select(ds, cands, max_terms=cfg["poly"]["max_terms"])
     V0 = cpd.init_transform(
         ds, poly, n=cfg["init"]["n"], max_points=cfg["init"]["max_points"],
         seed=cfg["seed"],

@@ -60,9 +60,58 @@ class TestConfig:
 
     def test_defaults_not_mutated(self):
         before = copy.deepcopy(cli.DEFAULT_CONFIG)
-        cfg = cli.load_config(None, ["net.q=12", "init.new_key=1"], seed=7)
-        assert cfg["net"]["q"] == 12 and cfg["seed"] == 7
+        cfg = cli.load_config(None, ["net.q=12", "init.max_points=7"], seed=7)
+        assert cfg["net"]["q"] == 12 and cfg["init"]["max_points"] == 7 and cfg["seed"] == 7
         assert cli.DEFAULT_CONFIG == before
+
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "train.max_iters",
+            "train.lm_lambda0",
+            "nosuch.q",
+            "net.q.x",
+            "seed.x",
+            "datagen.validation_excitation.type",  # the default is None, not an object
+        ],
+    )
+    def test_set_unknown_or_nested_key_rejected(self, key):
+        rc, _, err = run_main(["--set", f"{key}=5", "fit"])
+        assert rc == 1
+        assert err.startswith("error=") and repr(key) in err
+
+    def test_set_key_from_config_file(self, tmp_path):
+        # a key the defaults lack is settable once the config file has it
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"net": {"extra": {"depth": 1}}}))
+        cfg = cli.load_config(str(p), ["net.extra.depth=2"], None)
+        assert cfg["net"]["extra"] == {"depth": 2}
+
+    def test_set_none_default_accepts_an_object(self):
+        exc = {"type": "zero"}
+        cfg = cli.load_config(None, [f"datagen.validation_excitation={json.dumps(exc)}"], None)
+        assert cfg["datagen"]["validation_excitation"] == exc
+
+    def test_shipped_config_keys_exist_in_defaults(self):
+        def paths(doc, prefix=()):
+            for key, value in doc.items():
+                if isinstance(value, dict):
+                    yield from paths(value, prefix + (key,))
+                else:
+                    yield prefix + (key,)
+
+        shipped = sorted(configs_dir().glob("*_pipeline.json"))
+        assert shipped
+        for config in shipped:
+            doc = json.loads(config.read_text())
+            doc.pop("_comment", None)
+            for path in paths(doc):
+                node = cli.DEFAULT_CONFIG
+                for key in path:
+                    assert isinstance(node, dict) and key in node, (config.name, ".".join(path))
+                    node = node[key]
+                    if node is None:  # a None default accepts an object
+                        break
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
@@ -206,12 +255,6 @@ class TestFit:
         assert parse_kv(out)["frols_esr"] == "undefined"
         assert json.loads((tmp_path / "report.json").read_text())["frols_err"] == []
 
-    def test_zero_lambda0_rejected(self, tmp_path):
-        args = small_fit_args(tmp_path) + ["--set", "train.lm_lambda0=0"]
-        rc, _, err = run_main(args + ["fit"])
-        assert rc == 1
-        assert "error=stage:training" in err
-
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.train={tmp_path / 'absent.csv'}", "fit"]
@@ -259,6 +302,14 @@ class TestEval:
             ["--set", f"paths.model={tmp_path / 'absent.json'}", "eval"]
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("command", ["eval", "simulate", "regions"])
+    def test_model_without_a_field_exit_code(self, tmp_path, command):
+        model = tmp_path / "model.json"
+        model.write_text('{"m": 2}')
+        rc, _, err = run_main(["--set", f"paths.model={model}", command])
+        assert rc == 1
+        assert err.startswith("error=model JSON has no field n,")
 
     @pytest.mark.parametrize("seed", [100, 102])
     def test_free_run_finite_below_training_range(self, desk_pipeline, seed):

@@ -208,3 +208,8 @@ def test_json_round_trip():
     assert clone.regressor_spec == net.regressor_spec
     # determinism of the serialized form
     assert clone.to_json() == net.to_json()
+
+
+def test_from_json_names_a_missing_field():
+    with pytest.raises(ValueError, match="no field n, q, V, beta, w, x_min, x_max"):
+        UReluNet.from_json('{"m": 2}')

@@ -267,6 +267,10 @@ class TestPolyEval:
             )
             assert model(u) == pytest.approx(expected, rel=1e-12)
 
+    def test_zero_terms_rejected(self):
+        with pytest.raises(ValueError, match="at least one term"):
+            PolyNarxModel(terms=(), coeffs=[], m=2)
+
     def test_dimension_mismatch(self):
         model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([1.0]), m=2)
         with pytest.raises(ValueError):

@@ -287,13 +287,6 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(jacobian_mode="secret")
 
-    @pytest.mark.parametrize("lam0", [0.0, -1e-3, float("inf"), float("nan")])
-    def test_lambda0_must_be_finite_and_positive(self, lam0):
-        # with lambda0 = 0 a rejected trial leaves lambda at 0 and the same
-        # step is retried forever
-        with pytest.raises(ValueError, match="lm_lambda0"):
-            TrainConfig(lm_lambda0=lam0)
-
 
 class TestTrialStateReuse:
     """`train` factorizes each trial point once and reuses it for the Jacobian."""
