@@ -16,7 +16,7 @@ from .dataset import (
 )
 from .network import UReluNet, bias_grid, build_B, forward, make_net, param_count, transform
 from .polyfit import PolyNarxModel, PolyTerm, enumerate_terms, frols_select, monomials
-from .varpro import TrainConfig, TrainReport, solve_weights, train, vp_jacobian, vp_residual
+from .varpro import TrainReport, solve_weights, train, vp_jacobian, vp_residual
 
 __all__ = [
     "RegressionDataset",
@@ -40,7 +40,6 @@ __all__ = [
     "enumerate_terms",
     "frols_select",
     "monomials",
-    "TrainConfig",
     "TrainReport",
     "solve_weights",
     "train",

@@ -47,6 +47,9 @@ class BoucWenParams:
     @classmethod
     def from_dict(cls, doc: dict) -> "BoucWenParams":
         keys = ["m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu"]
+        missing = [k for k in keys if k not in doc]
+        if missing:
+            raise ValueError(f"Bouc-Wen parameters lack {', '.join(missing)}")
         return cls(**{k: float(doc[k]) for k in keys})
 
 

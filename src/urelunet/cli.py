@@ -24,7 +24,7 @@ from .dataset import (
     TimeSeriesData,
 )
 from .network import UReluNet, param_count, transform
-from .varpro import TrainConfig, train
+from .varpro import train
 
 # Total degree of the candidate monomials that FROLS selects from.
 POLY_MAX_DEGREE = 3
@@ -41,7 +41,7 @@ DEFAULT_CONFIG = {
     "poly": {"max_terms": 50},
     "init": {"n": 3, "max_points": 2000, "cpd_max_iter": 500, "cpd_restarts": 3},
     "net": {"q": 8},
-    "train": {"max_iter": 100, "jacobian_mode": "kaufman"},
+    "train": {"max_iter": 100},
     "datagen": {
         "params_file": "boucwen_params.json",
         "fs": 15000.0,
@@ -54,6 +54,9 @@ DEFAULT_CONFIG = {
     },
 }
 
+# Config objects whose keys depend on their "type", so a file's keys there go unchecked.
+FREE_FORM_KEYS = ("datagen.excitation", "datagen.validation_excitation")
+
 
 def _merge(base: dict, override: dict) -> dict:
     out = dict(base)
@@ -65,11 +68,33 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
+def _unknown_keys(doc: dict, defaults: dict, prefix: str = ""):
+    """Dotted paths of the keys in `doc` that `defaults` lacks. Keys starting with "_"
+    are comments; a None default and the FREE_FORM_KEYS take any object."""
+    for key, value in doc.items():
+        path = prefix + key
+        if key.startswith("_"):
+            continue
+        if key not in defaults:
+            yield path
+        elif isinstance(value, dict) and isinstance(defaults[key], dict):
+            if path not in FREE_FORM_KEYS:
+                yield from _unknown_keys(value, defaults[key], path + ".")
+
+
 def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
+    """The defaults merged with the config file at `path`, then the `--set` overrides.
+
+    File keys that the defaults lack are warned about; unknown `--set` keys raise."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = _merge(cfg, json.load(fh))
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        for key in _unknown_keys(doc, DEFAULT_CONFIG):
+            print(f"warning=unknown config key {key}", file=sys.stderr)
+        cfg = _merge(cfg, doc)
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -193,9 +218,7 @@ def cmd_fit(cfg: dict) -> int:
             n_restarts=int(ic["cpd_restarts"]),
         )
         enter("training")
-        tc = cfg["train"]
-        config = TrainConfig(max_iter=int(tc["max_iter"]), jacobian_mode=str(tc["jacobian_mode"]))
-        net, report = train(V0, ds, q=int(cfg["net"]["q"]), config=config)
+        net, report = train(V0, ds, int(cfg["net"]["q"]), max_iter=int(cfg["train"]["max_iter"]))
         enter("persist")
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
         doc = {

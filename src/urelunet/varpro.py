@@ -1,11 +1,11 @@
 """Variable-projection training: closed-form weights, analytic basis derivatives,
-Golub-Pereyra / Kaufman Jacobian, and a Levenberg-Marquardt loop over the transform."""
+the exact Golub-Pereyra Jacobian, and a Levenberg-Marquardt loop over the transform."""
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -23,18 +23,6 @@ GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    max_iter: int = 100
-    jacobian_mode: str = "kaufman"
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.jacobian_mode not in ("full", "kaufman"):
-            raise ValueError("jacobian_mode must be 'full' or 'kaufman'")
-
-
 @dataclass
 class TrainReport:
     iterations: int
@@ -45,17 +33,7 @@ class TrainReport:
     status: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "iterations": self.iterations,
-                "residual_history": self.residual_history,
-                "final_rmse_db": self.final_rmse_db,
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "status": self.status,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     def history_csv(self) -> str:
         lines = ["iteration,squared_residual"]
@@ -202,25 +180,17 @@ def vp_residual(
 
 
 def vp_jacobian(
-    V: np.ndarray,
-    dataset: RegressionDataset,
-    q: int,
-    mode: str = "full",
-    *,
-    cache: dict | None = None,
+    V: np.ndarray, dataset: RegressionDataset, q: int, *, cache: dict | None = None
 ) -> np.ndarray:
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
     Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`
-    (plus sign). With P the projector onto the complement of [1, B], "full"
-    is the exact two-term Golub-Pereyra form
-    -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r; "kaufman" drops the
-    second term, giving the usual cheaper approximation with the same
-    gradient J^T r. With a `cache` that holds the state built at exactly this
-    V (by `vp_residual`), the factorization is reused rather than rebuilt.
+    (plus sign). With P the projector onto the complement of [1, B], it is
+    the exact two-term Golub-Pereyra form
+    -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r. With a `cache` that holds
+    the state built at exactly this V (by `vp_residual`), the factorization
+    is reused rather than rebuilt.
     """
-    if mode not in ("full", "kaufman"):
-        raise ValueError("mode must be 'full' or 'kaufman'")
     st = _state(V, dataset, q, cache)
     U = st.U
     N, m = U.shape
@@ -232,22 +202,21 @@ def vp_jacobian(
     G = (U[:, None, :] * Mw.sum(axis=2)[:, :, None] - _sum_knots(Mw, dbeta)).reshape(N, n * m)
     J = -(G - st.Btil @ (st.pinv @ G))
 
-    if mode == "full":
-        # (dB/dv_st)^T r for every variable: shape (m, n, q)
-        Mr = mask * st.r[:, None, None]
-        C = (U.T @ Mr.reshape(N, n * q)).reshape(m, n, q) - dbeta * Mr.sum(axis=0)[None, :, :]
-        blocks = st.pinv.T[:, 1:].reshape(N, n, q)
-        J = J - _sum_knots(blocks, C).reshape(N, n * m)
-    return J
+    # (dB/dv_st)^T r for every variable: shape (m, n, q)
+    Mr = mask * st.r[:, None, None]
+    C = (U.T @ Mr.reshape(N, n * q)).reshape(m, n, q) - dbeta * Mr.sum(axis=0)[None, :, :]
+    blocks = st.pinv.T[:, 1:].reshape(N, n, q)
+    return J - _sum_knots(blocks, C).reshape(N, n * m)
 
 
 def train(
     V0: np.ndarray,
     dataset: RegressionDataset,
     q: int,
-    config: TrainConfig = TrainConfig(),
+    max_iter: int = 100,
 ) -> tuple[UReluNet, TrainReport]:
-    """Levenberg-Marquardt over vec(V) with weights eliminated by projection.
+    """Levenberg-Marquardt over vec(V) with weights eliminated by projection,
+    for at most `max_iter` Jacobians.
 
     A step solves (J^T J + lambda diag(J^T J)) d = -J^T r and is accepted only
     if the squared residual decreases. Each trial point is factorized once: the
@@ -255,6 +224,8 @@ def train(
     [1, B] that the trial built. The returned network has its knot grid frozen
     from the training data at the final accepted V.
     """
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     V = np.array(V0, dtype=float)
     if V.ndim != 2 or V.shape[0] != dataset.m:
         raise ValueError(f"V0 must be {dataset.m} x n")
@@ -272,8 +243,8 @@ def train(
     status = "max_iter"
     iterations = 0
 
-    for iterations in range(1, config.max_iter + 1):
-        J = vp_jacobian(V, dataset, q, mode=config.jacobian_mode, cache=cache)
+    for iterations in range(1, max_iter + 1):
+        J = vp_jacobian(V, dataset, q, cache=cache)
         g = J.T @ r
         if np.max(np.abs(g)) < GRAD_TOL:
             status = "grad_tol"

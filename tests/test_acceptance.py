@@ -33,7 +33,6 @@ from urelunet.network import (
     transform,
 )
 from urelunet.varpro import (
-    TrainConfig,
     dB_dV,
     solve_weights,
     train,
@@ -88,7 +87,7 @@ def test_criterion_02_jacobian_vs_finite_differences():
     step = 1e-7
     for k in range(20):
         V, ds = well_separated_instance(N=500, m=8, n=3, q=5, seed=100 + k)
-        J = vp_jacobian(V, ds, 5, mode="full")
+        J = vp_jacobian(V, ds, 5)
         m, n = V.shape
         Jfd = np.zeros_like(J)
         for t in range(n):
@@ -369,15 +368,7 @@ def test_criterion_11_full_benchmark():
         ds, poly, n=cfg["init"]["n"], max_points=cfg["init"]["max_points"],
         seed=cfg["seed"],
     )
-    tc = cfg["train"]
-    net, _ = train(
-        V0,
-        ds,
-        q=cfg["net"]["q"],
-        config=TrainConfig(
-            max_iter=tc["max_iter"], jacobian_mode=tc["jacobian_mode"],
-        ),
-    )
+    net, _ = train(V0, ds, q=cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
     seed_len = max(spec.n_u, spec.n_y)
     y_s = simulate_free_run(net, val_data.u, val_data.y[:seed_len], spec)
     value = rmse_db(rmse(val_data.y[seed_len:], y_s[seed_len:]))

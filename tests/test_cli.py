@@ -49,8 +49,8 @@ class TestConfig:
         assert cfg["regressors"]["n_u"] == 5
 
     def test_set_values_json_parsed(self):
-        cfg = cli.load_config(None, ["train.jacobian_mode=full", "net.q=9"], None)
-        assert cfg["train"]["jacobian_mode"] == "full"
+        cfg = cli.load_config(None, ["paths.model=out.json", "net.q=9"], None)
+        assert cfg["paths"]["model"] == "out.json"
         assert cfg["net"]["q"] == 9
 
     def test_seed_flag_wins(self, tmp_path):
@@ -69,6 +69,7 @@ class TestConfig:
         [
             "train.max_iters",
             "train.lm_lambda0",
+            "train.jacobian_mode",
             "nosuch.q",
             "net.q.x",
             "seed.x",
@@ -92,7 +93,7 @@ class TestConfig:
         cfg = cli.load_config(None, [f"datagen.validation_excitation={json.dumps(exc)}"], None)
         assert cfg["datagen"]["validation_excitation"] == exc
 
-    def test_shipped_config_keys_exist_in_defaults(self):
+    def test_shipped_config_keys_exist_in_defaults(self, capsys):
         def paths(doc, prefix=()):
             for key, value in doc.items():
                 if isinstance(value, dict):
@@ -112,6 +113,47 @@ class TestConfig:
                     node = node[key]
                     if node is None:  # a None default accepts an object
                         break
+            cli.load_config(str(config), [], None)
+            assert capsys.readouterr().err == "", config.name
+
+    @pytest.mark.parametrize(
+        "doc, unknown",
+        [
+            (
+                {"train": {"max_iters": 5, "jacobian_mode": "kaufman"}},
+                ["train.max_iters", "train.jacobian_mode"],
+            ),
+            ({"nosuch": {"a": 1}, "net": {"q": 8, "extra": 1}}, ["nosuch", "net.extra"]),
+            # comments, an object for a None default and the typed excitation keys
+            (
+                {
+                    "_comment": "x",
+                    "net": {"_note": "y"},
+                    "datagen": {
+                        "excitation": {"type": "swept_sine", "f_start": 1.0},
+                        "validation_excitation": {"type": "zero", "level": 0},
+                    },
+                },
+                [],
+            ),
+        ],
+    )
+    def test_unknown_file_keys_warn(self, tmp_path, capsys, doc, unknown):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        cfg = cli.load_config(str(p), [], None)
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning=unknown config key {key}" for key in unknown
+        ]
+        assert cfg["train"]["max_iter"] == cli.DEFAULT_CONFIG["train"]["max_iter"]
+
+    @pytest.mark.parametrize("doc", [[1, 2], 3, "fit", None])
+    def test_config_file_not_an_object_rejected(self, tmp_path, doc):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc, _, err = run_main(["--config", str(p), "fit"])
+        assert rc == 1
+        assert err.startswith("error=") and "JSON object" in err
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
@@ -170,6 +212,26 @@ class TestDatagen:
         )
         assert rc == 1
         assert "square" in err
+
+    def test_params_file_missing_keys_exit_code(self, tmp_path):
+        doc = json.loads((configs_dir() / "desk_boucwen.json").read_text())
+        del doc["gamma"], doc["nu"]
+        params = tmp_path / "params.json"
+        params.write_text(json.dumps(doc))
+        rc, _, err = run_main(
+            [
+                "--set",
+                f"datagen.params_file={params}",
+                "--set",
+                f"paths.train={tmp_path / 't.csv'}",
+                "--set",
+                f"paths.validation={tmp_path / 'v.csv'}",
+                "datagen",
+            ]
+        )
+        assert rc == 1
+        assert err.startswith("error=") and "gamma, nu" in err
+        assert not (tmp_path / "t.csv").exists()
 
 
 def small_fit_args(tmp_path, zero_target=False):

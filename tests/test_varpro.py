@@ -5,7 +5,6 @@ from urelunet import varpro
 from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.network import bias_grid, build_B, forward, make_net, transform
 from urelunet.varpro import (
-    TrainConfig,
     dB_dV,
     solve_weights,
     train,
@@ -175,31 +174,16 @@ class TestJacobian:
         worst = 0.0
         for seed in range(5):
             V, ds = safe_instance(N=100, m=5, n=3, q=4, seed=10 + seed)
-            J = vp_jacobian(V, ds, 4, mode="full")
+            J = vp_jacobian(V, ds, 4)
             Jfd = fd_jacobian(V, ds, 4)
             worst = max(
                 worst, np.abs(J - Jfd).max() / max(np.abs(Jfd).max(), 1e-12)
             )
         assert worst <= 1e-4
 
-    def test_kaufman_gradient_matches_full(self):
-        # both variants share J^T r exactly: the dropped term is orthogonal to r
-        V, ds = safe_instance(N=80, m=5, n=2, q=4, seed=20)
-        r = vp_residual(V, ds, 4)
-        gf = vp_jacobian(V, ds, 4, mode="full").T @ r
-        gk = vp_jacobian(V, ds, 4, mode="kaufman").T @ r
-        np.testing.assert_allclose(gf, gk, atol=1e-8 * max(np.abs(gf).max(), 1.0))
-
-    def test_kaufman_term_orthogonal_to_residual_span(self):
-        V, ds = safe_instance(N=80, m=4, n=2, q=4, seed=21)
-        diff = vp_jacobian(V, ds, 4, "full") - vp_jacobian(V, ds, 4, "kaufman")
-        # the extra term lives in the row space of the basis pseudoinverse, so
-        # it is annihilated by the projected residual
-        r = vp_residual(V, ds, 4)
-        assert np.abs(diff.T @ r).max() <= 1e-8 * max(np.abs(diff).max(), 1.0)
-
-    def test_kaufman_columns_project_basis_derivative(self):
-        # column t*m + s is -P (dB/dv_st) w with the derivative criterion 3 checks
+    def test_columns_are_the_two_term_form(self):
+        # column t*m + s is -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r, with
+        # the derivative criterion 3 checks
         m, n, q = 5, 3, 4
         V, ds = safe_instance(N=90, m=m, n=n, q=q, seed=23)
         X = transform(ds.U, V)
@@ -207,25 +191,22 @@ class TestJacobian:
         w, _ = solve_weights(B, ds.y)
         Btil = np.column_stack([np.ones(ds.n_samples), B])
         pinv = np.linalg.pinv(Btil, rcond=1e-10)
+        r = ds.y - Btil @ w
         d = dB_dV(make_net(V, q, w, X), ds)
-        J = vp_jacobian(V, ds, q, mode="kaufman")
+        J = vp_jacobian(V, ds, q)
         for t in range(n):
             for s in range(m):
-                g = d.column(s, t) @ w[1:]
-                expected = -(g - Btil @ (pinv @ g))
+                D = d.column(s, t)
+                g = D @ w[1:]
+                expected = -(g - Btil @ (pinv @ g)) - pinv[1:].T @ (D.T @ r)
                 col = J[:, t * m + s]
                 assert np.abs(col - expected).max() <= 1e-10 * np.abs(expected).max()
-
-    def test_bad_mode(self):
-        V, ds = safe_instance(N=20, m=3, n=2, q=3, seed=22)
-        with pytest.raises(ValueError):
-            vp_jacobian(V, ds, 3, mode="exact")
 
 
 class TestTrain:
     def test_cost_monotone_over_accepted_steps(self):
         V, ds = safe_instance(N=200, m=5, n=2, q=4, seed=30)
-        _, report = train(V, ds, 4, TrainConfig(max_iter=25))
+        _, report = train(V, ds, 4, max_iter=25)
         hist = np.array(report.residual_history)
         assert np.all(np.diff(hist) < 0)
         assert report.accepted == len(hist) - 1
@@ -233,7 +214,7 @@ class TestTrain:
     def test_improves_over_initial(self):
         V, ds = safe_instance(N=200, m=5, n=2, q=4, seed=31)
         r0 = vp_residual(V, ds, 4)
-        _, report = train(V, ds, 4, TrainConfig(max_iter=25))
+        _, report = train(V, ds, 4, max_iter=25)
         assert report.residual_history[-1] < float(r0 @ r0)
 
     def test_recovers_planted_network(self):
@@ -248,29 +229,23 @@ class TestTrain:
         y = forward(net_true, U)
         ds = RegressionDataset(U=U, y=y, spec=RegressorSpec(1, 2))
         V0 = V_true + 0.05 * rng.normal(size=(m, n))
-        net, report = train(V0, ds, q, TrainConfig(max_iter=60, jacobian_mode="full"))
+        net, report = train(V0, ds, q, max_iter=60)
         rms = np.sqrt(report.residual_history[-1] / N)
         assert rms <= 1e-6 * max(np.abs(y).max(), 1.0)
 
     def test_final_net_consistent_with_history(self):
         V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=33)
-        net, report = train(V, ds, 4, TrainConfig(max_iter=15))
+        net, report = train(V, ds, 4, max_iter=15)
         resid = ds.y - forward(net, ds.U)
         np.testing.assert_allclose(
             float(resid @ resid), report.residual_history[-1], rtol=1e-8
         )
 
-    def test_kaufman_and_full_both_descend(self):
-        V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=34)
-        for mode in ("kaufman", "full"):
-            _, report = train(V, ds, 4, TrainConfig(max_iter=10, jacobian_mode=mode))
-            assert report.residual_history[-1] <= report.residual_history[0]
-
     def test_report_json_round_trip(self):
         import json
 
         V, ds = safe_instance(N=100, m=4, n=2, q=4, seed=36)
-        _, report = train(V, ds, 4, TrainConfig(max_iter=5))
+        _, report = train(V, ds, 4, max_iter=5)
         blob = json.loads(report.to_json())
         assert blob["iterations"] == report.iterations
         assert blob["status"] == report.status
@@ -283,9 +258,7 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(V[:3], ds, 4)
         with pytest.raises(ValueError):
-            TrainConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            TrainConfig(jacobian_mode="secret")
+            train(V, ds, 4, max_iter=0)
 
 
 class TestTrialStateReuse:
@@ -303,8 +276,7 @@ class TestTrialStateReuse:
         monkeypatch.setattr(varpro, "_augmented_pinv", counted)
         return calls
 
-    @pytest.mark.parametrize("mode", ["kaufman", "full"])
-    def test_one_factorization_per_trial(self, monkeypatch, mode):
+    def test_one_factorization_per_trial(self, monkeypatch):
         V, ds = safe_instance(N=120, m=4, n=2, q=4, seed=40)
         trials = []
         original = varpro.vp_residual
@@ -315,25 +287,23 @@ class TestTrialStateReuse:
 
         monkeypatch.setattr(varpro, "vp_residual", traced)
         calls = self._count_factorizations(monkeypatch)
-        net, report = train(V, ds, 4, TrainConfig(max_iter=12, jacobian_mode=mode))
+        net, report = train(V, ds, 4, max_iter=12)
         assert report.accepted >= 3 and report.rejected >= 1
         assert len(trials) == 1 + report.accepted + report.rejected
         # the network is built from the last trial's state unless it was rejected
         last_rejected = not np.array_equal(trials[-1], net.V)
         assert len(calls) == len(trials) + int(last_rejected)
 
-    @pytest.mark.parametrize("mode", ["kaufman", "full"])
-    def test_bit_identical_to_rebuilding_every_jacobian(self, monkeypatch, mode):
+    def test_bit_identical_to_rebuilding_every_jacobian(self, monkeypatch):
         V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=41)
-        config = TrainConfig(max_iter=15, jacobian_mode=mode)
-        net, report = train(V, ds, 4, config)
+        net, report = train(V, ds, 4, max_iter=15)
         original = varpro.vp_jacobian
         monkeypatch.setattr(
             varpro,
             "vp_jacobian",
             lambda *args, cache=None, **kwargs: original(*args, **kwargs),
         )
-        net_ref, report_ref = train(V, ds, 4, config)
+        net_ref, report_ref = train(V, ds, 4, max_iter=15)
         np.testing.assert_array_equal(net.V, net_ref.V)
         np.testing.assert_array_equal(net.w, net_ref.w)
         np.testing.assert_array_equal(net.beta, net_ref.beta)
@@ -346,9 +316,8 @@ class TestTrialStateReuse:
         V2 = V.copy()
         V2[0, 0] = np.nextafter(V2[0, 0], np.inf)  # differs in the last bit only
         calls = self._count_factorizations(monkeypatch)
-        for mode in ("full", "kaufman"):
-            J = vp_jacobian(V2, ds, 4, mode=mode, cache=cache)
-            np.testing.assert_array_equal(J, vp_jacobian(V2, ds, 4, mode=mode))
-        # one build per uncached call, and one for the first cached call only
-        assert len(calls) == 2 + 1
+        J = vp_jacobian(V2, ds, 4, cache=cache)
+        np.testing.assert_array_equal(J, vp_jacobian(V2, ds, 4))
+        # one build for the cached call at the new V, one for the uncached call
+        assert len(calls) == 2
         assert np.array_equal(cache["state"].V, V2)
