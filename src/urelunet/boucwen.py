@@ -1,5 +1,5 @@
-"""Hysteretic oscillator benchmark data: Newmark-beta integration, excitation
-signals, zero-phase decimation."""
+"""Hysteretic oscillator benchmark data: Newmark-beta integration, multisine
+excitation, zero-phase decimation."""
 
 from __future__ import annotations
 
@@ -170,18 +170,6 @@ def multisine(
     if rms == 0:
         raise ValueError("degenerate multisine (zero RMS)")
     return x * (amplitude_rms / rms)
-
-
-def swept_sine(
-    n_samples: int, fs: float, f_start: float, f_end: float, amplitude: float
-) -> np.ndarray:
-    """Linear chirp with continuous phase and constant amplitude."""
-    if not (0 <= f_start < fs / 2 and 0 <= f_end < fs / 2):
-        raise ValueError("sweep endpoints must lie below fs/2")
-    t = np.arange(n_samples) / fs
-    T = n_samples / fs
-    phase = 2.0 * np.pi * (f_start * t + (f_end - f_start) * t * t / (2.0 * T))
-    return amplitude * np.sin(phase)
 
 
 def decimate(x: np.ndarray, factor: int) -> np.ndarray:

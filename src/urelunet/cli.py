@@ -28,6 +28,12 @@ from .varpro import train
 
 # Total degree of the candidate monomials that FROLS selects from.
 POLY_MAX_DEGREE = 3
+# Every record follows the hysteretic benchmark's recipe: the oscillator is simulated
+# at SIM_RATE_HZ, the input and output are decimated by DECIMATION (to 750 Hz), and the
+# first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
+SIM_RATE_HZ = 15000.0
+DECIMATION = 20
+SETTLE_SAMPLES = 128
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -44,18 +50,11 @@ DEFAULT_CONFIG = {
     "train": {"max_iter": 100},
     "datagen": {
         "params_file": "boucwen_params.json",
-        "fs": 15000.0,
-        "decimation": 20,
-        "settle_samples": 128,
         "train_samples": 4096,
         "validation_samples": 1024,
-        "excitation": {"type": "multisine", "f_min": 5.0, "f_max": 150.0, "amplitude_rms": 50.0},
-        "validation_excitation": None,
+        "excitation": {"f_min": 5.0, "f_max": 150.0, "amplitude_rms": 50.0},
     },
 }
-
-# Config objects whose keys depend on their "type", so a file's keys there go unchecked.
-FREE_FORM_KEYS = ("datagen.excitation", "datagen.validation_excitation")
 
 
 def _merge(base: dict, override: dict) -> dict:
@@ -68,54 +67,55 @@ def _merge(base: dict, override: dict) -> dict:
     return out
 
 
-def _unknown_keys(doc: dict, defaults: dict, prefix: str = ""):
-    """Dotted paths of the keys in `doc` that `defaults` lacks. Keys starting with "_"
-    are comments; a None default and the FREE_FORM_KEYS take any object."""
+def _unknown_keys(doc: dict, ref: dict, prefix: str = ""):
+    """Dotted paths of the keys in `doc` that `ref` lacks; keys starting with "_" are
+    comments. Raises ValueError where one of them holds an object and the other not."""
     for key, value in doc.items():
         path = prefix + key
         if key.startswith("_"):
             continue
-        if key not in defaults:
+        if key not in ref:
             yield path
-        elif isinstance(value, dict) and isinstance(defaults[key], dict):
-            if path not in FREE_FORM_KEYS:
-                yield from _unknown_keys(value, defaults[key], path + ".")
+        elif isinstance(value, dict) != isinstance(ref[key], dict):
+            held = "an object" if isinstance(ref[key], dict) else "a plain value, not an object"
+            raise ValueError(f"config key {path!r} takes {held}")
+        elif isinstance(value, dict):
+            yield from _unknown_keys(value, ref[key], path + ".")
 
 
-def load_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
-    """The defaults merged with the config file at `path`, then the `--set` overrides.
+def load_config(path: str | None, overrides: list[str]) -> dict:
+    """The defaults merged with the config file at `path`, then with each `--set a.b=v`.
 
-    File keys that the defaults lack are warned about; unknown `--set` keys raise."""
+    Both sources go through one key walk: `--set a.b=v` is the object {"a": {"b": v}}.
+    A file key that the defaults lack is warned about; an unknown `--set` key raises."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
+    sources = []
     if path is not None:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
         if not isinstance(doc, dict):
             raise ValueError(f"config file {path} must hold a JSON object")
-        for key in _unknown_keys(doc, DEFAULT_CONFIG):
-            print(f"warning=unknown config key {key}", file=sys.stderr)
-        cfg = _merge(cfg, doc)
+        sources.append((f"config file {path}", doc, False))
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValueError(f"override must look like section.key=value: {item!r}")
         try:
-            value = json.loads(raw)
+            doc = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        *parents, leaf = key.split(".")
-        node = cfg
-        for p in parents:
-            if p not in node:
-                raise ValueError(f"unknown config key {key!r}")
-            node = node[p]
-            if not isinstance(node, dict):
-                raise ValueError(f"config key {key!r} runs through {p!r}, which is not an object")
-        if leaf not in node:
-            raise ValueError(f"unknown config key {key!r}")
-        node[leaf] = value
-    if seed is not None:
-        cfg["seed"] = seed
+            doc = raw
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        sources.append((f"--set {key!r}", doc, True))
+    for where, doc, strict in sources:
+        try:
+            for unknown in _unknown_keys(doc, cfg):
+                if strict:
+                    raise ValueError(f"unknown config key {unknown!r}")
+                print(f"warning=unknown config key {unknown}", file=sys.stderr)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        cfg = _merge(cfg, doc)
     return cfg
 
 
@@ -123,55 +123,43 @@ def _spec(cfg: dict) -> RegressorSpec:
     return RegressorSpec(n_u=int(cfg["regressors"]["n_u"]), n_y=int(cfg["regressors"]["n_y"]))
 
 
-def _excite(exc: dict, n: int, fs: float, seed: int) -> np.ndarray:
-    kind = exc.get("type", "multisine")
-    if kind == "multisine":
-        return boucwen.multisine(
-            n, fs, float(exc["f_min"]), float(exc["f_max"]), float(exc["amplitude_rms"]), seed=seed
-        )
-    if kind == "swept_sine":
-        return boucwen.swept_sine(
-            n, fs, float(exc["f_start"]), float(exc["f_end"]), float(exc["amplitude"])
-        )
-    if kind == "zero":
-        return np.zeros(n)
-    raise ValueError(f"unknown excitation type {kind!r}")
-
-
-def _generate_record(params, init, exc, n_out, dg, seed):
-    fs = float(dg["fs"])
-    factor = int(dg["decimation"])
-    settle = int(dg["settle_samples"])
-    n_sim = (n_out + settle) * factor
-    u_sim = _excite(exc, n_sim, fs, seed)
-    sim = boucwen.simulate(params, u_sim, fs, **init)
-    fs_out = fs / factor
-    u_dec = boucwen.decimate(u_sim, factor)
-    y_dec = boucwen.decimate(sim.y, factor)
-    return TimeSeriesData(u=u_dec[settle:], y=y_dec[settle:], sample_rate=fs_out)
+def _generate_record(params, init, exc: dict, n_out: int, seed: int) -> TimeSeriesData:
+    """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`."""
+    n_sim = (n_out + SETTLE_SAMPLES) * DECIMATION
+    u_sim = boucwen.multisine(
+        n_sim,
+        SIM_RATE_HZ,
+        float(exc["f_min"]),
+        float(exc["f_max"]),
+        float(exc["amplitude_rms"]),
+        seed=seed,
+    )
+    sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ, **init)
+    u_dec = boucwen.decimate(u_sim, DECIMATION)
+    y_dec = boucwen.decimate(sim.y, DECIMATION)
+    return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
 
 
 def cmd_datagen(cfg: dict) -> int:
     dg = cfg["datagen"]
     params, init = boucwen.load_params(dg["params_file"])
     seed = int(cfg["seed"])
-    exc_t = dg["excitation"]
-    exc_v = dg.get("validation_excitation") or exc_t
-    train_rec = _generate_record(params, init, exc_t, int(dg["train_samples"]), dg, seed)
-    val_rec = _generate_record(params, init, exc_v, int(dg["validation_samples"]), dg, seed + 1)
+    exc = dg["excitation"]
+    train_rec = _generate_record(params, init, exc, int(dg["train_samples"]), seed)
+    val_rec = _generate_record(params, init, exc, int(dg["validation_samples"]), seed + 1)
     paths = cfg["paths"]
     save_csv(paths["train"], train_rec)
     save_csv(paths["validation"], val_rec)
     meta = {
         "seed": seed,
-        "fs_simulation": dg["fs"],
-        "fs_output": float(dg["fs"]) / int(dg["decimation"]),
-        "decimation": dg["decimation"],
-        "settle_samples": dg["settle_samples"],
+        "validation_seed": seed + 1,
+        "fs_simulation": SIM_RATE_HZ,
+        "fs_output": SIM_RATE_HZ / DECIMATION,
+        "decimation": DECIMATION,
+        "settle_samples": SETTLE_SAMPLES,
         "filter": "butterworth order 4 forward-backward, cutoff 0.8x target Nyquist",
         "params_file": str(dg["params_file"]),
-        "excitation": exc_t,
-        "validation_excitation": exc_v,
+        "excitation": {"signal": "random-phase multisine", **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
     with open(meta_path, "w", encoding="utf-8") as fh:
@@ -235,7 +223,7 @@ def cmd_fit(cfg: dict) -> int:
     except FileNotFoundError as exc:
         print(f"error=stage:{stage} missing_file={exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error=stage:{stage} detail={exc}", file=sys.stderr)
         return 1
     print(f"model={paths['model']}")
@@ -304,7 +292,7 @@ def cmd_simulate(cfg: dict, output: str | None) -> int:
     seed_len = max(spec.n_u, spec.n_y)
     y_s = simulate_free_run(net, data.u, data.y[:seed_len], spec)
     out = output or "simulated.csv"
-    save_csv(out, TimeSeriesData(u=data.u, y=y_s, sample_rate=data.sample_rate))
+    save_csv(out, TimeSeriesData(u=data.u, y=y_s))
     print(f"output={out} rows={len(y_s)}")
     return 0
 
@@ -333,7 +321,6 @@ def main(argv: list[str] | None = None) -> int:
         prog="urelunet", description="UReLU network system-identification pipeline"
     )
     parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--seed", type=int, help="override the top-level seed")
     parser.add_argument(
         "--set",
         action="append",
@@ -354,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = load_config(args.config, args.overrides, args.seed)
+        cfg = load_config(args.config, args.overrides)
         if args.command == "datagen":
             return cmd_datagen(cfg)
         if args.command == "fit":
@@ -368,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error=missing_file path={exc.filename}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
+    except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error={exc}", file=sys.stderr)
         return 1
     return 0

@@ -22,7 +22,6 @@ class TimeSeriesData:
 
     u: np.ndarray
     y: np.ndarray
-    sample_rate: float = 1.0
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
@@ -33,8 +32,6 @@ class TimeSeriesData:
             raise ValueError(f"u and y lengths differ: {len(u)} vs {len(y)}")
         if len(u) < 1:
             raise ValueError("series must contain at least one sample")
-        if not self.sample_rate > 0:
-            raise ValueError("sample_rate must be positive")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "y", y)
 
@@ -148,10 +145,8 @@ def simulate_free_run(
     t0 = max(spec.n_u, len(seed))
     phi = np.empty(spec.m)
     for t in range(t0, L):
-        for j in range(spec.n_u + 1):
-            phi[j] = u[t - j]
-        for j in range(1, spec.n_y + 1):
-            phi[spec.n_u + j] = y_s[t - j]
+        phi[: spec.n_u + 1] = u[t - spec.n_u : t + 1][::-1]
+        phi[spec.n_u + 1 :] = y_s[t - spec.n_y : t][::-1]
         val = float(model(phi))
         if not np.isfinite(val):
             raise SimulationDiverged(t)

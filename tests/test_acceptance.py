@@ -7,6 +7,8 @@ BENCHMARK_TRAIN_CSV / BENCHMARK_VALIDATION_CSV environment variables point at
 them.
 """
 
+import contextlib
+import io
 import json
 import os
 
@@ -35,12 +37,11 @@ from urelunet.network import (
 from urelunet.varpro import (
     dB_dV,
     solve_weights,
-    train,
     vp_jacobian,
     vp_residual,
 )
 
-from conftest import CONFIGS
+from conftest import CONFIGS, parse_kv
 
 
 def report(num, name, ok, detail=""):
@@ -348,7 +349,7 @@ def test_criterion_10_desk_experiment(desk_pipeline):
     )
 
 
-def test_criterion_11_full_benchmark():
+def test_criterion_11_full_benchmark(tmp_path):
     train_path = os.environ.get("BENCHMARK_TRAIN_CSV")
     val_path = os.environ.get("BENCHMARK_VALIDATION_CSV")
     if not (train_path and val_path):
@@ -356,20 +357,20 @@ def test_criterion_11_full_benchmark():
             "set BENCHMARK_TRAIN_CSV and BENCHMARK_VALIDATION_CSV to run the "
             "full-size benchmark criterion"
         )
-    with open(CONFIGS / "benchmark_pipeline.json", "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
-    spec = RegressorSpec(cfg["regressors"]["n_u"], cfg["regressors"]["n_y"])
-    train_data = load_csv(train_path)
-    val_data = load_csv(val_path)
-    ds = build_regressors(train_data, spec)
-    cands = polyfit.enumerate_terms(ds.m, cli.POLY_MAX_DEGREE)
-    poly = polyfit.frols_select(ds, cands, max_terms=cfg["poly"]["max_terms"])
-    V0 = cpd.init_transform(
-        ds, poly, n=cfg["init"]["n"], max_points=cfg["init"]["max_points"],
-        seed=cfg["seed"],
-    )
-    net, _ = train(V0, ds, q=cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
-    seed_len = max(spec.n_u, spec.n_y)
-    y_s = simulate_free_run(net, val_data.u, val_data.y[:seed_len], spec)
-    value = rmse_db(rmse(val_data.y[seed_len:], y_s[seed_len:]))
-    report(11, "full-benchmark", value < -60.0, f"free_run={value:.2f}dB")
+    paths = {
+        "train": train_path,
+        "validation": val_path,
+        "model": tmp_path / "model.json",
+        "report": tmp_path / "report.json",
+    }
+    argv = ["--config", str(CONFIGS / "benchmark_pipeline.json")]
+    for key, value in paths.items():
+        argv += ["--set", f"paths.{key}={value}"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(argv + ["fit"])
+        assert rc == 0, "fit failed"
+        rc = cli.main(argv + ["eval"])
+    kv = parse_kv(out.getvalue())
+    ok = rc == 0 and kv.get("diverged") == "false" and float(kv["rmse_db"]) < -60.0
+    report(11, "full-benchmark", ok, f"free_run={kv.get('rmse_db', 'diverged')}dB")

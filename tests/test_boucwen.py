@@ -9,7 +9,6 @@ from urelunet.boucwen import (
     load_params,
     multisine,
     simulate,
-    swept_sine,
 )
 
 DESK = dict(
@@ -171,27 +170,6 @@ class TestMultisine:
             multisine(512, 750.0, 150.0, 5.0, 1.0)
         with pytest.raises(ValueError):
             multisine(512, 750.0, 5.0, 400.0, 1.0)
-
-
-class TestSweptSine:
-    def test_amplitude_bound(self):
-        x = swept_sine(4000, 750.0, 5.0, 150.0, amplitude=3.0)
-        assert np.abs(x).max() <= 3.0 + 1e-12
-        assert np.abs(x).max() >= 2.9
-
-    def test_starts_at_zero_phase(self):
-        assert swept_sine(100, 750.0, 5.0, 150.0, 1.0)[0] == 0.0
-
-    def test_instantaneous_frequency_increases(self):
-        x = swept_sine(60000, 15000.0, 10.0, 100.0, 1.0)
-        zc = np.where(np.diff(np.signbit(x)))[0]
-        gaps = np.diff(zc)
-        # zero-crossing spacing shrinks as the sweep speeds up
-        assert gaps[-1] < gaps[0]
-
-    def test_bad_endpoints(self):
-        with pytest.raises(ValueError):
-            swept_sine(100, 750.0, 5.0, 400.0, 1.0)
 
 
 class TestDecimate:

@@ -42,25 +42,26 @@ class TestConfig:
     def test_file_then_set_overrides(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"net": {"q": 12}}))
-        cfg = cli.load_config(str(p), ["net.q=7", "poly.max_terms=11"], seed=None)
+        cfg = cli.load_config(str(p), ["net.q=7", "poly.max_terms=11"])
         assert cfg["net"]["q"] == 7
         assert cfg["poly"]["max_terms"] == 11
         # untouched defaults survive
         assert cfg["regressors"]["n_u"] == 5
 
     def test_set_values_json_parsed(self):
-        cfg = cli.load_config(None, ["paths.model=out.json", "net.q=9"], None)
+        cfg = cli.load_config(None, ["paths.model=out.json", "net.q=9"])
         assert cfg["paths"]["model"] == "out.json"
         assert cfg["net"]["q"] == 9
 
     def test_seed_flag_wins(self, tmp_path):
+        # `--set seed=` is the one way to override the file's seed
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"seed": 5}))
-        assert cli.load_config(str(p), [], seed=99)["seed"] == 99
+        assert cli.load_config(str(p), ["seed=99"])["seed"] == 99
 
     def test_defaults_not_mutated(self):
         before = copy.deepcopy(cli.DEFAULT_CONFIG)
-        cfg = cli.load_config(None, ["net.q=12", "init.max_points=7"], seed=7)
+        cfg = cli.load_config(None, ["net.q=12", "init.max_points=7", "seed=7"])
         assert cfg["net"]["q"] == 12 and cfg["init"]["max_points"] == 7 and cfg["seed"] == 7
         assert cli.DEFAULT_CONFIG == before
 
@@ -73,7 +74,9 @@ class TestConfig:
             "nosuch.q",
             "net.q.x",
             "seed.x",
-            "datagen.validation_excitation.type",  # the default is None, not an object
+            "datagen.fs",
+            "datagen.excitation.type",
+            "datagen.validation_excitation.type",
         ],
     )
     def test_set_unknown_or_nested_key_rejected(self, key):
@@ -85,13 +88,28 @@ class TestConfig:
         # a key the defaults lack is settable once the config file has it
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"net": {"extra": {"depth": 1}}}))
-        cfg = cli.load_config(str(p), ["net.extra.depth=2"], None)
+        cfg = cli.load_config(str(p), ["net.extra.depth=2"])
         assert cfg["net"]["extra"] == {"depth": 2}
 
-    def test_set_none_default_accepts_an_object(self):
-        exc = {"type": "zero"}
-        cfg = cli.load_config(None, [f"datagen.validation_excitation={json.dumps(exc)}"], None)
-        assert cfg["datagen"]["validation_excitation"] == exc
+    def test_set_object_merges(self):
+        cfg = cli.load_config(None, ['datagen.excitation={"f_min": 6.0}'])
+        default = cli.DEFAULT_CONFIG["datagen"]["excitation"]
+        assert cfg["datagen"]["excitation"] == {**default, "f_min": 6.0}
+
+    @pytest.mark.parametrize(
+        "doc, key",
+        [
+            ({"regressors": {"n_u": {"a": 1}}}, "regressors.n_u"),
+            ({"datagen": {"excitation": 5}}, "datagen.excitation"),
+        ],
+    )
+    def test_file_object_value_mismatch_rejected(self, tmp_path, doc, key):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps(doc))
+        rc, _, err = run_main(["--config", str(p), "fit"])
+        assert rc == 1
+        assert err.startswith("error=") and repr(key) in err
+        assert "Traceback" not in err
 
     def test_shipped_config_keys_exist_in_defaults(self, capsys):
         def paths(doc, prefix=()):
@@ -111,9 +129,7 @@ class TestConfig:
                 for key in path:
                     assert isinstance(node, dict) and key in node, (config.name, ".".join(path))
                     node = node[key]
-                    if node is None:  # a None default accepts an object
-                        break
-            cli.load_config(str(config), [], None)
+            cli.load_config(str(config), [])
             assert capsys.readouterr().err == "", config.name
 
     @pytest.mark.parametrize(
@@ -124,24 +140,24 @@ class TestConfig:
                 ["train.max_iters", "train.jacobian_mode"],
             ),
             ({"nosuch": {"a": 1}, "net": {"q": 8, "extra": 1}}, ["nosuch", "net.extra"]),
-            # comments, an object for a None default and the typed excitation keys
+            # comments are not checked; the excitation's keys are
             (
                 {
                     "_comment": "x",
                     "net": {"_note": "y"},
                     "datagen": {
-                        "excitation": {"type": "swept_sine", "f_start": 1.0},
-                        "validation_excitation": {"type": "zero", "level": 0},
+                        "excitation": {"type": "swept_sine", "f_min": 1.0},
+                        "validation_excitation": {"type": "zero"},
                     },
                 },
-                [],
+                ["datagen.excitation.type", "datagen.validation_excitation"],
             ),
         ],
     )
     def test_unknown_file_keys_warn(self, tmp_path, capsys, doc, unknown):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
-        cfg = cli.load_config(str(p), [], None)
+        cfg = cli.load_config(str(p), [])
         assert capsys.readouterr().err.splitlines() == [
             f"warning=unknown config key {key}" for key in unknown
         ]
@@ -157,7 +173,7 @@ class TestConfig:
 
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
-            cli.load_config(None, ["no_equals_sign"], None)
+            cli.load_config(None, ["no_equals_sign"])
 
     def test_missing_config_file_exit_code(self):
         rc, _, err = run_main(["--config", "/nonexistent/cfg.json", "fit"])
@@ -180,9 +196,17 @@ class TestDatagen:
         meta = json.loads(
             (desk_pipeline["work"] / "train.csv.meta.json").read_text()
         )
-        assert meta["seed"] == 2
+        assert meta["seed"] == 2 and meta["validation_seed"] == 3
+        assert meta["fs_simulation"] == cli.SIM_RATE_HZ == 15000.0
         assert meta["fs_output"] == 750.0
-        assert meta["excitation"]["type"] == "multisine"
+        assert meta["decimation"] == cli.DECIMATION
+        assert meta["settle_samples"] == cli.SETTLE_SAMPLES
+        assert meta["excitation"] == {
+            "signal": "random-phase multisine",
+            "f_min": 5.0,
+            "f_max": 150.0,
+            "amplitude_rms": 120.0,
+        }
 
     def test_deterministic_rerun(self, desk_pipeline, tmp_path):
         rc, out = desk_pipeline["run"]("datagen")
@@ -194,7 +218,7 @@ class TestDatagen:
         assert rc == 0
         assert desk_pipeline["train_csv"].read_bytes() == first
 
-    def test_unknown_excitation_type_exit_code(self, tmp_path, desk_pipeline):
+    def test_unknown_excitation_type_exit_code(self, tmp_path):
         rc, _, err = run_main(
             [
                 "--config",
@@ -211,7 +235,24 @@ class TestDatagen:
             ]
         )
         assert rc == 1
-        assert "square" in err
+        assert err.startswith("error=") and "'datagen.excitation.type'" in err
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_wrong_type_value_exit_code(self, tmp_path):
+        rc, _, err = run_main(
+            [
+                "--set",
+                f"datagen.params_file={configs_dir() / 'desk_boucwen.json'}",
+                "--set",
+                f"paths.train={tmp_path / 't.csv'}",
+                "--set",
+                "datagen.train_samples=[1]",
+                "datagen",
+            ]
+        )
+        assert rc == 1
+        assert err.startswith("error=") and "Traceback" not in err
+        assert not (tmp_path / "t.csv").exists()
 
     def test_params_file_missing_keys_exit_code(self, tmp_path):
         doc = json.loads((configs_dir() / "desk_boucwen.json").read_text())
@@ -241,7 +282,7 @@ def small_fit_args(tmp_path, zero_target=False):
     if not zero_target:
         for t in range(2, 300):
             y[t] = 0.5 * y[t - 1] + u[t] - 0.3 * u[t - 1] ** 2 + 0.1 * u[t - 2] ** 3
-    save_csv(tmp_path / "train.csv", TimeSeriesData(u=u, y=y, sample_rate=1.0))
+    save_csv(tmp_path / "train.csv", TimeSeriesData(u=u, y=y))
     settings = {
         "paths.train": tmp_path / "train.csv",
         "paths.model": tmp_path / "model.json",
@@ -317,6 +358,13 @@ class TestFit:
         assert parse_kv(out)["frols_esr"] == "undefined"
         assert json.loads((tmp_path / "report.json").read_text())["frols_err"] == []
 
+    def test_wrong_type_value_exit_code(self, tmp_path):
+        # a list is not an object, so the key walk passes it on to the fit
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", "net.q=[8]", "fit"])
+        assert rc == 1
+        assert err.startswith("error=stage:training") and "Traceback" not in err
+        assert "model=" not in out
+
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.train={tmp_path / 'absent.csv'}", "fit"]
@@ -345,7 +393,7 @@ class TestEval:
         y = np.zeros(1024)
         y[0] = 1.0
         validation = tmp_path / "validation.csv"
-        save_csv(validation, TimeSeriesData(u=np.zeros(1024), y=y, sample_rate=1.0))
+        save_csv(validation, TimeSeriesData(u=np.zeros(1024), y=y))
         y_s = simulate_free_run(net, np.zeros(1024), y[:1], RegressorSpec(0, 1))
         assert np.isfinite(y_s).all()
         with np.errstate(over="ignore"):
@@ -378,12 +426,9 @@ class TestEval:
         # validation multisines at the training level that take some
         # regressor below its training minimum; both diverge when the first
         # neuron of each dimension is a ramp instead of linear
-        cfg = cli.load_config(str(cli_config_path()), [], None)
-        dg = cfg["datagen"]
+        dg = cli.load_config(str(cli_config_path()), [])["datagen"]
         params, init = boucwen.load_params(configs_dir() / "desk_boucwen.json")
-        rec = cli._generate_record(
-            params, init, dg["validation_excitation"], int(dg["validation_samples"]), dg, seed
-        )
+        rec = cli._generate_record(params, init, dg["excitation"], dg["validation_samples"], seed)
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V
