@@ -4,6 +4,7 @@ excitation, zero-phase decimation."""
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,13 +66,6 @@ class SimOutput:
             raise ValueError("output series must have equal length")
 
 
-def _zdot(p: BoucWenParams, v: float, z: float) -> float:
-    az = abs(z)
-    return p.alpha * v - p.beta_bw * (
-        p.gamma * abs(v) * az ** (p.nu - 1.0) * z + p.delta * v * az**p.nu
-    )
-
-
 def simulate(
     params: BoucWenParams,
     u: np.ndarray,
@@ -85,6 +79,13 @@ def simulate(
     Each step solves the coupled (acceleration, hysteretic force) update with a
     Newton iteration on the implicit equations; the hysteretic state is
     advanced by the trapezoidal rule, consistent with gamma_N = 1/2.
+
+    The loop runs on Python floats, one IEEE double operation at a time, so the
+    result is fixed by the order of the operations below: any rewrite must give
+    `np.array_equal` y, ydot and z (`tests/test_boucwen.py` keeps a numpy-scalar
+    reference loop to check this). A power that overflows, a non-finite or
+    singular Newton system, a Newton iteration that does not converge and a
+    displacement beyond BLOWUP_BOUND all raise IntegrationError.
     """
     u = np.asarray(u, dtype=float)
     if not fs > 0:
@@ -93,53 +94,70 @@ def simulate(
         raise ValueError("input force contains non-finite values")
     h = 1.0 / fs
     gn, bn = 0.5, 0.25  # Newmark gamma, beta
-    p = params
+    m_L, k_L, c_L = params.m_L, params.k_L, params.c_L
+    alpha, beta_bw, gamma, delta, nu = (
+        params.alpha, params.beta_bw, params.gamma, params.delta, params.nu
+    )
+    nu1 = nu - 1.0
+    neg_beta_nu = -beta_bw * nu
+    half_h = 0.5 * h
+    J11 = m_L + c_L * gn * h + k_L * bn * h * h
+    # J12 = 1, so the products with it are left out of det, da and dz
+
+    def zdot(v, z):  # the hysteresis law of BoucWenParams
+        az = abs(z)
+        return alpha * v - beta_bw * (gamma * abs(v) * az**nu1 * z + delta * v * az**nu)
+
     L = len(u)
     Y = np.empty(L)
     V = np.empty(L)
     Z = np.empty(L)
     y, v, z = float(y0), float(v0), float(z0)
-    a = (u[0] - p.c_L * v - p.k_L * y - z) / p.m_L
+    a = (u.item(0) - c_L * v - k_L * y - z) / m_L
     Y[0], V[0], Z[0] = y, v, z
     for t in range(1, L):
-        zd0 = _zdot(p, v, z)
+        ut = u.item(t)
+        y_pred = y + h * v
+        a_y = (0.5 - bn) * a
+        a_v = (1.0 - gn) * a
         a1, z1 = a, z
-        converged = False
-        for _ in range(NEWTON_MAX_ITER):
-            y1 = y + h * v + h * h * ((0.5 - bn) * a + bn * a1)
-            v1 = v + h * ((1.0 - gn) * a + gn * a1)
-            zd1 = _zdot(p, v1, z1)
-            R1 = p.m_L * a1 + p.c_L * v1 + p.k_L * y1 + z1 - u[t]
-            R2 = z1 - z - 0.5 * h * (zd0 + zd1)
-            az = abs(z1)
-            dzd_dv = p.alpha - p.beta_bw * (
-                p.gamma * np.sign(v1) * az ** (p.nu - 1.0) * z1 + p.delta * az**p.nu
-            )
-            dzd_dz = -p.beta_bw * p.nu * az ** (p.nu - 1.0) * (
-                p.gamma * abs(v1) + p.delta * v1 * np.sign(z1)
-            )
-            J11 = p.m_L + p.c_L * gn * h + p.k_L * bn * h * h
-            J12 = 1.0
-            J21 = -0.5 * h * dzd_dv * gn * h
-            J22 = 1.0 - 0.5 * h * dzd_dz
-            det = J11 * J22 - J12 * J21
-            if det == 0.0 or not np.isfinite(det):
-                raise IntegrationError(f"singular Newton system at step {t}")
-            da = (-R1 * J22 + R2 * J12) / det
-            dz = (-J11 * R2 + J21 * R1) / det
-            a1 += da
-            z1 += dz
-            if abs(da) + abs(dz) <= NEWTON_TOL * (1.0 + abs(a1) + abs(z1)):
-                converged = True
-                break
-        if not converged:
-            raise IntegrationError(f"Newton iteration did not converge at step {t}")
-        y = y + h * v + h * h * ((0.5 - bn) * a + bn * a1)
-        v = v + h * ((1.0 - gn) * a + gn * a1)
+        try:
+            zd0 = zdot(v, z)
+            for _ in range(NEWTON_MAX_ITER):
+                y1 = y_pred + h * h * (a_y + bn * a1)
+                v1 = v + h * (a_v + gn * a1)
+                zd1 = zdot(v1, z1)
+                R1 = m_L * a1 + c_L * v1 + k_L * y1 + z1 - ut
+                R2 = z1 - z - half_h * (zd0 + zd1)
+                az = abs(z1)
+                sign_v = (v1 > 0) - (v1 < 0)
+                sign_z = (z1 > 0) - (z1 < 0)
+                dzd_dv = alpha - beta_bw * (gamma * sign_v * az**nu1 * z1 + delta * az**nu)
+                dzd_dz = neg_beta_nu * az**nu1 * (gamma * abs(v1) + delta * v1 * sign_z)
+                J21 = -half_h * dzd_dv * gn * h
+                J22 = 1.0 - half_h * dzd_dz
+                det = J11 * J22 - J21
+                if det == 0.0 or not math.isfinite(det):
+                    raise IntegrationError(f"singular Newton system at step {t}")
+                da = (-R1 * J22 + R2) / det
+                dz = (-J11 * R2 + J21 * R1) / det
+                a1 += da
+                z1 += dz
+                if abs(da) + abs(dz) <= NEWTON_TOL * (1.0 + abs(a1) + abs(z1)):
+                    break
+            else:
+                raise IntegrationError(f"Newton iteration did not converge at step {t}")
+        except OverflowError:
+            # a float power that overflows raises instead of returning inf
+            raise IntegrationError(f"power overflowed at step {t}") from None
+        y = y_pred + h * h * (a_y + bn * a1)
+        v = v + h * (a_v + gn * a1)
         a, z = a1, z1
-        if not np.isfinite(y) or abs(y) > BLOWUP_BOUND:
+        if not math.isfinite(y) or abs(y) > BLOWUP_BOUND:
             raise IntegrationError(f"simulation diverged at step {t}")
-        Y[t], V[t], Z[t] = y, v, z
+        Y[t] = y
+        V[t] = v
+        Z[t] = z
     return SimOutput(y=Y, ydot=V, z=Z, fs=fs)
 
 
@@ -162,10 +180,16 @@ def multisine(
         raise ValueError("excitation band contains no DFT bins")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k_hi - k_lo + 1)
-    t = np.arange(n_samples)
+    t = np.arange(n_samples, dtype=float)
     x = np.zeros(n_samples)
+    # each bin is cos(2 pi k t / n_samples + phase), evaluated in that order in one buffer
+    buf = np.empty(n_samples)
     for k, ph in zip(range(k_lo, k_hi + 1), phases):
-        x += np.cos(2.0 * np.pi * k * t / n_samples + ph)
+        np.multiply(t, 2.0 * np.pi * k, out=buf)
+        np.divide(buf, n_samples, out=buf)
+        np.add(buf, ph, out=buf)
+        np.cos(buf, out=buf)
+        x += buf
     rms = np.sqrt(np.mean(x**2))
     if rms == 0:
         raise ValueError("degenerate multisine (zero RMS)")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import json
 import sys
@@ -83,11 +84,34 @@ def _unknown_keys(doc: dict, ref: dict, prefix: str = ""):
             yield from _unknown_keys(value, ref[key], path + ".")
 
 
+# Config keys that also take null; for init.max_points it means CPD on every point.
+NULLABLE_KEYS = {"init.max_points"}
+_TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+
+
+def _check_types(cfg: dict, ref: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
+    """Raise ValueError where a value of `cfg` lacks the type of its default in `ref`.
+
+    A float default also takes an int; an int default does not take a bool."""
+    for key, default in ref.items():
+        path, value = prefix + key, cfg[key]
+        if isinstance(default, dict):
+            _check_types(value, default, path + ".")
+            continue
+        if value is None and path in NULLABLE_KEYS:
+            continue
+        allowed = (int, float) if isinstance(default, float) else type(default)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            takes = _TYPE_NAMES[type(default)] + (" or null" if path in NULLABLE_KEYS else "")
+            raise ValueError(f"config key {path!r} takes {takes}, not {json.dumps(value)}")
+
+
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """The defaults merged with the config file at `path`, then with each `--set a.b=v`.
 
     Both sources go through one key walk: `--set a.b=v` is the object {"a": {"b": v}}.
-    A file key that the defaults lack is warned about; an unknown `--set` key raises."""
+    A file key that the defaults lack is warned about; an unknown `--set` key raises.
+    After each source, every value must have the type of its default (`_check_types`)."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     sources = []
     if path is not None:
@@ -113,43 +137,65 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
                 if strict:
                     raise ValueError(f"unknown config key {unknown!r}")
                 print(f"warning=unknown config key {unknown}", file=sys.stderr)
+            cfg = _merge(cfg, doc)
+            _check_types(cfg)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
-        cfg = _merge(cfg, doc)
     return cfg
 
 
 def _spec(cfg: dict) -> RegressorSpec:
-    return RegressorSpec(n_u=int(cfg["regressors"]["n_u"]), n_y=int(cfg["regressors"]["n_y"]))
+    return RegressorSpec(n_u=cfg["regressors"]["n_u"], n_y=cfg["regressors"]["n_y"])
 
 
-def _generate_record(params, init, exc: dict, n_out: int, seed: int) -> TimeSeriesData:
-    """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`."""
-    n_sim = (n_out + SETTLE_SAMPLES) * DECIMATION
-    u_sim = boucwen.multisine(
-        n_sim,
-        SIM_RATE_HZ,
-        float(exc["f_min"]),
-        float(exc["f_max"]),
-        float(exc["amplitude_rms"]),
-        seed=seed,
-    )
-    sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ, **init)
-    u_dec = boucwen.decimate(u_sim, DECIMATION)
-    y_dec = boucwen.decimate(sim.y, DECIMATION)
+@contextlib.contextmanager
+def _timed(stage_s: dict[str, float], stage: str):
+    """Add the wall seconds of the `with` body to `stage_s[stage]`."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        stage_s[stage] = stage_s.get(stage, 0.0) + time.perf_counter() - started
+
+
+def _sim_samples(n_out: int) -> int:
+    """Samples simulated at SIM_RATE_HZ for a record of `n_out` decimated samples."""
+    return (n_out + SETTLE_SAMPLES) * DECIMATION
+
+
+def _generate_record(
+    params, init, exc: dict, n_out: int, seed: int, stage_s: dict[str, float]
+) -> TimeSeriesData:
+    """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`.
+
+    Adds the wall seconds of its excitation, simulation and decimation to `stage_s`."""
+    with _timed(stage_s, "excitation"):
+        u_sim = boucwen.multisine(
+            _sim_samples(n_out),
+            SIM_RATE_HZ,
+            exc["f_min"],
+            exc["f_max"],
+            exc["amplitude_rms"],
+            seed=seed,
+        )
+    with _timed(stage_s, "simulation"):
+        sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ, **init)
+    with _timed(stage_s, "decimation"):
+        u_dec = boucwen.decimate(u_sim, DECIMATION)
+        y_dec = boucwen.decimate(sim.y, DECIMATION)
     return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
 
 
 def cmd_datagen(cfg: dict) -> int:
     dg = cfg["datagen"]
     params, init = boucwen.load_params(dg["params_file"])
-    seed = int(cfg["seed"])
+    seed = cfg["seed"]
     exc = dg["excitation"]
-    train_rec = _generate_record(params, init, exc, int(dg["train_samples"]), seed)
-    val_rec = _generate_record(params, init, exc, int(dg["validation_samples"]), seed + 1)
+    n_train, n_val = dg["train_samples"], dg["validation_samples"]
+    stage_s: dict[str, float] = {}
+    train_rec = _generate_record(params, init, exc, n_train, seed, stage_s)
+    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stage_s)
     paths = cfg["paths"]
-    save_csv(paths["train"], train_rec)
-    save_csv(paths["validation"], val_rec)
     meta = {
         "seed": seed,
         "validation_seed": seed + 1,
@@ -162,11 +208,17 @@ def cmd_datagen(cfg: dict) -> int:
         "excitation": {"signal": "random-phase multisine", **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
-    with open(meta_path, "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
+    with _timed(stage_s, "persist"):
+        save_csv(paths["train"], train_rec)
+        save_csv(paths["validation"], val_rec)
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
+    print(f"simulation_steps={_sim_samples(n_train) + _sim_samples(n_val)}")
+    for name, seconds in stage_s.items():
+        print(f"stage_{name}_s={seconds:.6f}")
     return 0
 
 
@@ -193,20 +245,20 @@ def cmd_fit(cfg: dict) -> int:
         ds = build_regressors(data, spec)
         enter("polynomial")
         candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
-        poly = polyfit.frols_select(ds, candidates, max_terms=int(cfg["poly"]["max_terms"]))
+        poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
         enter("initialization")
         ic = cfg["init"]
         V0 = cpd.init_transform(
             ds,
             poly,
-            n=int(ic["n"]),
+            n=ic["n"],
             max_points=ic.get("max_points"),
-            max_iter=int(ic["cpd_max_iter"]),
-            seed=int(cfg["seed"]),
-            n_restarts=int(ic["cpd_restarts"]),
+            max_iter=ic["cpd_max_iter"],
+            seed=cfg["seed"],
+            n_restarts=ic["cpd_restarts"],
         )
         enter("training")
-        net, report = train(V0, ds, int(cfg["net"]["q"]), max_iter=int(cfg["train"]["max_iter"]))
+        net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
         enter("persist")
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
         doc = {

@@ -3,6 +3,8 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from urelunet.boucwen import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     BoucWenParams,
     IntegrationError,
     decimate,
@@ -19,6 +21,70 @@ DESK = dict(
 
 def desk_params(**over):
     return BoucWenParams(**{**DESK, **over})
+
+
+def reference_simulate(p, u, fs):
+    """Newmark loop on numpy scalars: `simulate` as it was before it moved to Python
+    floats. `simulate` must reproduce its y, ydot and z bit for bit."""
+    h = 1.0 / fs
+    gn, bn = 0.5, 0.25
+
+    def zdot(v, z):
+        az = abs(z)
+        return p.alpha * v - p.beta_bw * (
+            p.gamma * abs(v) * az ** (p.nu - 1.0) * z + p.delta * v * az**p.nu
+        )
+
+    L = len(u)
+    Y, V, Z = np.empty(L), np.empty(L), np.empty(L)
+    y = v = z = 0.0
+    a = (u[0] - p.c_L * v - p.k_L * y - z) / p.m_L
+    Y[0], V[0], Z[0] = y, v, z
+    for t in range(1, L):
+        zd0 = zdot(v, z)
+        a1, z1 = a, z
+        for _ in range(NEWTON_MAX_ITER):
+            y1 = y + h * v + h * h * ((0.5 - bn) * a + bn * a1)
+            v1 = v + h * ((1.0 - gn) * a + gn * a1)
+            zd1 = zdot(v1, z1)
+            R1 = p.m_L * a1 + p.c_L * v1 + p.k_L * y1 + z1 - u[t]
+            R2 = z1 - z - 0.5 * h * (zd0 + zd1)
+            az = abs(z1)
+            dzd_dv = p.alpha - p.beta_bw * (
+                p.gamma * np.sign(v1) * az ** (p.nu - 1.0) * z1 + p.delta * az**p.nu
+            )
+            dzd_dz = -p.beta_bw * p.nu * az ** (p.nu - 1.0) * (
+                p.gamma * abs(v1) + p.delta * v1 * np.sign(z1)
+            )
+            J11 = p.m_L + p.c_L * gn * h + p.k_L * bn * h * h
+            J12 = 1.0
+            J21 = -0.5 * h * dzd_dv * gn * h
+            J22 = 1.0 - 0.5 * h * dzd_dz
+            det = J11 * J22 - J12 * J21
+            da = (-R1 * J22 + R2 * J12) / det
+            dz = (-J11 * R2 + J21 * R1) / det
+            a1 += da
+            z1 += dz
+            if abs(da) + abs(dz) <= NEWTON_TOL * (1.0 + abs(a1) + abs(z1)):
+                break
+        y = y + h * v + h * h * ((0.5 - bn) * a + bn * a1)
+        v = v + h * ((1.0 - gn) * a + gn * a1)
+        a, z = a1, z1
+        Y[t], V[t], Z[t] = y, v, z
+    return Y, V, Z
+
+
+def reference_multisine(n_samples, fs, f_min, f_max, amplitude_rms, seed):
+    """`multisine` with a fresh array per bin, as it was before it reused one buffer."""
+    df = fs / n_samples
+    k_lo = max(int(np.ceil(f_min / df)), 1)
+    k_hi = int(np.floor(f_max / df))
+    phases = np.random.default_rng(seed).uniform(0.0, 2.0 * np.pi, size=k_hi - k_lo + 1)
+    t = np.arange(n_samples)
+    x = np.zeros(n_samples)
+    for k, ph in zip(range(k_lo, k_hi + 1), phases):
+        x += np.cos(2.0 * np.pi * k * t / n_samples + ph)
+    return x * (amplitude_rms / np.sqrt(np.mean(x**2)))
 
 
 class TestParams:
@@ -132,11 +198,62 @@ class TestSimulate:
         with pytest.raises(IntegrationError):
             simulate(desk_params(), np.full(20000, 1e12), fs=15000.0)
 
+    def test_power_overflow_raises_integration_error(self):
+        # |z|**nu overflows a double on the first step; that must not escape as OverflowError
+        p = desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0)
+        with pytest.raises(IntegrationError, match="step 1"):
+            simulate(p, np.full(100, 1e160), fs=15000.0)
+
+    def test_non_finite_newton_system_raises(self):
+        # beta_bw |v| overflows to inf, so the Jacobian's determinant is not finite
+        with pytest.raises(IntegrationError, match="singular Newton system at step 1"):
+            simulate(desk_params(beta_bw=1e10), np.full(10, 1e300), fs=1.0)
+
+    def test_singular_newton_system_raises(self):
+        # at rest with h = 1: det = m_L + alpha / 4, which is exactly zero here
+        p = desk_params(m_L=2.0, k_L=0.0, c_L=0.0, alpha=-8.0)
+        with pytest.raises(IntegrationError, match="singular Newton system at step 1"):
+            simulate(p, np.zeros(10), fs=1.0)
+
     def test_bad_inputs(self):
         with pytest.raises(ValueError):
             simulate(desk_params(), np.zeros(10), fs=0.0)
         with pytest.raises(ValueError):
             simulate(desk_params(), np.array([1.0, np.nan]), fs=100.0)
+
+
+class TestExactArithmetic:
+    """`simulate` and `multisine` must give the numbers of their numpy reference loops
+    bit for bit: the benchmark records, and so every fitted model, depend on them."""
+
+    @staticmethod
+    def assert_matches_reference(p, u, fs=15000.0):
+        out = simulate(p, u, fs)
+        ref_y, ref_v, ref_z = reference_simulate(p, u, fs)
+        assert np.array_equal(out.y, ref_y)
+        assert np.array_equal(out.ydot, ref_v)
+        assert np.array_equal(out.z, ref_z)
+
+    def test_desk_multisine_record(self):
+        u = multisine(2000, 15000.0, 5.0, 150.0, amplitude_rms=120.0, seed=2)
+        self.assert_matches_reference(desk_params(), u)
+
+    def test_start_at_rest(self):
+        # zeros first, so v1 and z1 are exactly 0 and the sign-of-zero branch runs
+        t = np.arange(1500) / 15000.0
+        u = np.concatenate([np.zeros(200), 80.0 * np.sin(2 * np.pi * 30.0 * t)])
+        self.assert_matches_reference(desk_params(), u)
+
+    def test_nu_two(self):
+        p = desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0)
+        t = np.arange(3000) / 15000.0
+        self.assert_matches_reference(p, 100.0 * np.sin(2 * np.pi * 40.0 * t))
+
+    @pytest.mark.parametrize("seed", [2, 3])
+    @pytest.mark.parametrize("n", [1024, 6000])
+    def test_multisine_matches_reference(self, n, seed):
+        x = multisine(n, 15000.0, 5.0, 150.0, amplitude_rms=120.0, seed=seed)
+        assert np.array_equal(x, reference_multisine(n, 15000.0, 5.0, 150.0, 120.0, seed))
 
 
 class TestMultisine:

@@ -171,6 +171,51 @@ class TestConfig:
         assert rc == 1
         assert err.startswith("error=") and "JSON object" in err
 
+    @pytest.mark.parametrize(
+        "setting, value",
+        [
+            ("datagen.excitation.amplitude_rms=90", 90),
+            ("datagen.excitation.amplitude_rms=90.5", 90.5),
+            ("net.q=9", 9),
+            ("paths.model=out.json", "out.json"),
+            ("init.max_points=null", None),
+        ],
+    )
+    def test_set_value_of_default_type_accepted(self, setting, value):
+        *sections, name = setting.partition("=")[0].split(".")
+        node = cli.load_config(None, [setting])
+        for part in sections:
+            node = node[part]
+        assert node[name] == value
+
+    @pytest.mark.parametrize(
+        "setting, takes",
+        [
+            ("net.q=[8]", "an integer"),
+            ("net.q=8.0", "an integer"),
+            ("net.q=true", "an integer"),
+            ("seed=null", "an integer"),
+            ("datagen.excitation.f_max=false", "a number"),
+            ("datagen.excitation.f_max=fast", "a number"),
+            ("paths.model=5", "a string"),
+            ("init.max_points=2.5", "an integer or null"),
+        ],
+    )
+    def test_set_value_of_wrong_type_rejected(self, setting, takes):
+        key = setting.partition("=")[0]
+        with pytest.raises(ValueError, match=f"--set '{key}': config key '{key}' takes {takes}"):
+            cli.load_config(None, [setting])
+
+    def test_file_value_of_wrong_type_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"train": {"max_iter": "100"}}))
+        with pytest.raises(ValueError, match=f"config file {p}: config key 'train.max_iter'"):
+            cli.load_config(str(p), [])
+        # a number in the file stays a number when --set gives a float for it
+        p.write_text(json.dumps({"datagen": {"excitation": {"amplitude_rms": 90}}}))
+        cfg = cli.load_config(str(p), ["datagen.excitation.amplitude_rms=90.5"])
+        assert cfg["datagen"]["excitation"]["amplitude_rms"] == 90.5
+
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
             cli.load_config(None, ["no_equals_sign"])
@@ -191,6 +236,14 @@ class TestDatagen:
         assert len(train) == 4096
         assert len(val) == 1024
         assert np.all(np.isfinite(train.u)) and np.all(np.isfinite(train.y))
+
+    def test_stage_times_reported(self, desk_pipeline):
+        kv = desk_pipeline["datagen"]
+        # both records, each with its settling samples, at SIM_RATE_HZ
+        n_out = 4096 + 1024 + 2 * cli.SETTLE_SAMPLES
+        assert int(kv["simulation_steps"]) == n_out * cli.DECIMATION
+        for name in ["excitation", "simulation", "decimation", "persist"]:
+            assert float(kv[f"stage_{name}_s"]) >= 0.0
 
     def test_metadata_sidecar(self, desk_pipeline):
         meta = json.loads(
@@ -359,11 +412,13 @@ class TestFit:
         assert json.loads((tmp_path / "report.json").read_text())["frols_err"] == []
 
     def test_wrong_type_value_exit_code(self, tmp_path):
-        # a list is not an object, so the key walk passes it on to the fit
+        # the type check at load time stops the run before FROLS
         rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", "net.q=[8]", "fit"])
         assert rc == 1
-        assert err.startswith("error=stage:training") and "Traceback" not in err
+        assert err.startswith("error=--set 'net.q'") and "Traceback" not in err
         assert "model=" not in out
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
@@ -428,7 +483,9 @@ class TestEval:
         # neuron of each dimension is a ramp instead of linear
         dg = cli.load_config(str(cli_config_path()), [])["datagen"]
         params, init = boucwen.load_params(configs_dir() / "desk_boucwen.json")
-        rec = cli._generate_record(params, init, dg["excitation"], dg["validation_samples"], seed)
+        rec = cli._generate_record(
+            params, init, dg["excitation"], dg["validation_samples"], seed, {}
+        )
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V
