@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import copy
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -230,12 +231,15 @@ def _frols_esr(err_values) -> str:
 def cmd_fit(cfg: dict) -> int:
     paths = cfg["paths"]
     stage_s: dict[str, float] = {}
+    stage_peak_rss_mb: dict[str, float] = {}
     stage, started = "load", time.perf_counter()
 
     def enter(next_stage: str) -> None:
         nonlocal stage, started
         now = time.perf_counter()
         stage_s[stage] = now - started
+        # the process's high-water mark so far; Linux reports ru_maxrss in KiB
+        stage_peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         stage, started = next_stage, now
 
     try:
@@ -265,6 +269,7 @@ def cmd_fit(cfg: dict) -> int:
             **json.loads(report.to_json()),
             "frols_err": list(poly.err_values),
             "stage_s": stage_s,
+            "stage_peak_rss_mb": stage_peak_rss_mb,
         }
         Path(paths["report"]).write_text(
             json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
@@ -288,6 +293,7 @@ def cmd_fit(cfg: dict) -> int:
     print(f"status={report.status}")
     for name, seconds in stage_s.items():
         print(f"stage_{name}_s={seconds:.6f}")
+        print(f"stage_{name}_peak_rss_mb={stage_peak_rss_mb[name]:.1f}")
     return 0
 
 

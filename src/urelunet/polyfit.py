@@ -12,9 +12,13 @@ import numpy as np
 
 from .dataset import RegressionDataset
 
-# Hard cap on enumerated candidate terms; past this the candidate matrix
-# no longer fits comfortably in memory for benchmark-sized records.
+# Hard cap on enumerated candidate terms. FROLS forms no candidate matrix, so
+# this bounds the term list and the K-length vectors FROLS keeps per candidate
+# (norms, correlations, ERR).
 MAX_CANDIDATES = 200_000
+# Rows per block when `monomial_dot` accumulates moments of U: its largest
+# buffer is m(m+1)/2 x MOMENT_BLOCK, whatever the record length.
+MOMENT_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -143,6 +147,75 @@ def enumerate_terms(m: int, max_degree: int) -> list[PolyTerm]:
     return terms
 
 
+def moment_index(exponents, m: int) -> np.ndarray:
+    """Position of each monomial's weighted sum in the moment vector of `monomial_dot`.
+
+    `exponents` is one length-m exponent vector or K of them, each of total
+    degree <= 3. A term's variables, sorted with repetition as i <= j <= k,
+    pick its moment: degree 0 the weight sum, degree 1 entry i of U^T v,
+    degree 2 entry (i, j) of (v*U)^T U and degree 3 entry (i, (j, k)) of
+    (v*U)^T (U (.) U), where (.) is the row-wise Khatri-Rao product over the
+    variable pairs j <= k.
+    """
+    E = np.atleast_2d(np.asarray(exponents, dtype=int))
+    if E.ndim != 2 or E.shape[1] != m:
+        raise ValueError(f"U has {m} columns, the terms have {E.shape[-1]} variables")
+    if E.min(initial=0) < 0:
+        raise ValueError("exponents must be non-negative")
+    degree = E.sum(axis=1)
+    above = np.flatnonzero(degree > 3)
+    if above.size:
+        t = int(above[0])
+        raise ValueError(
+            f"term {t} {tuple(E[t].tolist())} has degree {degree[t]}; "
+            "moments cover degree <= 3 only"
+        )
+    # i, j, k: the first variable at which the running degree reaches 1, 2, 3
+    reached = E.cumsum(axis=1)
+    i, j, k = ((reached < d).sum(axis=1) for d in (1, 2, 3))
+    pairs = m * (m + 1) // 2
+    pair = j * m - j * (j - 1) // 2 + k - j  # (j, k) in np.triu_indices(m) order
+    return np.select(
+        [degree == 0, degree == 1, degree == 2],
+        [0, 1 + i, 1 + m + i * m + j],
+        1 + m + m * m + i * pairs + pair,
+    )
+
+
+def monomial_dot(index: np.ndarray, U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """`monomials(E, U).T @ v` without the N x K matrix; `index` is `moment_index(E, m)`.
+
+    Accumulates the v-weighted moments of U over blocks of MOMENT_BLOCK rows
+    (the cubic ones only if a term needs them), then gathers one per term.
+    Each block's Khatri-Rao product is formed once, in a buffer reused by
+    every block.
+    """
+    Ut = np.ascontiguousarray(U.T, dtype=float)
+    m, N = Ut.shape
+    cubic = index.max(initial=0) > m + m * m
+    pairs = m * (m + 1) // 2 if cubic else 0
+    first = np.cumsum([0, *range(m, 1, -1)]).tolist()  # Khatri-Rao row of pair (a, a)
+    moments = np.zeros(1 + m + m * m + m * pairs)
+    s1 = moments[1 : 1 + m]
+    s2 = moments[1 + m : 1 + m + m * m].reshape(m, m)
+    s3 = moments[1 + m + m * m :].reshape(m, pairs)
+    rows = min(N, MOMENT_BLOCK)
+    vU_buf, kr_buf = np.empty((m, rows)), np.empty((pairs, rows))
+    for start in range(0, N, MOMENT_BLOCK):
+        Ub = Ut[:, start : start + MOMENT_BLOCK]
+        vb = v[start : start + MOMENT_BLOCK]
+        vU = np.multiply(Ub, vb, out=vU_buf[:, : len(vb)])
+        moments[0] += vb.sum()
+        s1 += vU.sum(axis=1)
+        s2 += vU @ Ub.T
+        if cubic:
+            kr = kr_buf[:, : len(vb)]
+            for a, row in enumerate(first):
+                np.multiply(Ub[a:], Ub[a], out=kr[row : row + m - a])
+            s3 += vU @ kr.T
+    return moments[index]
+
+
 def frols_select(
     dataset: RegressionDataset,
     candidates: list[PolyTerm],
@@ -151,46 +224,48 @@ def frols_select(
 ) -> PolyNarxModel:
     """Greedy forward selection of polynomial terms by error reduction ratio.
 
-    Fast orthogonal least squares (Zhu & Billings, 1996; Li, Peng & Irwin,
-    2005): the unit-scaled candidate columns are kept as they are, and each
-    candidate's squared norm and correlation with y, orthogonal to the
-    selected basis, are downdated after every selection. Only the chosen
-    column is orthogonalized against the selected basis (classical
-    Gram-Schmidt, applied twice). Each step picks the candidate explaining the
-    largest fraction of the remaining output energy. Selection stops when the
-    cumulative error reduction ratio reaches 1 - esr_tol or max_terms terms
-    are selected. The final coefficients are re-estimated by ordinary least
-    squares on the raw selected columns.
+    Forward regression orthogonal least squares (Billings, Chen & Korenberg,
+    1989) in its fast form (Zhu & Billings, 1996; Li, Peng & Irwin, 2005):
+    each candidate's squared norm and correlation with y, orthogonal to the
+    selected basis, are kept for its unit-scaled column and downdated after
+    every selection by c = W^T q, for the new basis vector q. The candidate
+    matrix W is never formed. Every candidate has degree <= 3, so its column
+    norm, W^T y and each W^T q are gathered from weighted moments of U
+    (`monomial_dot`); the norms from the moments of U**2, since a squared
+    monomial is the same monomial in u**2. Only the chosen column is
+    evaluated and orthogonalized against the selected basis (classical
+    Gram-Schmidt, applied twice). Each step picks the candidate explaining
+    the largest fraction of the remaining output energy. Selection stops when
+    the cumulative error reduction ratio reaches 1 - esr_tol or max_terms
+    terms are selected. The final coefficients are re-estimated by ordinary
+    least squares on the raw selected columns.
     """
     if max_terms < 1:
         raise ValueError("max_terms must be >= 1")
     if not candidates:
         raise ValueError("candidate list is empty")
-    y = dataset.y
+    U, y = dataset.U, dataset.y
     N = len(y)
     if N <= max_terms:
         raise ValueError(f"need more samples ({N}) than max_terms ({max_terms})")
-    # Single N x K matrix of candidate columns, written here and only read
-    # afterwards; raw columns are re-evaluated from the terms for the final
-    # OLS refit, which keeps the peak memory at one copy even for
-    # benchmark-sized candidate sets.
     K = len(candidates)
-    W = monomials([t.exponents for t in candidates], dataset.U)
-    # Unit-norm scaling stabilizes the orthogonalization arithmetic; ERR
-    # itself is scale-invariant and the final OLS refit is done on raw
-    # columns. A zero-norm column is all zeros already.
-    norms = np.sqrt(np.einsum("ij,ij->j", W, W))
-    alive = norms > 0
-    W /= np.where(alive, norms, 1.0)
+    E = np.array([t.exponents for t in candidates])
+    index = moment_index(E, dataset.m)
     yty = float(y @ y)
     if yty == 0:
         # Zero target: the first candidate with a zero coefficient.
         return PolyNarxModel(terms=(candidates[0],), coeffs=np.zeros(1), m=dataset.m)
+    # Unit-norm scaling stabilizes the orthogonalization arithmetic; ERR
+    # itself is scale-invariant and the final OLS refit is done on raw
+    # columns. A zero-norm column is all zeros already.
+    norms = np.sqrt(monomial_dot(index, U * U, np.ones(N)))
+    alive = norms > 0
+    scale = np.where(alive, norms, 1.0)
 
-    # Squared norms and correlations with y of the columns' components
-    # orthogonal to the selected basis Q.
-    wn2 = np.einsum("ij,ij->j", W, W)
-    wy = W.T @ y
+    # Squared norms and correlations with y of the unit-scaled columns'
+    # components orthogonal to the selected basis Q.
+    wn2 = alive.astype(float)
+    wy = monomial_dot(index, U, y) / scale
     selected: list[int] = []
     err_values: list[float] = []
     Q = np.empty((N, max_terms))
@@ -219,19 +294,19 @@ def frols_select(
         esr -= err[best]
         if esr <= esr_tol or len(selected) == max_terms:
             break
-        q = W[:, best].copy()
+        q = monomials(E[best], U)[:, 0] / scale[best]
         for _ in range(2):
             q -= Q[:, :k] @ (Q[:, :k].T @ q)
         q /= np.linalg.norm(q)
         Q[:, k] = q
         # q is orthogonal to the earlier basis, so q @ w_j equals q @ (the
-        # component of w_j orthogonal to it): one read-only pass over W
-        # downdates every candidate.
-        c = q @ W
+        # component of w_j orthogonal to it): one moment pass downdates
+        # every candidate.
+        c = monomial_dot(index, U, q) / scale
         wn2 -= c * c
         wy -= c * (q @ y)
 
-    cols = monomials([candidates[i].exponents for i in selected], dataset.U)
+    cols = monomials(E[selected], U)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return PolyNarxModel(
         terms=tuple(candidates[i] for i in selected),
@@ -239,4 +314,3 @@ def frols_select(
         m=dataset.m,
         err_values=tuple(err_values),
     )
-

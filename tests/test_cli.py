@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import resource
 import time
 
 import numpy as np
@@ -397,12 +398,20 @@ class TestFit:
         assert rc == 0, err
         kv = parse_kv(out)
         stages = ["load", "regressors", "polynomial", "initialization", "training"]
-        stage_s = json.loads((tmp_path / "report.json").read_text())["stage_s"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        stage_s, peak_mb = report["stage_s"], report["stage_peak_rss_mb"]
         assert sorted(stage_s) == sorted(stages)
         for name in stages:
             assert stage_s[name] >= 0.0
             assert float(kv[f"stage_{name}_s"]) == pytest.approx(stage_s[name], abs=1e-6)
         assert sum(stage_s.values()) <= wall
+        # each stage's figure is the process high-water mark when it ended
+        assert sorted(peak_mb) == sorted(stages)
+        marks = [peak_mb[name] for name in stages]
+        assert 0 < marks[0] and all(a <= b for a, b in zip(marks, marks[1:]))
+        assert marks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        for name in stages:
+            assert float(kv[f"stage_{name}_peak_rss_mb"]) == pytest.approx(peak_mb[name], abs=0.05)
 
     def test_zero_target_esr_undefined(self, tmp_path):
         # FROLS's error reduction ratios are 0/0 when y is identically zero

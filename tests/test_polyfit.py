@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,10 +10,13 @@ from hypothesis.extra import numpy as hnp
 
 from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.polyfit import (
+    MOMENT_BLOCK,
     PolyNarxModel,
     PolyTerm,
     enumerate_terms,
     frols_select,
+    moment_index,
+    monomial_dot,
     monomials,
 )
 
@@ -114,6 +118,29 @@ class TestMonomials:
 
     def test_no_terms(self):
         assert monomials(np.empty((0, 3), dtype=int), np.ones((5, 3))).shape == (5, 0)
+
+
+class TestMonomialDot:
+    @given(terms_and_points(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_monomials_contraction(self, case, data):
+        exponents, U = case
+        v = data.draw(hnp.arrays(np.float64, U.shape[0], elements=st.floats(-1e3, 1e3)))
+        cols = monomials(exponents, U)
+        got = monomial_dot(moment_index(exponents, U.shape[1]), U, v)
+        # products are formed in another order; 1e-290 covers what underflows
+        # in one order and not the other
+        tol = 1e-14 * (np.abs(cols).T @ np.abs(v)) + 1e-290
+        assert np.all(np.abs(got - cols.T @ v) <= tol)
+
+    def test_blocks_accumulate(self):
+        rng = np.random.default_rng(11)
+        U = rng.normal(size=(2 * MOMENT_BLOCK + 5, 4))
+        v = rng.normal(size=len(U))
+        E = [t.exponents for t in enumerate_terms(4, 3)]
+        np.testing.assert_allclose(
+            monomial_dot(moment_index(E, 4), U, v), monomials(E, U).T @ v, rtol=1e-12, atol=1e-12
+        )
 
 
 class TestEnumerateTerms:
@@ -237,6 +264,29 @@ class TestFrols:
         bad = [PolyTerm((1, 0)), PolyTerm((0, 1))]
         with pytest.raises(ValueError, match="degenerate"):
             frols_select(make_ds(U, y), bad, max_terms=2)
+
+    def test_candidate_above_degree_three_rejected(self):
+        rng = np.random.default_rng(12)
+        U = rng.normal(size=(50, 2))
+        candidates = enumerate_terms(2, 3) + [PolyTerm((2, 2)), PolyTerm((5, 0))]
+        with pytest.raises(ValueError, match=r"term 10 \(2, 2\) has degree 4"):
+            frols_select(make_ds(U, U[:, 0]), candidates, max_terms=4)
+
+    def test_no_candidate_matrix_allocated(self):
+        # All N x K candidate columns at once would take N * K * 8 bytes; the
+        # moment gathers need a small fraction of that.
+        rng = np.random.default_rng(13)
+        N = 4096
+        U = rng.normal(size=(N, 30))
+        ds = make_ds(U, U[:, 0] - U[:, 1] * U[:, 2] + rng.normal(size=N))
+        candidates = enumerate_terms(30, 3)
+        tracemalloc.start()
+        try:
+            frols_select(ds, candidates, max_terms=10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < N * len(candidates) * 8 / 4
 
     def test_candidate_dimension_mismatch(self):
         rng = np.random.default_rng(10)
