@@ -234,13 +234,17 @@ def cmd_fit(cfg: dict) -> int:
     stage_peak_rss_mb: dict[str, float] = {}
     stage, started = "load", time.perf_counter()
 
-    def enter(next_stage: str) -> None:
-        nonlocal stage, started
+    def close() -> float:
+        """Record the wall time and peak RSS of the current stage; return the time now."""
         now = time.perf_counter()
         stage_s[stage] = now - started
         # the process's high-water mark so far; Linux reports ru_maxrss in KiB
         stage_peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-        stage, started = next_stage, now
+        return now
+
+    def enter(next_stage: str) -> None:
+        nonlocal stage, started
+        stage, started = next_stage, close()
 
     try:
         data = load_csv(paths["train"])
@@ -252,7 +256,7 @@ def cmd_fit(cfg: dict) -> int:
         poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
         enter("initialization")
         ic = cfg["init"]
-        V0 = cpd.init_transform(
+        V0, factors = cpd.init_transform(
             ds,
             poly,
             n=ic["n"],
@@ -265,8 +269,15 @@ def cmd_fit(cfg: dict) -> int:
         net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
         enter("persist")
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
+        cpd_report = {
+            "status": "converged" if factors.converged else "max_iter",
+            "iterations": factors.iterations,
+            "rel_error": factors.rel_error,
+        }
+        # the report is written inside the persist stage, so it holds the five before it
         doc = {
             **json.loads(report.to_json()),
+            "cpd": cpd_report,
             "frols_err": list(poly.err_values),
             "stage_s": stage_s,
             "stage_peak_rss_mb": stage_peak_rss_mb,
@@ -277,6 +288,7 @@ def cmd_fit(cfg: dict) -> int:
         Path(str(paths["report"]) + ".history.csv").write_text(
             report.history_csv(), encoding="utf-8"
         )
+        close()
     except FileNotFoundError as exc:
         print(f"error=stage:{stage} missing_file={exc.filename}", file=sys.stderr)
         return 2
@@ -286,6 +298,9 @@ def cmd_fit(cfg: dict) -> int:
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")
+    print(f"cpd_status={cpd_report['status']}")
+    print(f"cpd_iterations={cpd_report['iterations']}")
+    print(f"cpd_rel_error={cpd_report['rel_error']!r}")
     print(f"parameters={param_count(net)}")
     print(f"iterations={report.iterations}")
     print(f"accepted_steps={report.accepted}")

@@ -23,6 +23,8 @@ class CpdFactors:
     rel_error: float = field(default=np.nan, compare=False)
     iterations: int = field(default=0, compare=False)
     error_history: tuple[float, ...] = field(default=(), compare=False)
+    # whether the `tol` test on the error change stopped ALS, not the iteration cap
+    converged: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -70,7 +72,7 @@ def cpd_als(
     if normT2 == 0.0:
         rng = np.random.default_rng(seed)
         A = _unit_columns(rng.standard_normal((m, r)))
-        return CpdFactors(A=A, B=A.copy(), C=np.zeros((N, r)), r=r, rel_error=0.0)
+        return CpdFactors(A=A, B=A.copy(), C=np.zeros((N, r)), r=r, rel_error=0.0, converged=True)
 
     G, Q = _compress_mode3(T)
     best: CpdFactors | None = None
@@ -108,6 +110,7 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
     prev = np.inf
     err = np.inf
     it = 0
+    converged = False
     history = []
     for it in range(1, max_iter + 1):
         A = _solve_mode(np.einsum("ijk,jl,kl->il", G, B, C), (B.T @ B) * CtC)
@@ -120,6 +123,7 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
         err = np.sqrt(np.sum(resid * resid) / normT2)
         history.append(float(err))
         if np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
+            converged = True
             break
         prev = err
     return CpdFactors(
@@ -130,6 +134,7 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
         rel_error=float(err),
         iterations=it,
         error_history=tuple(history),
+        converged=converged,
     )
 
 
@@ -182,8 +187,10 @@ def init_transform(
     max_iter: int = 500,
     seed: int = 0,
     n_restarts: int = 3,
-) -> np.ndarray:
+) -> tuple[np.ndarray, CpdFactors]:
     """Initialization pipeline for the linear transform: Hessian stack -> CPD -> merge.
+
+    Returns the merged transform V0 and the CPD factors it came from.
 
     Operating points default to every regressor row; `max_points` subsamples
     them uniformly to bound the size and cost of the Hessian stack; ALS runs
@@ -197,4 +204,4 @@ def init_transform(
         points = points[idx]
     tensor = stack_hessians(poly, points)
     factors = cpd_als(tensor, r=n, max_iter=max_iter, seed=seed, n_restarts=n_restarts)
-    return symmetrize_to_V(factors)
+    return symmetrize_to_V(factors), factors

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterator
 
 import numpy as np
@@ -38,8 +40,8 @@ class PwlRegion:
             {
                 "cell": list(self.cell),
                 "x_bounds": [list(bd) for bd in self.x_bounds],
-                "affine_x": {"a": [float(v) for v in self.a], "b": self.b},
-                "affine_u": {"c": [float(v) for v in self.c], "b": self.b},
+                "affine_x": {"a": self.a.tolist(), "b": self.b},
+                "affine_u": {"c": self.c.tolist(), "b": self.b},
             },
             sort_keys=True,
         )
@@ -72,7 +74,7 @@ def region_of(net: UReluNet, x: np.ndarray) -> tuple[int, ...]:
 
 
 def affine_in_region(net: UReluNet, cell) -> PwlRegion:
-    """The exact affine map on one cell: active neuron weights summed per dimension.
+    """The exact affine map on one cell, a sum of one piece per dimension.
 
     The first neuron of each dimension is linear, so it is active in every
     cell; cell 0 therefore has the same map as cell 1 in that dimension.
@@ -80,21 +82,10 @@ def affine_in_region(net: UReluNet, cell) -> PwlRegion:
     cell = tuple(int(k) for k in cell)
     if len(cell) != net.n:
         raise ValueError(f"cell must have {net.n} indices")
-    q = net.q
-    a = np.zeros(net.n)
-    b = float(net.w[0])
-    bounds = []
     for i, k in enumerate(cell):
-        if not 0 <= k <= q:
-            raise ValueError(f"cell index {k} out of range 0..{q} in dimension {i}")
-        wi = net.w[1 + i * q : 1 + (i + 1) * q]
-        active = max(k, 1)
-        a[i] = float(np.sum(wi[:active]))
-        b -= float(np.sum(wi[:active] * net.beta[i, :active]))
-        lo = -np.inf if k == 0 else float(net.beta[i, k - 1])
-        hi = float(net.beta[i, k]) if k < q else float(net.x_max[i])
-        bounds.append((lo, hi))
-    return PwlRegion(cell=cell, x_bounds=tuple(bounds), a=a, b=b, c=net.V @ a)
+        if not 0 <= k <= net.q:
+            raise ValueError(f"cell index {k} out of range 0..{net.q} in dimension {i}")
+    return _cell_map(_CellTables(net), cell)
 
 
 def enumerate_regions(net: UReluNet, limit: int = 1_000_000) -> Iterator[PwlRegion]:
@@ -102,12 +93,48 @@ def enumerate_regions(net: UReluNet, limit: int = 1_000_000) -> Iterator[PwlRegi
 
     Stops after `limit` cells; use region_count to know the full total.
     """
-    for count, cell in enumerate(
-        itertools.product(range(1, net.q + 1), repeat=net.n)
-    ):
-        if count >= limit:
-            return
-        yield affine_in_region(net, cell)
+    tables = _CellTables(net)
+    cells = itertools.product(range(1, net.q + 1), repeat=net.n)
+    for cell in itertools.islice(cells, max(limit, 0)):
+        yield _cell_map(tables, cell)
+
+
+class _CellTables:
+    """The network as n univariate pieces, tabulated per cell index k = 0..q.
+
+    yhat = w0 + sum_i g_i(x_i), and on cell k of dimension i the piece g_i is
+    slope[i][k] * x_i + offset[i][k] with the neurons j < max(k, 1) active:
+    slope = sum_j w_ij and offset = -sum_j w_ij beta_ij. The entries are
+    Python floats, so a cell's map is a handful of list reads.
+    """
+
+    def __init__(self, net: UReluNet):
+        q = net.q
+        w = net.w.tolist()
+        self.w0 = w[0]
+        self.V = net.V
+        self.slope, self.offset, self.bounds = [], [], []
+        for i, (beta, x_max) in enumerate(zip(net.beta.tolist(), net.x_max.tolist())):
+            slope, offset, a, b = [], [], 0.0, 0.0
+            for wij, bij in zip(w[1 + i * q : 1 + (i + 1) * q], beta):
+                a += wij
+                b -= wij * bij
+                slope.append(a)
+                offset.append(b)
+            # cell 0 lies below the first knot, where only the linear neuron acts
+            self.slope.append(slope[:1] + slope)
+            self.offset.append(offset[:1] + offset)
+            self.bounds.append(list(zip([-math.inf] + beta, beta + [x_max])))
+
+
+def _cell_map(tables: _CellTables, cell: tuple[int, ...]) -> PwlRegion:
+    """The region of `cell`, summed from the per-dimension tables."""
+    a = np.array(list(map(getitem, tables.slope, cell)))
+    b = tables.w0
+    for offset in map(getitem, tables.offset, cell):
+        b += offset
+    bounds = tuple(map(getitem, tables.bounds, cell))
+    return PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a)
 
 
 def region_count(net: UReluNet) -> int:

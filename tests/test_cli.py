@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import io
+import itertools
 import json
 import resource
 import time
@@ -391,6 +392,16 @@ class TestFit:
         )
         assert {"iterations", "residual_history", "final_rmse_db", "accepted"} <= set(report)
 
+    def test_cpd_status_reported(self, desk_pipeline):
+        kv = desk_pipeline["fit"]
+        cpd = json.loads(desk_pipeline["report"].read_text())["cpd"]
+        assert kv["cpd_status"] == cpd["status"]
+        assert int(kv["cpd_iterations"]) == cpd["iterations"]
+        assert float(kv["cpd_rel_error"]) == cpd["rel_error"]
+        # the desk restarts reach the cap of 500 before the error change drops below tol
+        assert cpd == {"status": "max_iter", "iterations": 500, "rel_error": cpd["rel_error"]}
+        assert 0.0 < cpd["rel_error"] < 1.0
+
     def test_stage_times_reported(self, tmp_path):
         start = time.perf_counter()
         rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])
@@ -412,6 +423,11 @@ class TestFit:
         assert marks[-1] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         for name in stages:
             assert float(kv[f"stage_{name}_peak_rss_mb"]) == pytest.approx(peak_mb[name], abs=0.05)
+        # persist writes the report, so only stdout carries its figures
+        assert sum(stage_s.values()) + float(kv["stage_persist_s"]) <= wall
+        peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        # printed to 0.1 MB
+        assert marks[-1] - 0.05 <= float(kv["stage_persist_peak_rss_mb"]) <= peak_now + 0.05
 
     def test_zero_target_esr_undefined(self, tmp_path):
         # FROLS's error reduction ratios are 0/0 when y is identically zero
@@ -527,11 +543,13 @@ class TestRegions:
         kv = parse_kv(text)
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
+        # the exact key set: the benchmark's region check compares the whole header
+        assert set(header) == {"total_cells", "emitted", "truncated"}
         assert header["total_cells"] == 8**3 == int(kv["total_cells"])
         assert header["emitted"] == len(lines) - 1 == 8**3
         assert header["truncated"] is False
-        region = PwlRegion.from_json(lines[1])
-        assert len(region.cell) == 3
+        cells = [tuple(PwlRegion.from_json(line).cell) for line in lines[1:]]
+        assert cells == list(itertools.product(range(1, 9), repeat=3))
 
     def test_limit_truncates(self, desk_pipeline, tmp_path):
         out = tmp_path / "regions_small.jsonl"
@@ -539,8 +557,9 @@ class TestRegions:
         assert rc == 0
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
-        assert header["emitted"] == 10
-        assert header["truncated"] is True
+        assert header == {"total_cells": 8**3, "emitted": 10, "truncated": True}
+        cells = [tuple(PwlRegion.from_json(line).cell) for line in lines[1:]]
+        assert cells == list(itertools.product(range(1, 9), repeat=3))[:10]
 
     def test_long_header_kept_on_its_own_line(self, tmp_path):
         # total_cells = 10**30 makes the header longer than 80 characters

@@ -66,10 +66,20 @@ class TestCpdAls:
         assert np.all(congruence(V, fac.A) >= 0.999)
         assert np.all(congruence(V, fac.B) >= 0.999)
 
+    def test_status_tells_tol_from_the_iteration_cap(self):
+        # a noisy rank-3 tensor, so the error settles above rounding
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=1)
+        noise = 1e-3 * np.random.default_rng(1).normal(size=tensor.data.shape)
+        tensor = HessianTensor(data=tensor.data + noise)
+        fac = cpd_als(tensor, r=3, seed=1, n_restarts=1)
+        assert fac.converged and fac.iterations < 500
+        capped = cpd_als(tensor, r=3, max_iter=2, seed=1, n_restarts=1)
+        assert not capped.converged and capped.iterations == 2
+
     def test_zero_tensor(self):
         tensor = HessianTensor(data=np.zeros((4, 4, 6)))
         fac = cpd_als(tensor, r=1, seed=0)
-        assert fac.rel_error == 0.0
+        assert fac.rel_error == 0.0 and fac.converged
         assert np.all(fac.C == 0)
 
     def test_rank1_symmetric(self):
@@ -185,7 +195,7 @@ class TestInitTransform:
         evals, evecs = np.linalg.eigh(H)
         order = np.argsort(-np.abs(evals))
         top = evecs[:, order[:n]]
-        V0 = init_transform(ds, model, n=n, seed=12)
+        V0, _ = init_transform(ds, model, n=n, seed=12)
         Qa = np.linalg.qr(V0)[0]
         Qb = np.linalg.qr(top)[0]
         angles = np.arccos(np.clip(np.linalg.svd(Qa.T @ Qb, compute_uv=False), 0, 1))
@@ -198,7 +208,7 @@ class TestInitTransform:
         ds = RegressionDataset(U=U, y=rng.normal(size=300), spec=RegressorSpec(15, 14))
         terms = enumerate_terms(m, 3)
         model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
-        V0 = init_transform(ds, model, n=5, max_points=50, seed=14)
+        V0, _ = init_transform(ds, model, n=5, max_points=50, seed=14)
         assert V0.shape == (30, 5)
         np.testing.assert_allclose(np.linalg.norm(V0, axis=0), 1.0, atol=1e-12)
 
@@ -209,7 +219,7 @@ class TestInitTransform:
         ds = RegressionDataset(U=U, y=rng.normal(size=60), spec=RegressorSpec(0, m - 1))
         terms = enumerate_terms(m, 3)
         model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
-        V0 = init_transform(ds, model, n=m, seed=16)
+        V0, _ = init_transform(ds, model, n=m, seed=16)
         assert V0.shape == (m, m)
 
     def test_n_exceeding_m_rejected(self):

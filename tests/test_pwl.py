@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from urelunet import pwl
 from urelunet.network import UReluNet, make_net, forward, transform
 from urelunet.pwl import (
     PwlRegion,
@@ -18,6 +23,23 @@ def random_net(m, n, q, seed, N=200):
     V = rng.normal(size=(m, n))
     w = rng.normal(size=n * q + 1)
     return make_net(V, q, w, transform(U, V)), U
+
+
+def summed_map(net, cell):
+    """Reference map of one cell: the active weights summed with numpy.
+
+    Returns a, b and the sums of the absolute terms behind each, which bound
+    their rounding error."""
+    q = net.q
+    a, a_scale = np.zeros(net.n), np.zeros(net.n)
+    b, b_scale = float(net.w[0]), abs(float(net.w[0]))
+    for i, k in enumerate(cell):
+        wi = net.w[1 + i * q : 1 + (i + 1) * q][: max(k, 1)]
+        terms = wi * net.beta[i, : max(k, 1)]
+        a[i], a_scale[i] = np.sum(wi), np.sum(np.abs(wi))
+        b -= float(np.sum(terms))
+        b_scale += float(np.sum(np.abs(terms)))
+    return a, b, a_scale, b_scale
 
 
 class TestRegionOf:
@@ -127,6 +149,36 @@ class TestEnumeration:
         net, _ = random_net(30, 5, 10, seed=10, N=100)
         assert region_count(net) == 100_000
 
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 3),
+        q=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_maps_from_tables(self, m, n, q, seed):
+        net, _ = random_net(m, n, q, seed, N=20)
+        for reg in enumerate_regions(net):
+            assert reg.to_json() == affine_in_region(net, reg.cell).to_json()
+            a, b, a_scale, b_scale = summed_map(net, reg.cell)
+            assert np.all(np.abs(reg.a - a) <= 1e-12 * a_scale)
+            assert abs(reg.b - b) <= 1e-12 * b_scale
+            # the linear first neuron makes cell 0 extend cell 1 in every dimension
+            for i in range(n):
+                if reg.cell[i] == 1:
+                    below = affine_in_region(net, reg.cell[:i] + (0,) + reg.cell[i + 1 :])
+                    assert below.a.tolist() == reg.a.tolist() and below.b == reg.b
+                    assert below.c.tolist() == reg.c.tolist()
+
+    def test_limit_stops_before_later_cells(self, monkeypatch):
+        net, _ = random_net(8, 6, 10, seed=14, N=50)
+        built = []
+        cell_map = pwl._cell_map
+        monkeypatch.setattr(pwl, "_cell_map", lambda t, cell: built.append(cell) or cell_map(t, cell))
+        regions = list(enumerate_regions(net, limit=3))
+        assert [r.cell for r in regions] == [(1,) * 5 + (k,) for k in (1, 2, 3)]
+        assert built == [r.cell for r in regions]
+
     def test_bounds_partition_per_dimension(self):
         net, _ = random_net(2, 2, 3, seed=11)
         for reg in enumerate_regions(net):
@@ -145,6 +197,22 @@ def test_region_json_round_trip():
     np.testing.assert_array_equal(clone.c, reg.c)
     assert clone.b == reg.b
     assert clone.to_json() == reg.to_json()
+
+
+def test_region_json_bytes_pinned():
+    # the bytes of json.dumps(..., sort_keys=True) on the region's lists
+    reg = PwlRegion(
+        cell=(0, 3),
+        x_bounds=((-math.inf, -1.25), (0.1, 0.1 + 0.2)),
+        a=np.array([2.5, -1 / 3]),
+        b=-(0.1 + 0.2),
+        c=np.array([1 / 3, -2.0, 1e300]),
+    )
+    assert reg.to_json() == (
+        '{"affine_u": {"b": -0.30000000000000004, "c": [0.3333333333333333, -2.0, 1e+300]}, '
+        '"affine_x": {"a": [2.5, -0.3333333333333333], "b": -0.30000000000000004}, '
+        '"cell": [0, 3], "x_bounds": [[-Infinity, -1.25], [0.1, 0.30000000000000004]]}'
+    )
 
 
 class TestCondDiagnostics:
