@@ -59,60 +59,50 @@ DEFAULT_CONFIG = {
 }
 
 
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for k, v in override.items():
-        if isinstance(v, dict) and isinstance(out.get(k), dict):
-            out[k] = _merge(out[k], v)
-        else:
-            out[k] = v
-    return out
-
-
-def _unknown_keys(doc: dict, ref: dict, prefix: str = ""):
-    """Dotted paths of the keys in `doc` that `ref` lacks; keys starting with "_" are
-    comments. Raises ValueError where one of them holds an object and the other not."""
-    for key, value in doc.items():
-        path = prefix + key
-        if key.startswith("_"):
-            continue
-        if key not in ref:
-            yield path
-        elif isinstance(value, dict) != isinstance(ref[key], dict):
-            held = "an object" if isinstance(ref[key], dict) else "a plain value, not an object"
-            raise ValueError(f"config key {path!r} takes {held}")
-        elif isinstance(value, dict):
-            yield from _unknown_keys(value, ref[key], path + ".")
-
-
 # Config keys that also take null; for init.max_points it means CPD on every point.
 NULLABLE_KEYS = {"init.max_points"}
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
 
 
-def _check_types(cfg: dict, ref: dict = DEFAULT_CONFIG, prefix: str = "") -> None:
-    """Raise ValueError where a value of `cfg` lacks the type of its default in `ref`.
+def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> None:
+    """Set each value of `doc` in `cfg`, checked against its default in `ref`.
 
-    A float default also takes an int; an int default does not take a bool."""
-    for key, default in ref.items():
-        path, value = prefix + key, cfg[key]
-        if isinstance(default, dict):
-            _check_types(value, default, path + ".")
+    Keys starting with "_" are comments. A key that `ref` lacks raises ValueError when
+    `strict`, and is otherwise warned about and dropped, so `cfg` keeps the key tree of
+    `ref`. An object where `ref` holds a plain value, or the reverse, raises; so does a
+    value without its default's type: a float default also takes an int, an int default
+    does not take a bool, and the NULLABLE_KEYS also take null."""
+    for key, value in doc.items():
+        path = prefix + key
+        if key.startswith("_"):
             continue
-        if value is None and path in NULLABLE_KEYS:
+        if key not in ref:
+            if strict:
+                raise ValueError(f"unknown config key {path!r}")
+            print(f"warning=unknown config key {path}", file=sys.stderr)
             continue
+        default = ref[key]
+        if isinstance(value, dict) != isinstance(default, dict):
+            held = "an object" if isinstance(default, dict) else "a plain value, not an object"
+            raise ValueError(f"config key {path!r} takes {held}")
+        if isinstance(value, dict):
+            _apply(cfg[key], value, default, strict, path + ".")
+            continue
+        nullable = path in NULLABLE_KEYS
         allowed = (int, float) if isinstance(default, float) else type(default)
-        if isinstance(value, bool) or not isinstance(value, allowed):
-            takes = _TYPE_NAMES[type(default)] + (" or null" if path in NULLABLE_KEYS else "")
+        typed = isinstance(value, allowed) and not isinstance(value, bool)
+        if not typed and not (value is None and nullable):
+            takes = _TYPE_NAMES[type(default)] + (" or null" if nullable else "")
             raise ValueError(f"config key {path!r} takes {takes}, not {json.dumps(value)}")
+        cfg[key] = value
 
 
 def load_config(path: str | None, overrides: list[str]) -> dict:
     """The defaults merged with the config file at `path`, then with each `--set a.b=v`.
 
-    Both sources go through one key walk: `--set a.b=v` is the object {"a": {"b": v}}.
-    A file key that the defaults lack is warned about; an unknown `--set` key raises.
-    After each source, every value must have the type of its default (`_check_types`)."""
+    Both sources go through one walk over the defaults (`_apply`): `--set a.b=v` is the
+    object {"a": {"b": v}}. A file key that the defaults lack is warned about and dropped;
+    an unknown `--set` key raises. The result has exactly the key tree of the defaults."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     sources = []
     if path is not None:
@@ -134,12 +124,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
         sources.append((f"--set {key!r}", doc, True))
     for where, doc, strict in sources:
         try:
-            for unknown in _unknown_keys(doc, cfg):
-                if strict:
-                    raise ValueError(f"unknown config key {unknown!r}")
-                print(f"warning=unknown config key {unknown}", file=sys.stderr)
-            cfg = _merge(cfg, doc)
-            _check_types(cfg)
+            _apply(cfg, doc, DEFAULT_CONFIG, strict)
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from None
     return cfg
@@ -260,7 +245,7 @@ def cmd_fit(cfg: dict) -> int:
             ds,
             poly,
             n=ic["n"],
-            max_points=ic.get("max_points"),
+            max_points=ic["max_points"],
             max_iter=ic["cpd_max_iter"],
             seed=cfg["seed"],
             n_restarts=ic["cpd_restarts"],
@@ -317,12 +302,17 @@ def _load_model(path: str) -> UReluNet:
         return UReluNet.from_json(fh.read())
 
 
-def cmd_eval(cfg: dict) -> int:
-    paths = cfg["paths"]
-    net = _load_model(paths["model"])
-    data = load_csv(paths["validation"])
+def _free_run_inputs(cfg: dict):
+    """The model, the validation record, the regressor spec (the model's, else the
+    config's) and the seed length of a free run, as `eval` and `simulate` use them."""
+    net = _load_model(cfg["paths"]["model"])
+    data = load_csv(cfg["paths"]["validation"])
     spec = net.regressor_spec or _spec(cfg)
-    seed_len = max(spec.n_u, spec.n_y)
+    return net, data, spec, max(spec.n_u, spec.n_y)
+
+
+def cmd_eval(cfg: dict) -> int:
+    net, data, spec, seed_len = _free_run_inputs(cfg)
     diverged = False
     div_index = -1
     try:
@@ -358,11 +348,7 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict, output: str | None) -> int:
-    paths = cfg["paths"]
-    net = _load_model(paths["model"])
-    data = load_csv(paths["validation"])
-    spec = net.regressor_spec or _spec(cfg)
-    seed_len = max(spec.n_u, spec.n_y)
+    net, data, spec, seed_len = _free_run_inputs(cfg)
     y_s = simulate_free_run(net, data.u, data.y[:seed_len], spec)
     out = output or "simulated.csv"
     save_csv(out, TimeSeriesData(u=data.u, y=y_s))

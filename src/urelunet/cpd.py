@@ -23,7 +23,7 @@ class CpdFactors:
     rel_error: float = field(default=np.nan, compare=False)
     iterations: int = field(default=0, compare=False)
     error_history: tuple[float, ...] = field(default=(), compare=False)
-    # whether the `tol` test on the error change stopped ALS, not the iteration cap
+    # whether the `tol` test on the error or its change stopped ALS, not the iteration cap
     converged: bool = field(default=False, compare=False)
 
     def __post_init__(self):
@@ -54,7 +54,7 @@ def cpd_als(
 
     Factors are initialized from a seeded standard normal; the best of
     `n_restarts` runs (by relative reconstruction error) is returned.
-    Iteration stops when the relative error change drops below `tol`.
+    Iteration stops when the relative error, or its relative change, drops to `tol`.
 
     ALS runs on an exact compression of mode 3: with the thin QR `Q R` of
     the N x m^2 mode-3 unfolding, T = G x_3 Q for the m x m x min(N, m^2)
@@ -122,7 +122,9 @@ def _als_run(G, Q, N, r, max_iter, tol, rng, normT2) -> CpdFactors:
         resid = G - np.einsum("il,jl,kl->ijk", A, B, C)
         err = np.sqrt(np.sum(resid * resid) / normT2)
         history.append(float(err))
-        if np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
+        # err is already relative to ||T||; the change test alone never fires once
+        # the error wobbles at rounding level
+        if err <= tol or np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
             converged = True
             break
         prev = err

@@ -35,12 +35,6 @@ def run_main(argv):
 
 
 class TestConfig:
-    def test_merge_is_recursive(self):
-        base = {"a": {"x": 1, "y": 2}, "b": 3}
-        out = cli._merge(base, {"a": {"y": 9}, "c": 4})
-        assert out == {"a": {"x": 1, "y": 9}, "b": 3, "c": 4}
-        assert base["a"]["y"] == 2  # untouched
-
     def test_file_then_set_overrides(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"net": {"q": 12}}))
@@ -87,11 +81,12 @@ class TestConfig:
         assert err.startswith("error=") and repr(key) in err
 
     def test_set_key_from_config_file(self, tmp_path):
-        # a key the defaults lack is settable once the config file has it
+        # a file key the defaults lack is dropped, so --set cannot reach it either
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"net": {"extra": {"depth": 1}}}))
-        cfg = cli.load_config(str(p), ["net.extra.depth=2"])
-        assert cfg["net"]["extra"] == {"depth": 2}
+        rc, _, err = run_main(["--config", str(p), "--set", "net.extra.depth=2", "fit"])
+        assert rc == 1
+        assert "error=" in err and repr("net.extra") in err
 
     def test_set_object_merges(self):
         cfg = cli.load_config(None, ['datagen.excitation={"f_min": 6.0}'])
@@ -164,6 +159,17 @@ class TestConfig:
             f"warning=unknown config key {key}" for key in unknown
         ]
         assert cfg["train"]["max_iter"] == cli.DEFAULT_CONFIG["train"]["max_iter"]
+
+    def test_unknown_file_keys_dropped(self, tmp_path):
+        def tree(doc):
+            return {k: tree(v) for k, v in doc.items()} if isinstance(doc, dict) else None
+
+        p = tmp_path / "c.json"
+        doc = {"_comment": "x", "nosuch": {"a": 1}, "net": {"q": 9, "extra": {"depth": 1}}}
+        p.write_text(json.dumps(doc))
+        cfg = cli.load_config(str(p), [])
+        assert tree(cfg) == tree(cli.DEFAULT_CONFIG)
+        assert cfg["net"]["q"] == 9
 
     @pytest.mark.parametrize("doc", [[1, 2], 3, "fit", None])
     def test_config_file_not_an_object_rejected(self, tmp_path, doc):

@@ -44,7 +44,7 @@ def reference_als(T, r, max_iter, tol, seed):
         resid = T - np.einsum("il,jl,kl->ijk", A, B, C)
         err = np.sqrt(np.sum(resid * resid) / normT2)
         history.append(err)
-        if np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
+        if err <= tol or np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
             break
         prev = err
     return A, B, C, np.array(history)
@@ -63,6 +63,9 @@ class TestCpdAls:
         tensor, V, _ = symmetric_tensor(8, 40, 2, seed=0)
         fac = cpd_als(tensor, r=2, seed=0)
         assert fac.rel_error <= 1e-8
+        # the error reaches rounding level and wobbles there, where only the
+        # test on the error itself, not on its change, stops ALS
+        assert fac.converged and fac.iterations <= 30
         assert np.all(congruence(V, fac.A) >= 0.999)
         assert np.all(congruence(V, fac.B) >= 0.999)
 
