@@ -70,7 +70,7 @@ def main() -> int:
     ds = build_regressors(train_data, spec)
     A = np.column_stack([np.ones(ds.n_samples), ds.U])
     coef, *_ = np.linalg.lstsq(A, ds.y, rcond=None)
-    seed_len = max(spec.n_u, spec.n_y)
+    seed_len = spec.max_lag
 
     def free_run_db(model):
         y_s = simulate_free_run(model, val_data.u, val_data.y[:seed_len], spec)

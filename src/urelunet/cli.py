@@ -308,7 +308,7 @@ def _free_run_inputs(cfg: dict):
     net = _load_model(cfg["paths"]["model"])
     data = load_csv(cfg["paths"]["validation"])
     spec = net.regressor_spec or _spec(cfg)
-    return net, data, spec, max(spec.n_u, spec.n_y)
+    return net, data, spec, spec.max_lag
 
 
 def cmd_eval(cfg: dict) -> int:

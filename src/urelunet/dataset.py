@@ -132,7 +132,7 @@ def simulate_free_run(
     """
     u = np.asarray(u_raw, dtype=float)
     seed = np.asarray(y_init, dtype=float)
-    need = max(spec.n_u, spec.n_y)
+    need = spec.max_lag
     if len(seed) < need:
         raise ValueError(
             f"y_init must provide at least max(n_u, n_y) = {need} seed values, got {len(seed)}"

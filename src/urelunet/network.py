@@ -120,10 +120,6 @@ class UReluNet:
     def n(self) -> int:
         return self.V.shape[1]
 
-    @property
-    def s(self) -> np.ndarray:
-        return knot_fractions(self.q)
-
     def __call__(self, u: np.ndarray) -> float:
         return float(forward(self, np.asarray(u)[None, :])[0])
 

@@ -91,13 +91,12 @@ class BasisDerivative:
         return D
 
 
-def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, min_sign: float):
+def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
     """Activation mask (N, n, q) and knot sensitivities dbeta (m, n, q) at X = U V.
 
     Knot j of dimension i sits at x_i(k_min) + s_j (x_i(k_max) - x_i(k_min)),
     where k_min and k_max are the samples holding that dimension's extremes
     (the lowest index on ties), so it moves with V through those two samples.
-    `min_sign` multiplies the k_min contribution; only +1 is correct.
 
     The mask also covers column (i, 0), although that neuron is linear. On the
     data that define the grid this is exact: x_i >= beta_i0 everywhere, and at
@@ -108,27 +107,19 @@ def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, min_sign: 
     Umin = U[np.argmin(X, axis=0), :].T  # (m, n)
     Umax = U[np.argmax(X, axis=0), :].T
     s = knot_fractions(beta.shape[1])
-    dbeta = s[None, None, :] * (Umax - Umin)[:, :, None] + min_sign * Umin[:, :, None]
+    dbeta = s[None, None, :] * (Umax - Umin)[:, :, None] + Umin[:, :, None]
     return mask, dbeta
 
 
-def dB_dV(
-    net: UReluNet, dataset: RegressionDataset, sign_mode: str = "plus"
-) -> BasisDerivative:
-    """Analytic derivative structure of the basis with respect to V.
+def dB_dV(V: np.ndarray, dataset: RegressionDataset, q: int) -> BasisDerivative:
+    """Analytic derivative structure of the basis with respect to V, with q knots.
 
     The knot grid is treated as a function of V (recomputed from X = U V), so
-    each knot moves with the per-dimension min and max samples. `sign_mode`
-    selects the sign of the min-sample contribution: "plus" is the form that
-    follows from differentiating the grid definition and is the default;
-    "minus" is retained only for regression-testing the incorrect variant.
-    `vp_jacobian` builds its Jacobian from this same derivative.
+    each knot moves with the per-dimension min and max samples. `vp_jacobian`
+    builds its Jacobian from this same derivative.
     """
-    if sign_mode not in ("plus", "minus"):
-        raise ValueError("sign_mode must be 'plus' or 'minus'")
-    X = transform(dataset.U, net.V)
-    min_sign = 1.0 if sign_mode == "plus" else -1.0
-    mask, dbeta = _basis_derivative(dataset.U, X, bias_grid(X, net.q), min_sign)
+    X = transform(dataset.U, V)
+    mask, dbeta = _basis_derivative(dataset.U, X, bias_grid(X, q))
     return BasisDerivative(mask=mask, dbeta=dbeta, U=dataset.U)
 
 
@@ -184,9 +175,9 @@ def vp_jacobian(
 ) -> np.ndarray:
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
-    Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`
-    (plus sign). With P the projector onto the complement of [1, B], it is
-    the exact two-term Golub-Pereyra form
+    Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`.
+    With P the projector onto the complement of [1, B], it is the exact
+    two-term Golub-Pereyra form
     -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r. With a `cache` that holds
     the state built at exactly this V (by `vp_residual`), the factorization
     is reused rather than rebuilt.
@@ -195,7 +186,7 @@ def vp_jacobian(
     U = st.U
     N, m = U.shape
     n = st.X.shape[1]
-    mask, dbeta = _basis_derivative(U, st.X, st.beta, 1.0)
+    mask, dbeta = _basis_derivative(U, st.X, st.beta)
 
     # (dB/dv_st) w for every variable at once: shape (N, n, m), index t*m + s
     Mw = mask * st.w[1:].reshape(n, q)
@@ -241,7 +232,6 @@ def train(
     accepted = 0
     rejected = 0
     status = "max_iter"
-    iterations = 0
 
     for iterations in range(1, max_iter + 1):
         J = vp_jacobian(V, dataset, q, cache=cache)
@@ -251,36 +241,33 @@ def train(
             iterations -= 1
             break
         JtJ = J.T @ J
-        d = np.diag(JtJ).copy()
+        d = np.diag(JtJ)
         d = np.maximum(d, 1e-12 * max(float(d.max()), 1.0))
-        moved = False
         while True:
             try:
                 delta = np.linalg.solve(JtJ + lam * np.diag(d), -g)
             except np.linalg.LinAlgError:
-                delta = None
-            if delta is not None and float(np.linalg.norm(delta)) < STEP_TOL:
-                status = "step_tol"
-                break
-            V_new = V + delta.reshape(n, m).T if delta is not None else None
-            if V_new is not None:
+                cost_new = math.inf
+            else:
+                if float(np.linalg.norm(delta)) < STEP_TOL:
+                    status = "step_tol"
+                    break
+                V_new = V + delta.reshape(n, m).T
                 r_new = vp_residual(V_new, dataset, q, cache=cache)
                 cost_new = float(r_new @ r_new)
-            else:
-                cost_new = np.inf
-            if np.isfinite(cost_new) and cost_new < cost:
+            # an infinite or NaN trial cost compares false, so it is rejected
+            if cost_new < cost:
                 V, r, cost = V_new, r_new, cost_new
                 history.append(cost)
                 accepted += 1
                 lam = max(lam / LM_FACTOR, 1e-15)
-                moved = True
                 break
             rejected += 1
             lam *= LM_FACTOR
             if lam > 1e12:
                 status = "stalled"
                 break
-        if not moved:
+        if status != "max_iter":
             break
 
     st = _state(V, dataset, q, cache)

@@ -1,7 +1,9 @@
 import contextlib
+import dataclasses
 import io
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from urelunet import cli
@@ -18,6 +20,17 @@ def parse_kv(stdout: str) -> dict:
             k, _, v = line.partition("=")
             out[k] = v
     return out
+
+
+def wrong_sign_derivative(d, V):
+    """The basis derivative `d` at V with its min-sample knot term negated.
+
+    Each knot sensitivity holds +u(k_min), where k_min is the sample at the
+    dimension's minimum of X = U V; the control holds -u(k_min) instead, so
+    finite differences of the basis must reject it.
+    """
+    Umin = d.U[np.argmin(d.U @ V, axis=0)].T
+    return dataclasses.replace(d, dbeta=d.dbeta - 2 * Umin[:, :, None])
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from urelunet.varpro import (
     vp_residual,
 )
 
+from conftest import wrong_sign_derivative
+
 
 def random_dataset(N, m, seed, n_u=None):
     rng = np.random.default_rng(seed)
@@ -104,8 +106,7 @@ class TestBasisDerivative:
 
     def test_plus_sign_matches_finite_differences(self):
         V, ds = safe_instance(N=80, m=5, n=3, q=4, seed=1)
-        net = make_net(V, 4, np.zeros(3 * 4 + 1), transform(ds.U, V))
-        d = dB_dV(net, ds, sign_mode="plus")
+        d = dB_dV(V, ds, 4)
         worst = 0.0
         for s in range(5):
             for t in range(3):
@@ -116,8 +117,7 @@ class TestBasisDerivative:
 
     def test_minus_sign_fails_finite_differences(self):
         V, ds = safe_instance(N=80, m=5, n=3, q=4, seed=2)
-        net = make_net(V, 4, np.zeros(3 * 4 + 1), transform(ds.U, V))
-        d = dB_dV(net, ds, sign_mode="minus")
+        d = wrong_sign_derivative(dB_dV(V, ds, 4), V)
         worst = 0.0
         for s in range(5):
             for t in range(3):
@@ -128,16 +128,9 @@ class TestBasisDerivative:
 
     def test_cross_dimension_blocks_zero(self):
         V, ds = safe_instance(N=40, m=4, n=2, q=3, seed=3)
-        net = make_net(V, 3, np.zeros(2 * 3 + 1), transform(ds.U, V))
-        d = dB_dV(net, ds)
+        d = dB_dV(V, ds, 3)
         col = d.column(1, 0)  # variable in dimension 0
         assert np.all(col[:, 3:] == 0)  # dimension-1 block untouched
-
-    def test_bad_sign_mode(self):
-        V, ds = safe_instance(N=20, m=3, n=2, q=3, seed=4)
-        net = make_net(V, 3, np.zeros(7), transform(ds.U, V))
-        with pytest.raises(ValueError):
-            dB_dV(net, ds, sign_mode="sideways")
 
 
 class TestResidual:
@@ -192,7 +185,7 @@ class TestJacobian:
         Btil = np.column_stack([np.ones(ds.n_samples), B])
         pinv = np.linalg.pinv(Btil, rcond=1e-10)
         r = ds.y - Btil @ w
-        d = dB_dV(make_net(V, q, w, X), ds)
+        d = dB_dV(V, ds, q)
         J = vp_jacobian(V, ds, q)
         for t in range(n):
             for s in range(m):
@@ -259,6 +252,74 @@ class TestTrain:
             train(V[:3], ds, 4)
         with pytest.raises(ValueError):
             train(V, ds, 4, max_iter=0)
+
+
+class TestTrainExits:
+    """Each way out of the Levenberg-Marquardt loop, and a failed step solve."""
+
+    @staticmethod
+    def _failing_solve(monkeypatch, failures):
+        """Make np.linalg.solve raise LinAlgError on its first `failures` calls,
+        or on every call when `failures` is None; returns the list of calls."""
+        calls = []
+        original = np.linalg.solve
+
+        def solve(*args, **kwargs):
+            calls.append(args)
+            if failures is None or len(calls) <= failures:
+                raise np.linalg.LinAlgError("singular matrix")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        return calls
+
+    def test_grad_tol_when_target_in_span(self):
+        V, ds0 = safe_instance(N=60, m=4, n=2, q=5, seed=50)
+        X = transform(ds0.U, V)
+        Btil = np.column_stack([np.ones(60), build_B(X, bias_grid(X, 5))])
+        y = Btil @ np.random.default_rng(51).normal(size=Btil.shape[1])
+        ds = RegressionDataset(U=ds0.U, y=y, spec=ds0.spec)
+        net, report = train(V, ds, 5, max_iter=10)
+        assert report.status == "grad_tol"
+        assert report.iterations == 0
+        assert report.accepted == report.rejected == 0
+        np.testing.assert_array_equal(net.V, V)
+
+    def test_step_tol(self, monkeypatch):
+        monkeypatch.setattr(varpro, "STEP_TOL", 1e6)
+        V, ds = safe_instance(N=100, m=4, n=2, q=4, seed=52)
+        net, report = train(V, ds, 4, max_iter=10)
+        assert report.status == "step_tol"
+        assert report.iterations == 1
+        assert report.accepted == report.rejected == 0
+        np.testing.assert_array_equal(net.V, V)
+
+    def test_stalled_when_every_solve_fails(self, monkeypatch):
+        V, ds = safe_instance(N=100, m=4, n=2, q=4, seed=53)
+        r0 = vp_residual(V, ds, 4)
+        calls = self._failing_solve(monkeypatch, None)
+        net, report = train(V, ds, 4, max_iter=10)
+        assert report.status == "stalled"
+        assert report.iterations == 1
+        assert report.accepted == 0
+        assert report.rejected == len(calls) == 16
+        assert report.residual_history == [float(r0 @ r0)]
+        np.testing.assert_array_equal(net.V, V)
+
+    def test_one_failed_solve_is_one_rejection(self, monkeypatch):
+        # a failed first solve is rejected and raises lambda; from there the run
+        # is the one that starts at the raised lambda
+        V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=54)
+        monkeypatch.setattr(varpro, "LM_LAMBDA0", varpro.LM_LAMBDA0 * varpro.LM_FACTOR)
+        net_ref, report_ref = train(V, ds, 4, max_iter=15)
+        monkeypatch.undo()
+        self._failing_solve(monkeypatch, 1)
+        net, report = train(V, ds, 4, max_iter=15)
+        assert report.accepted == report_ref.accepted > 0
+        assert report.rejected == report_ref.rejected + 1
+        assert report.residual_history == report_ref.residual_history
+        assert report.status == report_ref.status
+        np.testing.assert_array_equal(net.V, net_ref.V)
 
 
 class TestTrialStateReuse:
