@@ -258,6 +258,7 @@ def cmd_fit(cfg: dict) -> int:
             "status": "converged" if factors.converged else "max_iter",
             "iterations": factors.iterations,
             "rel_error": factors.rel_error,
+            "restart_errors": list(factors.restart_errors),
         }
         # the report is written inside the persist stage, so it holds the five before it
         doc = {
@@ -286,6 +287,7 @@ def cmd_fit(cfg: dict) -> int:
     print(f"cpd_status={cpd_report['status']}")
     print(f"cpd_iterations={cpd_report['iterations']}")
     print(f"cpd_rel_error={cpd_report['rel_error']!r}")
+    print(f"cpd_restart_errors={json.dumps(cpd_report['restart_errors'], separators=(',', ':'))}")
     print(f"parameters={param_count(net)}")
     print(f"iterations={report.iterations}")
     print(f"accepted_steps={report.accepted}")

@@ -56,3 +56,30 @@ def stack_hessians(model: PolyNarxModel, points: np.ndarray) -> HessianTensor:
                 H[b, a, :] += val
     return HessianTensor(data=H)
 
+
+def hessian_core(model: PolyNarxModel, points: np.ndarray) -> tuple[HessianTensor, np.ndarray]:
+    """Exact compression of `stack_hessians(model, points)` into a core and its basis.
+
+    The Hessian of a polynomial of degree <= 3 is affine in u:
+    H(u) = H(0) + sum_j u_j (H(e_j) - H(0)). So the N-point stack is
+    Hhat x_3 Phi, with Hhat the m x m x (m+1) stack of H(0) and the
+    H(e_j) - H(0), and Phi = [1, points] (N x (m+1)). With the thin QR
+    Phi = Q R, the stack is G x_3 Q for the core G = Hhat x_3 R. Returns G
+    (m x m x min(N, m+1)) and the N x min(N, m+1) basis Q, whose columns are
+    orthonormal; the cost is one Hessian stack on m+1 points and one QR of Phi.
+    """
+    P = np.atleast_2d(np.asarray(points, dtype=float))
+    if P.shape[1] != model.m:
+        raise ValueError(f"points must have {model.m} columns, got {P.shape[1]}")
+    for t, term in enumerate(model.terms):
+        degree = sum(term.exponents)
+        if degree > 3:
+            raise ValueError(
+                f"term {t} {term.exponents} has degree {degree}; "
+                "the Hessian core covers degree <= 3 only"
+            )
+    N, m = P.shape
+    H = stack_hessians(model, np.vstack([np.zeros(m), np.eye(m)])).data
+    Hhat = np.concatenate([H[:, :, :1], H[:, :, 1:] - H[:, :, :1]], axis=2)
+    Q, R = np.linalg.qr(np.hstack([np.ones((N, 1)), P]))
+    return HessianTensor(data=Hhat @ R.T), Q

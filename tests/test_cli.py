@@ -405,8 +405,24 @@ class TestFit:
         assert int(kv["cpd_iterations"]) == cpd["iterations"]
         assert float(kv["cpd_rel_error"]) == cpd["rel_error"]
         # the desk restarts reach the cap of 500 before the error change drops below tol
-        assert cpd == {"status": "max_iter", "iterations": 500, "rel_error": cpd["rel_error"]}
+        assert cpd == {
+            "status": "max_iter",
+            "iterations": 500,
+            "rel_error": cpd["rel_error"],
+            "restart_errors": cpd["restart_errors"],
+        }
         assert 0.0 < cpd["rel_error"] < 1.0
+
+    def test_every_cpd_restart_reported(self, tmp_path):
+        # the record's Hessians span two directions, so no rank-1 restart reaches tol
+        extra = ["--set", "init.n=1", "--set", "init.cpd_restarts=3"]
+        rc, out, err = run_main(small_fit_args(tmp_path) + extra + ["fit"])
+        assert rc == 0, err
+        kv = parse_kv(out)
+        errors = json.loads((tmp_path / "report.json").read_text())["cpd"]["restart_errors"]
+        assert json.loads(kv["cpd_restart_errors"]) == errors
+        assert len(errors) == 3 and all(e is not None for e in errors)
+        assert float(kv["cpd_rel_error"]) == min(errors)
 
     def test_stage_times_reported(self, tmp_path):
         start = time.perf_counter()

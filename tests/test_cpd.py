@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from urelunet import cpd
 from urelunet.cpd import CpdFactors, cpd_als, init_transform, symmetrize_to_V
 from urelunet.dataset import RegressionDataset, RegressorSpec
-from urelunet.hessian import HessianTensor, stack_hessians
-from urelunet.polyfit import PolyNarxModel, enumerate_terms
+from urelunet.hessian import HessianTensor, hessian_core, stack_hessians
+from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms
 
 
 def symmetric_tensor(m, N, r, seed, cond_guard=True):
@@ -48,6 +49,19 @@ def reference_als(T, r, max_iter, tol, seed):
             break
         prev = err
     return A, B, C, np.array(history)
+
+
+def assert_matches_reference_als(tensor, r, seed):
+    """50 iterations of `cpd_als`, one restart, agree with `reference_als` to rounding."""
+    fac = cpd_als(tensor, r=r, max_iter=50, tol=1e-8, seed=seed, n_restarts=1)
+    A, B, C, history = reference_als(tensor.data, r, max_iter=50, tol=1e-8, seed=seed)
+    assert fac.iterations == len(history)
+    np.testing.assert_allclose(fac.error_history, history, rtol=1e-10)
+    for got, want in ((fac.A, A), (fac.B, B), (fac.C, C)):
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+    assert fac.C.shape == (tensor.n_points, r)
+    direct = np.linalg.norm(tensor.data - fac.reconstruct()) / np.linalg.norm(tensor.data)
+    assert fac.rel_error == pytest.approx(direct, rel=1e-10)
 
 
 def congruence(A, B):
@@ -119,15 +133,28 @@ class TestCpdAls:
         terms = enumerate_terms(m, 3)
         model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
         tensor = stack_hessians(model, rng.normal(size=(N, m)))
-        fac = cpd_als(tensor, r=r, max_iter=50, tol=1e-8, seed=21, n_restarts=1)
-        A, B, C, history = reference_als(tensor.data, r, max_iter=50, tol=1e-8, seed=21)
-        assert fac.iterations == len(history)
-        np.testing.assert_allclose(fac.error_history, history, rtol=1e-10)
-        for got, want in ((fac.A, A), (fac.B, B), (fac.C, C)):
-            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        assert fac.C.shape == (N, r)
-        direct = np.linalg.norm(tensor.data - fac.reconstruct()) / np.linalg.norm(tensor.data)
-        assert fac.rel_error == pytest.approx(direct, rel=1e-10)
+        assert_matches_reference_als(tensor, r, seed=21)
+
+    def test_unsymmetric_tensor_matches_full_tensor_als(self):
+        # modes 1 and 2 differ, so each mode's unfolding is checked on its own
+        tensor = HessianTensor(data=np.random.default_rng(22).normal(size=(5, 5, 40)))
+        assert_matches_reference_als(tensor, 2, seed=23)
+
+    def test_singular_restart_recorded(self, monkeypatch):
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
+        run = cpd._als_run
+        calls = []
+
+        def first_singular(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise np.linalg.LinAlgError("singular")
+            return run(*args)
+
+        monkeypatch.setattr(cpd, "_als_run", first_singular)
+        fac = cpd_als(tensor, r=3, max_iter=5, seed=2, n_restarts=3)
+        assert len(fac.restart_errors) == 3 and fac.restart_errors[0] is None
+        assert fac.rel_error == min(fac.restart_errors[1:])
 
     def test_bad_rank_rejected(self):
         tensor, _, _ = symmetric_tensor(4, 10, 1, seed=5)
@@ -224,6 +251,35 @@ class TestInitTransform:
         model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
         V0, _ = init_transform(ds, model, n=m, seed=16)
         assert V0.shape == (m, m)
+
+    # the m = 30 cubic of test_benchmark_shape on 50 points, and fewer points than m + 1
+    @pytest.mark.parametrize("m, N, max_points, n", [(30, 300, 50, 5), (4, 3, None, 2)])
+    def test_coefficient_core_is_exact(self, m, N, max_points, n):
+        rng = np.random.default_rng(13)
+        U = rng.normal(size=(N, m))
+        spec = RegressorSpec(m // 2, m - m // 2 - 1)
+        ds = RegressionDataset(U=U, y=rng.normal(size=N), spec=spec)
+        terms = enumerate_terms(m, 3)
+        model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=len(terms)), m=m)
+        # the points init_transform keeps
+        points = U if max_points is None else U[np.linspace(0, N - 1, max_points).astype(int)]
+        stack = stack_hessians(model, points)
+        core, basis = hessian_core(model, points)
+        assert core.data.shape == (m, m, min(len(points), m + 1))
+        np.testing.assert_allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+        lifted = core.data @ basis.T
+        assert np.linalg.norm(lifted - stack.data) <= 1e-12 * np.linalg.norm(stack.data)
+        V0, fac = init_transform(ds, model, n=n, max_points=max_points, seed=14)
+        full = cpd_als(stack, r=n, seed=14)
+        np.testing.assert_allclose(V0, symmetrize_to_V(full), atol=1e-6)
+        assert fac.C.shape == (len(points), n)
+
+    def test_quartic_term_rejected(self):
+        ds = self._quadratic_dataset(3, 20, seed=18)
+        exponents = [(1, 0, 0), (0, 2, 0), (3, 1, 0), (0, 0, 5)]
+        model = PolyNarxModel(terms=tuple(PolyTerm(e) for e in exponents), coeffs=np.ones(4), m=3)
+        with pytest.raises(ValueError, match=r"term 2 \(3, 1, 0\) has degree 4"):
+            init_transform(ds, model, n=2)
 
     def test_n_exceeding_m_rejected(self):
         ds = self._quadratic_dataset(3, 20, seed=17)
