@@ -260,9 +260,12 @@ def cmd_fit(cfg: dict) -> int:
             "rel_error": factors.rel_error,
             "restart_errors": list(factors.restart_errors),
         }
+        cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
         # the report is written inside the persist stage, so it holds the five before it
         doc = {
             **json.loads(report.to_json()),
+            "cond_u": cond_u,
+            "cond_x": cond_x,
             "cpd": cpd_report,
             "frols_err": list(poly.err_values),
             "stage_s": stage_s,
@@ -293,6 +296,10 @@ def cmd_fit(cfg: dict) -> int:
     print(f"accepted_steps={report.accepted}")
     print(f"train_rmse_db={report.final_rmse_db:.4f}")
     print(f"status={report.status}")
+    print(f"basis_rank={report.basis_rank}")
+    print(f"basis_cond={report.basis_cond:.6e}")
+    print(f"cond_u={cond_u:.6e}")
+    print(f"cond_x={cond_x:.6e}")
     for name, seconds in stage_s.items():
         print(f"stage_{name}_s={seconds:.6f}")
         print(f"stage_{name}_peak_rss_mb={stage_peak_rss_mb[name]:.1f}")

@@ -38,8 +38,11 @@ def bias_grid(X: np.ndarray, q: int) -> np.ndarray:
     if X.shape[0] < 1:
         raise ValueError("X must have at least one row")
     s = knot_fractions(q)
-    lo = X.min(axis=0)
-    hi = X.max(axis=0)
+    # reductions along contiguous rows; numpy's column-wise min of a tall,
+    # narrow array is over ten times slower than the copy
+    Xt = np.ascontiguousarray(X.T)
+    lo = Xt.min(axis=1)
+    hi = Xt.max(axis=1)
     return lo[:, None] + (hi - lo)[:, None] * s[None, :]
 
 
@@ -57,13 +60,17 @@ def _activation_floor(n: int, q: int) -> np.ndarray:
     return floor
 
 
-def build_B(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Neuron activations, columns ordered dimension-major, knot-minor.
 
     The first neuron of each dimension is linear, x_i - beta_i0; the others are
     ramps max(0, x_i - beta_ij). On the training data x_i >= beta_i0, so the
     two forms agree there; below the grid the linear neuron keeps the
     coordinate's linear term.
+
+    `out`, if given, is a Fortran-ordered N x (n*q) array (for example columns
+    of a Fortran-ordered matrix handed to LAPACK) that receives the same values
+    and is returned.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
@@ -71,8 +78,16 @@ def build_B(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     if beta.shape[0] != n:
         raise ValueError(f"beta has {beta.shape[0]} rows, X has {n} columns")
     q = beta.shape[1]
-    D = X[:, :, None] - beta[None, :, :]
-    return np.maximum(D, _activation_floor(n, q), out=D).reshape(N, n * q)
+    if out is None:
+        D = X[:, :, None] - beta[None, :, :]
+        return np.maximum(D, _activation_floor(n, q), out=D).reshape(N, n * q)
+    if out.shape != (N, n * q) or not out.flags.f_contiguous:
+        raise ValueError(f"out must be a Fortran-ordered {N} x {n * q} array")
+    # out^T is C-ordered, so each neuron's column is one contiguous run
+    D = out.T.reshape(n, q, N)
+    np.subtract(np.ascontiguousarray(X.T)[:, None, :], beta[:, :, None], out=D)
+    np.maximum(D, _activation_floor(n, q).transpose(1, 2, 0), out=D)
+    return out
 
 
 @dataclass(frozen=True)

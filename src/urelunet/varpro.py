@@ -3,11 +3,13 @@ the exact Golub-Pereyra Jacobian, and a Levenberg-Marquardt loop over the transf
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy.linalg import block_diag, lapack
 
 from .dataset import RegressionDataset
 from .network import UReluNet, bias_grid, build_B, knot_fractions, make_net, transform
@@ -31,6 +33,8 @@ class TrainReport:
     accepted: int
     rejected: int
     status: str
+    basis_rank: int  # numerical rank of [1, B] at the final V, as PINV_RCOND cuts it
+    basis_cond: float  # its 2-norm condition number, inf when singular
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -41,32 +45,84 @@ class TrainReport:
         return "\n".join(lines) + "\n"
 
 
-def _augmented_pinv(B: np.ndarray):
-    """The augmented basis [1, B], its pseudo-inverse and its rank.
+def _lapack(routine: str, *args, **kwargs):
+    """Call scipy.linalg.lapack.<routine>; raise on a nonzero info, its last output."""
+    *out, info = getattr(lapack, routine)(*args, **kwargs)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
+    return out
 
-    Singular values at or below PINV_RCOND times the largest are dropped, so a
-    rank-deficient basis gets the minimum-norm solution.
+
+def _qr_buffer(y: np.ndarray, width: int) -> np.ndarray:
+    """Fortran-ordered N x (width + 2) matrix [1, B, y], with the `width` columns of B
+    left for the caller to fill."""
+    A = np.empty((len(y), width + 2), order="F")
+    A[:, 0] = 1.0
+    A[:, -1] = y
+    return A
+
+
+class _Projection:
+    """[1, B] and y factored by one Householder QR, with the minimum-norm weights.
+
+    LAPACK's dgeqrf factors the N x (k+1) matrix A = [1, B, y] = Q R in place.
+    Let R11 = R[:k, :k], c = R[:k, k] and rho = R[k, k]; then [1, B] = Q1 R11
+    with the same singular values. The SVD R11 = Ut S Vt^T keeps the values
+    above PINV_RCOND times the largest (the set K), as a pseudo-inverse of
+    [1, B] would. Then w = Vt_K S_K^-1 Ut_K^T c, and the residual y - [1, B] w
+    is Q [c - Ut_K Ut_K^T c; rho; 0], applied by dormqr without forming Q. This
+    is the minimum-norm solution on every path, rank-deficient or not. Q1 is
+    formed on first use only; Q1 Ut_K is an orthonormal basis of the range of
+    [1, B], so [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T and
+    [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
     """
-    Btil = np.column_stack([np.ones(B.shape[0]), B])
-    u, sv, vt = np.linalg.svd(Btil, full_matrices=False)
-    keep = sv > PINV_RCOND * sv.max()
-    inv = np.zeros_like(sv)
-    inv[keep] = 1.0 / sv[keep]
-    return Btil, vt.T @ (inv[:, None] * u.T), int(keep.sum())
+
+    def __init__(self, A: np.ndarray):
+        N, k = A.shape[0], A.shape[1] - 1
+        self.qr, self.tau, _ = _lapack("dgeqrf", A, overwrite_a=True)
+        p = min(N, k)
+        c = self.qr[:p, k]
+        ut, sv, vt = np.linalg.svd(np.triu(self.qr[:p, :k]), full_matrices=False)
+        self.rank = int(np.count_nonzero(sv > PINV_RCOND * sv[0]))
+        # [1, B] has k singular values; with N < k the last k - N are 0
+        self.cond = float(sv[0] / sv[-1]) if p == k and sv[-1] > 0 else math.inf
+        self.ut = ut[:, : self.rank]
+        self.vs = vt[: self.rank].T / sv[: self.rank]  # Vt_K S_K^-1, k x K
+        coef = self.ut.T @ c
+        self.w = self.vs @ coef
+        z = np.zeros((N, 1), order="F")
+        z[:p, 0] = c - self.ut @ coef
+        if N > k:
+            z[k, 0] = self.qr[k, k]
+        # one right-hand side needs only the minimal workspace, passed positionally
+        qz, _ = _lapack("dormqr", "L", "N", self.qr[:, : len(self.tau)], self.tau, z, 1, overwrite_c=True)
+        self.r = qz[:, 0]
+
+    @functools.cached_property
+    def Q1(self) -> np.ndarray:
+        """The first min(N, k) columns of Q, N x min(N, k)."""
+        p = self.ut.shape[0]
+        q1, _ = _lapack("dorgqr", self.qr[:, :p], self.tau[:p])
+        return q1
 
 
 def solve_weights(B: np.ndarray, y: np.ndarray):
     """Minimum-norm least-squares weights for the augmented basis [1, B].
 
-    Returns (w, rank); w[0] is the constant weight. Training solves for its
-    weights with the same pseudo-inverse.
+    Returns (w, rank); w[0] is the constant weight. Singular values of [1, B]
+    at or below PINV_RCOND times the largest are dropped, as a pseudo-inverse
+    with that cutoff would. Training solves for its weights with the same
+    factorization: one Householder QR of [1, B, y] and an SVD of its k x k
+    triangle.
     """
     B = np.atleast_2d(np.asarray(B, dtype=float))
     y = np.asarray(y, dtype=float)
     if B.shape[0] != len(y):
         raise ValueError("row count of B must match length of y")
-    _, pinv, rank = _augmented_pinv(B)
-    return pinv @ y, rank
+    A = _qr_buffer(y, B.shape[1])
+    A[:, 1:-1] = B
+    proj = _Projection(A)
+    return proj.w, proj.rank
 
 
 @dataclass(frozen=True)
@@ -92,23 +148,28 @@ class BasisDerivative:
 
 
 def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
-    """Activation mask (N, n, q) and knot sensitivities dbeta (m, n, q) at X = U V.
+    """Activation mask (N, n, q) and knot ends Umin and dU (m, n) at X = U V.
 
     Knot j of dimension i sits at x_i(k_min) + s_j (x_i(k_max) - x_i(k_min)),
     where k_min and k_max are the samples holding that dimension's extremes
-    (the lowest index on ties), so it moves with V through those two samples.
+    (the lowest index on ties), so it moves with V through those two samples:
+    its sensitivity is dbeta[:, i, j] = s_j dU[:, i] + Umin[:, i], with
+    Umin = u(k_min) and dU = u(k_max) - u(k_min).
 
     The mask also covers column (i, 0), although that neuron is linear. On the
     data that define the grid this is exact: x_i >= beta_i0 everywhere, and at
     k_min, where the mask is off, the derivative u(k_min) - dbeta[:, i, 0] is
     exactly 0. Unmasking the column would change the rounding of the Jacobian.
     """
-    mask = (X[:, :, None] - beta[None, :, :]) > 0.0
-    Umin = U[np.argmin(X, axis=0), :].T  # (m, n)
-    Umax = U[np.argmax(X, axis=0), :].T
-    s = knot_fractions(beta.shape[1])
-    dbeta = s[None, None, :] * (Umax - Umin)[:, :, None] + Umin[:, :, None]
-    return mask, dbeta
+    mask = X[:, :, None] > beta[None, :, :]  # the same test as x - beta > 0
+    Umin = U[np.argmin(X, axis=0), :].T
+    dU = U[np.argmax(X, axis=0), :].T - Umin
+    return mask, Umin, dU
+
+
+def _knot_sensitivities(Umin: np.ndarray, dU: np.ndarray, q: int) -> np.ndarray:
+    """dbeta[s, i, j] = s_j dU[s, i] + Umin[s, i], shape (m, n, q)."""
+    return knot_fractions(q)[None, None, :] * dU[:, :, None] + Umin[:, :, None]
 
 
 def dB_dV(V: np.ndarray, dataset: RegressionDataset, q: int) -> BasisDerivative:
@@ -119,8 +180,8 @@ def dB_dV(V: np.ndarray, dataset: RegressionDataset, q: int) -> BasisDerivative:
     builds its Jacobian from this same derivative.
     """
     X = transform(dataset.U, V)
-    mask, dbeta = _basis_derivative(dataset.U, X, bias_grid(X, q))
-    return BasisDerivative(mask=mask, dbeta=dbeta, U=dataset.U)
+    mask, Umin, dU = _basis_derivative(dataset.U, X, bias_grid(X, q))
+    return BasisDerivative(mask=mask, dbeta=_knot_sensitivities(Umin, dU, q), U=dataset.U)
 
 
 class _VpState:
@@ -133,9 +194,9 @@ class _VpState:
         self.U = dataset.U
         self.X = transform(self.U, V)
         self.beta = bias_grid(self.X, q)
-        self.Btil, self.pinv, _ = _augmented_pinv(build_B(self.X, self.beta))
-        self.w = self.pinv @ dataset.y
-        self.r = dataset.y - self.Btil @ self.w
+        A = _qr_buffer(dataset.y, self.beta.size)
+        build_B(self.X, self.beta, out=A[:, 1:-1])
+        self.proj = _Projection(A)
 
 
 def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None) -> _VpState:
@@ -154,20 +215,17 @@ def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None
     return st
 
 
-def _sum_knots(A: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """out[k, t, s] = sum_j A[k, t, j] * D[s, t, j]: one matmul per dimension t."""
-    return (A.transpose(1, 0, 2) @ D.transpose(1, 2, 0)).transpose(1, 0, 2)
-
-
 def vp_residual(
     V: np.ndarray, dataset: RegressionDataset, q: int, *, cache: dict | None = None
 ) -> np.ndarray:
     """Projected residual y - [1, B(V)] [1, B(V)]^+ y at the given transform.
 
-    `cache` is an optional one-entry dict that keeps the factorization for a
-    later `vp_jacobian` call at the same V.
+    It costs one Householder QR of [1, B, y] and an SVD of its k x k
+    triangle; no N x N or k x N matrix is formed. `cache` is an optional
+    one-entry dict that keeps the factorization for a later `vp_jacobian`
+    call at the same V.
     """
-    return _state(V, dataset, q, cache).r
+    return _state(V, dataset, q, cache).proj.r
 
 
 def vp_jacobian(
@@ -178,26 +236,41 @@ def vp_jacobian(
     Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`.
     With P the projector onto the complement of [1, B], it is the exact
     two-term Golub-Pereyra form
-    -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r. With a `cache` that holds
-    the state built at exactly this V (by `vp_residual`), the factorization
-    is reused rather than rebuilt.
+    -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r.
+
+    The knot sensitivities are affine in the knot fraction s_j, so the sum over
+    knots collapses: with a_t = sum_j mask w_tj and b_t = sum_j mask w_tj s_j,
+    the N x m block G_t of (dB/dv_.t) w is a_t * U - a_t Umin_t^T - b_t dU_t^T.
+    With W = Q1 Ut_K the orthonormal basis of the range of [1, B] (see
+    `_Projection`), P G = G - W W^T G and ([1, B]^+)^T = W S_K^-1 Vt_K^T, so
+    both terms share one product with W. Q1 is formed here, the first time it
+    is needed at this V, and never for a residual alone. With a
+    `cache` that holds the state built at exactly this V (by `vp_residual`),
+    the factorization is reused rather than rebuilt.
     """
     st = _state(V, dataset, q, cache)
+    proj = st.proj
     U = st.U
     N, m = U.shape
     n = st.X.shape[1]
-    mask, dbeta = _basis_derivative(U, st.X, st.beta)
+    mask, Umin, dU = _basis_derivative(U, st.X, st.beta)
+    mask = mask.reshape(N, n * q).astype(float)
 
-    # (dB/dv_st) w for every variable at once: shape (N, n, m), index t*m + s
-    Mw = mask * st.w[1:].reshape(n, q)
-    G = (U[:, None, :] * Mw.sum(axis=2)[:, :, None] - _sum_knots(Mw, dbeta)).reshape(N, n * m)
-    J = -(G - st.Btil @ (st.pinv @ G))
+    # [a_t, b_t] for every dimension from one GEMM, then G = (dB/dv) w, shape N x (n*m)
+    w = proj.w[1:].reshape(n, q)
+    ab = mask @ block_diag(*np.stack([w, w * knot_fractions(q)], axis=2))
+    G = np.einsum("kt,ks->kts", ab[:, 0::2], U).reshape(N, n * m)
+    G -= ab @ block_diag(*np.stack([Umin.T, dU.T], axis=1))
 
-    # (dB/dv_st)^T r for every variable: shape (m, n, q)
-    Mr = mask * st.r[:, None, None]
-    C = (U.T @ Mr.reshape(N, n * q)).reshape(m, n, q) - dbeta * Mr.sum(axis=0)[None, :, :]
-    blocks = st.pinv.T[:, 1:].reshape(N, n, q)
-    return J - _sum_knots(blocks, C).reshape(N, n * m)
+    # C[s, t, j] = (dB/dv_st)^T r in column (t, j), block-diagonal as (n*q) x (n*m)
+    r = proj.r
+    C = ((U * r[:, None]).T @ mask).reshape(m, n, q)
+    C -= _knot_sensitivities(Umin, dU, q) * (r @ mask).reshape(n, q)
+    C_blk = block_diag(*C.transpose(1, 2, 0))
+
+    # with W = Q1 Ut_K: J = W (W^T G - S_K^-1 Vt_K^T[:, 1:] C_blk) - G
+    Q1, ut = proj.Q1, proj.ut
+    return Q1 @ (ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk)) - G
 
 
 def train(
@@ -210,10 +283,12 @@ def train(
     for at most `max_iter` Jacobians.
 
     A step solves (J^T J + lambda diag(J^T J)) d = -J^T r and is accepted only
-    if the squared residual decreases. Each trial point is factorized once: the
-    Jacobian at an accepted point and the returned network reuse the SVD of
-    [1, B] that the trial built. The returned network has its knot grid frozen
-    from the training data at the final accepted V.
+    if the squared residual decreases. Each trial point is factorized once, by
+    one Householder QR of [1, B, y]: the Jacobian at an accepted point and the
+    returned network reuse that trial's factorization, and Q is formed only at
+    the start and at accepted points, never on a rejected trial. The returned
+    network has its knot grid frozen from the training data at the final
+    accepted V; the report gives the rank and condition number of [1, B] there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -271,7 +346,7 @@ def train(
             break
 
     st = _state(V, dataset, q, cache)
-    net = make_net(V, q, st.w, st.X, regressor_spec=dataset.spec)
+    net = make_net(V, q, st.proj.w, st.X, regressor_spec=dataset.spec)
     final_rmse = math.sqrt(cost / dataset.n_samples)
     report = TrainReport(
         iterations=iterations,
@@ -280,6 +355,8 @@ def train(
         accepted=accepted,
         rejected=rejected,
         status=status,
+        basis_rank=st.proj.rank,
+        basis_cond=st.proj.cond,
     )
     return net, report
 

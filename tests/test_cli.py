@@ -20,8 +20,8 @@ from urelunet.dataset import (
     save_csv,
     simulate_free_run,
 )
-from urelunet.network import UReluNet, make_net, param_count
-from urelunet.pwl import PwlRegion
+from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count, transform
+from urelunet.pwl import PwlRegion, cond_diagnostics
 
 from conftest import parse_kv
 
@@ -412,6 +412,24 @@ class TestFit:
             "restart_errors": cpd["restart_errors"],
         }
         assert 0.0 < cpd["rel_error"] < 1.0
+
+    def test_basis_and_conditioning_reported(self, desk_pipeline):
+        kv = desk_pipeline["fit"]
+        report = json.loads(desk_pipeline["report"].read_text())
+        net = UReluNet.from_json(desk_pipeline["model"].read_text())
+        # [1, B] at the final V, from its singular values
+        ds = build_regressors(load_csv(desk_pipeline["train_csv"]), net.regressor_spec)
+        X = transform(ds.U, net.V)
+        Btil = np.column_stack([np.ones(ds.n_samples), build_B(X, bias_grid(X, net.q))])
+        sv = np.linalg.svd(Btil, compute_uv=False)
+        assert int(kv["basis_rank"]) == report["basis_rank"] == np.count_nonzero(sv > 1e-10 * sv[0])
+        assert report["basis_cond"] == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+        assert float(kv["basis_cond"]) == pytest.approx(report["basis_cond"], rel=1e-6)
+        # the same condition numbers as eval's, on the training record
+        cond_u, cond_x = cond_diagnostics(ds.U, X)
+        assert report["cond_u"] == cond_u and report["cond_x"] == cond_x
+        assert float(kv["cond_u"]) == pytest.approx(cond_u, rel=1e-6)
+        assert float(kv["cond_x"]) == pytest.approx(cond_x, rel=1e-6)
 
     def test_every_cpd_restart_reported(self, tmp_path):
         # the record's Hessians span two directions, so no rank-1 restart reaches tol

@@ -86,13 +86,22 @@ class TestBuildB:
     )
     @settings(max_examples=50, deadline=None)
     def test_elementwise_oracle(self, X, beta):
-        # the first neuron of each dimension is linear, the others are ramps
-        B = build_B(X, beta)
-        for k in range(7):
-            for i in range(2):
-                for j in range(3):
-                    d = X[k, i] - beta[i, j]
-                    assert B[k, i * 3 + j] == (d if j == 0 else max(0.0, d))
+        # the first neuron of each dimension is linear, the others are ramps,
+        # whether B is allocated or written into a Fortran-ordered buffer
+        for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7])):
+            for k in range(7):
+                for i in range(2):
+                    for j in range(3):
+                        d = X[k, i] - beta[i, j]
+                        assert B[k, i * 3 + j] == (d if j == 0 else max(0.0, d))
+
+    def test_out_must_be_fortran_ordered(self):
+        X = np.ones((4, 2))
+        beta = np.zeros((2, 3))
+        with pytest.raises(ValueError):
+            build_B(X, beta, out=np.empty((4, 6)))
+        with pytest.raises(ValueError):
+            build_B(X, beta, out=np.empty((4, 5), order="F"))
 
     def test_monotone_in_x(self):
         rng = np.random.default_rng(4)

@@ -196,6 +196,53 @@ class TestJacobian:
                 assert np.abs(col - expected).max() <= 1e-10 * np.abs(expected).max()
 
 
+class TestRankDeficientBasis:
+    """Transformed coordinate x_0 takes three distinct values, so the q + 1
+    columns of dimension 0 in [1, B] span a space of dimension 3 and
+    rank [1, B] < 1 + n*q: the minimum-norm path against an rcond=1e-10 pinv.
+    x_1 takes many values, so the residual still moves with V."""
+
+    m, n, q = 4, 2, 4
+
+    def instance(self):
+        rng = np.random.default_rng(60)
+        N = 80
+        U = rng.normal(size=(N, self.m))
+        U[:, :2] = rng.normal(size=(3, 2))[rng.integers(3, size=N)]
+        ds = RegressionDataset(U=U, y=rng.normal(size=N), spec=RegressorSpec(2, 1))
+        V = rng.normal(size=(self.m, self.n))
+        V[2:, 0] = 0.0
+        X = transform(U, V)
+        Btil = np.column_stack([np.ones(N), build_B(X, bias_grid(X, self.q))])
+        return V, ds, Btil, np.linalg.pinv(Btil, rcond=1e-10)
+
+    def test_weights_and_residual_are_the_pinv_ones(self):
+        V, ds, Btil, pinv = self.instance()
+        w, rank = solve_weights(Btil[:, 1:], ds.y)
+        assert rank == np.linalg.matrix_rank(Btil) < Btil.shape[1]
+        w_ref = pinv @ ds.y
+        np.testing.assert_allclose(w, w_ref, rtol=0, atol=1e-10 * np.abs(w_ref).max())
+        r_ref = ds.y - Btil @ w_ref
+        r = vp_residual(V, ds, self.q)
+        np.testing.assert_allclose(r, r_ref, rtol=0, atol=1e-10 * np.abs(ds.y).max())
+
+    def test_jacobian_columns_are_the_two_term_form(self):
+        m, n, q = self.m, self.n, self.q
+        V, ds, Btil, pinv = self.instance()
+        w = pinv @ ds.y
+        r = ds.y - Btil @ w
+        d = dB_dV(V, ds, q)
+        J = vp_jacobian(V, ds, q)
+        scale = np.abs(J).max()
+        assert scale > 0
+        for t in range(n):
+            for s in range(m):
+                D = d.column(s, t)
+                g = D @ w[1:]
+                expected = -(g - Btil @ (pinv @ g)) - pinv[1:].T @ (D.T @ r)
+                assert np.abs(J[:, t * m + s] - expected).max() <= 1e-10 * scale
+
+
 class TestTrain:
     def test_cost_monotone_over_accepted_steps(self):
         V, ds = safe_instance(N=200, m=5, n=2, q=4, seed=30)
@@ -328,25 +375,31 @@ class TestTrialStateReuse:
     @staticmethod
     def _count_factorizations(monkeypatch):
         calls = []
-        original = varpro._augmented_pinv
+        original = varpro._Projection
 
-        def counted(B):
-            calls.append(B.shape)
-            return original(B)
+        def counted(A):
+            calls.append(A.shape)
+            return original(A)
 
-        monkeypatch.setattr(varpro, "_augmented_pinv", counted)
+        monkeypatch.setattr(varpro, "_Projection", counted)
         return calls
+
+    @staticmethod
+    def _trace(monkeypatch, name):
+        """Record the V of every call to the module-level `varpro.<name>`."""
+        seen = []
+        original = getattr(varpro, name)
+
+        def traced(V, *args, **kwargs):
+            seen.append(V)
+            return original(V, *args, **kwargs)
+
+        monkeypatch.setattr(varpro, name, traced)
+        return seen
 
     def test_one_factorization_per_trial(self, monkeypatch):
         V, ds = safe_instance(N=120, m=4, n=2, q=4, seed=40)
-        trials = []
-        original = varpro.vp_residual
-
-        def traced(V, *args, **kwargs):
-            trials.append(V)
-            return original(V, *args, **kwargs)
-
-        monkeypatch.setattr(varpro, "vp_residual", traced)
+        trials = self._trace(monkeypatch, "vp_residual")
         calls = self._count_factorizations(monkeypatch)
         net, report = train(V, ds, 4, max_iter=12)
         assert report.accepted >= 3 and report.rejected >= 1
@@ -354,6 +407,22 @@ class TestTrialStateReuse:
         # the network is built from the last trial's state unless it was rejected
         last_rejected = not np.array_equal(trials[-1], net.V)
         assert len(calls) == len(trials) + int(last_rejected)
+
+    def test_no_q_formed_on_a_rejected_trial(self, monkeypatch):
+        V, ds = safe_instance(N=120, m=4, n=2, q=4, seed=40)
+        jacobians = self._trace(monkeypatch, "vp_jacobian")
+        formed = []
+        original = varpro.lapack.dorgqr
+
+        def counted(*args, **kwargs):
+            formed.append(args[0].shape)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(varpro.lapack, "dorgqr", counted)
+        _, report = train(V, ds, 4, max_iter=12)
+        assert report.rejected >= 1
+        # Q is formed once per Jacobian, at the start or at an accepted point
+        assert len(formed) == len(jacobians) <= 1 + report.accepted
 
     def test_bit_identical_to_rebuilding_every_jacobian(self, monkeypatch):
         V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=41)
