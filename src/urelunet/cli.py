@@ -26,7 +26,7 @@ from .dataset import (
     TimeSeriesData,
 )
 from .network import UReluNet, param_count, transform
-from .varpro import train
+from .varpro import solve_weights, train
 
 # Total degree of the candidate monomials that FROLS selects from.
 POLY_MAX_DEGREE = 3
@@ -320,29 +320,33 @@ def _free_run_inputs(cfg: dict):
     return net, data, spec, spec.max_lag
 
 
+def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec, seed_len: int):
+    """(rmse, None) of `model`'s free run on `data`, or (None, index) when the run diverges:
+    a non-finite prediction, or a finite run too large to square or sum."""
+    try:
+        y_s = simulate_free_run(model, data.u, data.y[:seed_len], spec)
+    except SimulationDiverged as exc:
+        return None, exc.index
+    with np.errstate(over="ignore"):
+        value = rmse(data.y[seed_len:], y_s[seed_len:])
+        if np.isfinite(value):
+            return value, None
+        sq_err = (data.y[seed_len:] - y_s[seed_len:]) ** 2
+        bad = ~np.isfinite(sq_err)
+        if not bad.any():  # every square is finite, only their sum overflows
+            bad = ~np.isfinite(np.cumsum(sq_err))
+    return None, seed_len + int(np.argmax(bad))
+
+
 def cmd_eval(cfg: dict) -> int:
     net, data, spec, seed_len = _free_run_inputs(cfg)
-    diverged = False
-    div_index = -1
-    try:
-        y_s = simulate_free_run(net, data.u, data.y[:seed_len], spec)
-    except SimulationDiverged as exc:
-        diverged = True
-        div_index = exc.index
-    else:
-        # a finite free run can still be too large to square or sum
-        with np.errstate(over="ignore"):
-            value = rmse(data.y[seed_len:], y_s[seed_len:])
-            if not np.isfinite(value):
-                diverged = True
-                sq_err = (data.y[seed_len:] - y_s[seed_len:]) ** 2
-                bad = ~np.isfinite(sq_err)
-                if not bad.any():  # every square is finite, only their sum overflows
-                    bad = ~np.isfinite(np.cumsum(sq_err))
-                div_index = seed_len + int(np.argmax(bad))
+    # the affine baseline [1, U] w, least squares on the training record's regressors
+    train_ds = build_regressors(load_csv(cfg["paths"]["train"]), spec)
+    w, _ = solve_weights(train_ds.U, train_ds.y)
+    value, div_index = _score_free_run(net, data, spec, seed_len)
     ds = build_regressors(data, spec)
     cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
-    if diverged:
+    if value is None:
         print("diverged=true")
         print(f"divergence_index={div_index}")
     else:
@@ -353,6 +357,14 @@ def cmd_eval(cfg: dict) -> int:
         print(f"rmse_db={rmse_db(value):.4f}" if value > 0 else "rmse_db=-inf")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
+    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, spec, seed_len)
+    print(f"affine_diverged={str(affine is None).lower()}")
+    if affine is None:
+        print(f"affine_divergence_index={aff_index}")
+    else:
+        print(f"affine_rmse_db={rmse_db(affine):.6f}" if affine > 0 else "affine_rmse_db=-inf")
+    if value and affine:  # both free runs finite and nonzero
+        print(f"margin_db={rmse_db(affine) - rmse_db(value):.6f}")
     return 0
 
 

@@ -83,6 +83,8 @@ def cpd_als(
         raise ValueError(f"rank {r} out of range for a {m}x{m}x{N} tensor")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
+    if n_restarts < 1:
+        raise ValueError("n_restarts must be >= 1")
     # ||T||^2; a core's norm is its tensor's, ||G x_3 Q|| = ||G||, as Q's columns are orthonormal
     normT2 = float(np.sum(data * data))
     if normT2 == 0.0:

@@ -177,7 +177,8 @@ def dB_dV(V: np.ndarray, dataset: RegressionDataset, q: int) -> BasisDerivative:
 
     The knot grid is treated as a function of V (recomputed from X = U V), so
     each knot moves with the per-dimension min and max samples. `vp_jacobian`
-    builds its Jacobian from this same derivative.
+    does not call this; both take the mask and the knot sensitivities from
+    `_basis_derivative` and `_knot_sensitivities`.
     """
     X = transform(dataset.U, V)
     mask, Umin, dU = _basis_derivative(dataset.U, X, bias_grid(X, q))
@@ -233,7 +234,9 @@ def vp_jacobian(
 ) -> np.ndarray:
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
-    Column t*m + s is built from the basis derivative dB/dv_st of `dB_dV`.
+    Column t*m + s is the derivative with respect to v_st. It is built from the
+    mask and knot sensitivities of `_basis_derivative` and `_knot_sensitivities`,
+    which `dB_dV` also uses.
     With P the projector onto the complement of [1, B], it is the exact
     two-term Golub-Pereyra form
     -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r.

@@ -485,6 +485,13 @@ class TestFit:
         assert not (tmp_path / "model.json").exists()
         assert not (tmp_path / "report.json").exists()
 
+    def test_no_cpd_restarts_exit_code(self, tmp_path):
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", "init.cpd_restarts=0", "fit"])
+        assert rc == 1
+        assert err.startswith("error=stage:initialization detail=n_restarts must be >= 1")
+        assert "model=" not in out
+        assert not (tmp_path / "model.json").exists()
+
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.train={tmp_path / 'absent.csv'}", "fit"]
@@ -503,6 +510,36 @@ class TestEval:
         assert float(kv["cond_u"]) > 1.0
         assert float(kv["cond_x"]) > 1.0
 
+    def test_affine_baseline_matches_lstsq(self, desk_pipeline):
+        rc, out = desk_pipeline["run"]("eval")
+        assert rc == 0
+        kv = parse_kv(out)
+        net = UReluNet.from_json(desk_pipeline["model"].read_text())
+        spec = net.regressor_spec
+        ds = build_regressors(load_csv(desk_pipeline["train_csv"]), spec)
+        coef, *_ = np.linalg.lstsq(np.column_stack([np.ones(ds.n_samples), ds.U]), ds.y, rcond=None)
+        val = load_csv(desk_pipeline["validation_csv"])
+        seed_len = spec.max_lag
+        y_s = simulate_free_run(lambda phi: coef[0] + coef[1:] @ phi, val.u, val.y[:seed_len], spec)
+        expected = rmse_db(rmse(val.y[seed_len:], y_s[seed_len:]))
+        assert kv["affine_diverged"] == "false"
+        assert "affine_divergence_index" not in kv
+        assert float(kv["affine_rmse_db"]) == pytest.approx(expected, abs=1e-6)
+        # rmse_db is printed to 4 decimals, the affine dB and the margin to 6
+        margin = float(kv["affine_rmse_db"]) - float(kv["rmse_db"])
+        assert float(kv["margin_db"]) == pytest.approx(margin, abs=1e-4)
+
+    def test_missing_train_file_exit_code(self, desk_pipeline, tmp_path):
+        absent = tmp_path / "absent.csv"
+        rc, out, err = run_main(
+            ["--set", f"paths.model={desk_pipeline['model']}",
+             "--set", f"paths.validation={desk_pipeline['validation_csv']}",
+             "--set", f"paths.train={absent}", "eval"]
+        )
+        assert rc == 2
+        assert err == f"error=missing_file path={absent}\n"
+        assert out == ""
+
     def test_overflowing_free_run_reported_as_divergence(self, tmp_path):
         # y(t) = 1.5 y(t-1) stays finite for 1024 samples (about 1e180), but
         # its squared error overflows
@@ -514,18 +551,26 @@ class TestEval:
         y[0] = 1.0
         validation = tmp_path / "validation.csv"
         save_csv(validation, TimeSeriesData(u=np.zeros(1024), y=y))
+        # eval also fits the affine baseline on a training record; this one
+        # follows the same y(t) = 1.5 y(t-1), so the baseline overflows too
+        train = tmp_path / "train.csv"
+        save_csv(train, TimeSeriesData(u=np.zeros(200), y=1.5 ** np.arange(200)))
         y_s = simulate_free_run(net, np.zeros(1024), y[:1], RegressorSpec(0, 1))
         assert np.isfinite(y_s).all()
         with np.errstate(over="ignore"):
             expected = int(np.flatnonzero(~np.isfinite((y - y_s) ** 2))[0])
         rc, out, _ = run_main(
-            ["--set", f"paths.model={model}", "--set", f"paths.validation={validation}", "eval"]
+            ["--set", f"paths.model={model}", "--set", f"paths.validation={validation}",
+             "--set", f"paths.train={train}", "eval"]
         )
         assert rc == 0
         kv = parse_kv(out)
         assert kv["diverged"] == "true"
         assert int(kv["divergence_index"]) == expected
         assert "rmse" not in kv
+        assert kv["affine_diverged"] == "true"
+        assert int(kv["affine_divergence_index"]) > 0
+        assert "affine_rmse_db" not in kv and "margin_db" not in kv
 
     def test_missing_model_exit_code(self, tmp_path):
         rc, _, err = run_main(

@@ -162,6 +162,8 @@ class TestCpdAls:
             cpd_als(tensor, r=0)
         with pytest.raises(ValueError):
             cpd_als(tensor, r=100)
+        with pytest.raises(ValueError, match="n_restarts"):
+            cpd_als(tensor, r=1, n_restarts=0)
 
 
 class TestSymmetrize:
