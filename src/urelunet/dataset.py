@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,13 +145,20 @@ def simulate_free_run(
     y_s[: len(seed)] = seed
     t0 = max(spec.n_u, len(seed))
     phi = np.empty(spec.m)
-    for t in range(t0, L):
-        phi[: spec.n_u + 1] = u[t - spec.n_u : t + 1][::-1]
-        phi[spec.n_u + 1 :] = y_s[t - spec.n_y : t][::-1]
+    phi_u = phi[: spec.n_u + 1]
+    phi_y = phi[spec.n_u + 1 :]
+    # reversed views: with r = L - 1 - t, u(t), ..., u(t - n_u) is u_rev[r : r + n_u + 1]
+    # and y(t - 1), ..., y(t - n_y) is y_rev[r + 1 : r + 1 + n_y]
+    u_rev = u[::-1]
+    y_rev = y_s[::-1]
+    n_u1, n_y1 = spec.n_u + 1, spec.n_y + 1
+    for r in range(L - 1 - t0, -1, -1):
+        phi_u[...] = u_rev[r : r + n_u1]
+        phi_y[...] = y_rev[r + 1 : r + n_y1]
         val = float(model(phi))
-        if not np.isfinite(val):
-            raise SimulationDiverged(t)
-        y_s[t] = val
+        if not math.isfinite(val):
+            raise SimulationDiverged(L - 1 - r)
+        y_rev[r] = val
     return y_s
 
 
@@ -173,7 +181,11 @@ def rmse_db(value: float) -> float:
 
 
 def load_csv(path) -> TimeSeriesData:
-    """Load a two-column (u, y) CSV; a single non-numeric header line is allowed."""
+    """Load a two-column (u, y) CSV; a single non-numeric header line is allowed.
+
+    Every value must be finite: a nan or inf is rejected with its line, rather
+    than read in and later mistaken for a diverged free run.
+    """
     rows: list[tuple[float, float]] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -184,11 +196,14 @@ def load_csv(path) -> TimeSeriesData:
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected 2 columns, got {len(parts)}")
             try:
-                rows.append((float(parts[0]), float(parts[1])))
+                row = (float(parts[0]), float(parts[1]))
             except ValueError:
                 if lineno == 1 and not rows:
                     continue  # header line
                 raise ValueError(f"{path}:{lineno}: malformed row {line!r}") from None
+            if not (math.isfinite(row[0]) and math.isfinite(row[1])):
+                raise ValueError(f"{path}:{lineno}: non-finite value in row {line!r}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     u = np.array([r[0] for r in rows])

@@ -48,14 +48,14 @@ def bias_grid(X: np.ndarray, q: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _activation_floor(n: int, q: int) -> np.ndarray:
-    """Read-only 1 x n x q floor, -inf for knot 0 and 0 elsewhere.
+    """Read-only n x q floor, -inf for knot 0 and 0 elsewhere.
 
-    The max with it keeps the first neuron linear and ramps the rest. Its
-    shape matches a single row exactly, which keeps a free-run step as cheap
-    as a max with the scalar 0.
+    The max with it keeps the first neuron linear and ramps the rest. It
+    matches one row's n x q differences exactly and broadcasts over a block
+    of rows.
     """
-    floor = np.zeros((1, n, q))
-    floor[:, :, 0] = -np.inf
+    floor = np.zeros((n, q))
+    floor[:, 0] = -np.inf
     floor.flags.writeable = False
     return floor
 
@@ -68,25 +68,36 @@ def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     two forms agree there; below the grid the linear neuron keeps the
     coordinate's linear term.
 
+    X is N x n, or one row of length n, for which the activations come back
+    as one vector of length n*q from a 2-D subtract and max; a free-run step
+    takes that path.
+
     `out`, if given, is a Fortran-ordered N x (n*q) array (for example columns
     of a Fortran-ordered matrix handed to LAPACK) that receives the same values
     and is returned.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    N, n = X.shape
-    if beta.shape[0] != n:
-        raise ValueError(f"beta has {beta.shape[0]} rows, X has {n} columns")
-    q = beta.shape[1]
+    X = np.asarray(X, dtype=float)
+    beta = np.asarray(beta, dtype=float)
+    if beta.ndim != 2:
+        beta = np.atleast_2d(beta)
+    n, q = beta.shape
+    if X.ndim not in (1, 2) or X.shape[-1] != n:
+        raise ValueError(f"beta has {n} rows, X has shape {X.shape}")
+    floor = _activation_floor(n, q)
+    if X.ndim == 1 and out is None:
+        D = X[:, None] - beta
+        return np.maximum(D, floor, out=D).reshape(n * q)
+    X = np.atleast_2d(X)
+    N = X.shape[0]
     if out is None:
-        D = X[:, :, None] - beta[None, :, :]
-        return np.maximum(D, _activation_floor(n, q), out=D).reshape(N, n * q)
+        D = X[:, :, None] - beta
+        return np.maximum(D, floor, out=D).reshape(N, n * q)
     if out.shape != (N, n * q) or not out.flags.f_contiguous:
         raise ValueError(f"out must be a Fortran-ordered {N} x {n * q} array")
     # out^T is C-ordered, so each neuron's column is one contiguous run
     D = out.T.reshape(n, q, N)
     np.subtract(np.ascontiguousarray(X.T)[:, None, :], beta[:, :, None], out=D)
-    np.maximum(D, _activation_floor(n, q).transpose(1, 2, 0), out=D)
+    np.maximum(D, floor[:, :, None], out=D)
     return out
 
 
@@ -136,7 +147,11 @@ class UReluNet:
         return self.V.shape[1]
 
     def __call__(self, u: np.ndarray) -> float:
-        return float(forward(self, np.asarray(u)[None, :])[0])
+        """Evaluate the network at a single m-vector."""
+        u = np.asarray(u, dtype=float)
+        if u.shape != (self.V.shape[0],):
+            raise ValueError(f"expected vector of length {self.V.shape[0]}, got shape {u.shape}")
+        return float(forward(self, u))
 
     def to_json(self) -> str:
         doc = {
@@ -200,9 +215,14 @@ def make_net(
 
 
 def forward(net: UReluNet, U: np.ndarray) -> np.ndarray:
-    """Evaluate the network on the rows of U: constant weight plus neuron combination."""
-    X = transform(U, net.V)
-    B = build_B(X, net.beta)
+    """Evaluate the network on the rows of U: constant weight plus neuron combination.
+
+    U is N x m, or one m-vector, for which the result is a scalar. The
+    network's own arrays were checked when it was built and are used as they
+    are: one m-vector takes a gemv for U V, build_B's one-row path and a ddot
+    with the neuron weights.
+    """
+    B = build_B(np.asarray(U, dtype=float) @ net.V, net.beta)
     return net.w[0] + B @ net.w[1:]
 
 

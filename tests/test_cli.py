@@ -572,6 +572,21 @@ class TestEval:
         assert int(kv["affine_divergence_index"]) > 0
         assert "affine_rmse_db" not in kv and "margin_db" not in kv
 
+    def test_non_finite_validation_value_exit_code(self, desk_pipeline, tmp_path):
+        # a nan in the validation record is a bad input, not a diverged free run
+        lines = desk_pipeline["validation_csv"].read_text().splitlines()
+        lines[99] = lines[99].split(",")[0] + ",nan"
+        validation = tmp_path / "validation.csv"
+        validation.write_text("\n".join(lines) + "\n")
+        rc, out, err = run_main(
+            ["--set", f"paths.model={desk_pipeline['model']}",
+             "--set", f"paths.validation={validation}",
+             "--set", f"paths.train={desk_pipeline['train_csv']}", "eval"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert err.startswith(f"error={validation}:100: non-finite value in row ")
+
     def test_missing_model_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.model={tmp_path / 'absent.json'}", "eval"]

@@ -14,6 +14,8 @@ from urelunet.dataset import (
     save_csv,
     simulate_free_run,
 )
+from urelunet.network import build_B, make_net, transform
+from urelunet.varpro import train
 
 
 class TestBuildRegressors:
@@ -116,6 +118,62 @@ class TestFreeRun:
             simulate_free_run(lambda phi: 0.0, np.zeros(10), [1.0], RegressorSpec(0, 2))
 
 
+def reference_free_run(net, u, y_init, spec):
+    """The free run as a plain loop: reversed slices for the regressor, and
+    the network composed from transform and build_B on a 1 x m row."""
+    y_s = np.empty(len(u))
+    y_s[: len(y_init)] = y_init
+    phi = np.empty(spec.m)
+    for t in range(max(spec.n_u, len(y_init)), len(u)):
+        phi[: spec.n_u + 1] = u[t - spec.n_u : t + 1][::-1]
+        phi[spec.n_u + 1 :] = y_s[t - spec.n_y : t][::-1]
+        val = float((net.w[0] + build_B(transform(phi[None], net.V), net.beta) @ net.w[1:])[0])
+        if not np.isfinite(val):
+            raise SimulationDiverged(t)
+        y_s[t] = val
+    return y_s
+
+
+class TestFreeRunReference:
+    """`simulate_free_run` on a network gives the reference loop's bits."""
+
+    def test_trained_network_bitwise(self):
+        spec = RegressorSpec(2, 2)
+        rng = np.random.default_rng(19)
+
+        def record(u):
+            y = np.zeros(len(u))
+            for t in range(2, len(u)):
+                y[t] = 0.6 * y[t - 1] - 0.2 * y[t - 2] + np.tanh(u[t]) + 0.3 * u[t - 1] ** 2
+            return y
+
+        u_tr = rng.uniform(-1.0, 1.0, size=300)
+        ds = build_regressors(TimeSeriesData(u=u_tr, y=record(u_tr)), spec)
+        net, _ = train(rng.normal(size=(spec.m, 2)), ds, 4, max_iter=10)
+        # a validation input wider than the training one takes some
+        # coordinate below its first knot, where the linear neuron acts
+        u_val = rng.uniform(-1.6, 1.6, size=400)
+        y_val = record(u_val)
+        y_s = simulate_free_run(net, u_val, y_val[:2], spec)
+        ref = reference_free_run(net, u_val, y_val[:2], spec)
+        assert y_s.tobytes() == ref.tobytes()
+        X = build_regressors(TimeSeriesData(u=u_val, y=y_s), spec).U @ net.V
+        assert np.any(X < net.beta[:, 0])
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_divergence_index_matches(self):
+        # y(t) = 1.5 y(t-1) overflows, and the zero-weight ramp turns inf into nan
+        spec = RegressorSpec(0, 1)
+        net = make_net(np.array([[0.0], [1.0]]), 2, np.array([-1.5, 1.5, 0.0]), np.array([[-1.0], [1.0]]), spec)
+        u, y_init = np.zeros(2000), [1.0]
+        with pytest.raises(SimulationDiverged) as ref:
+            reference_free_run(net, u, y_init, spec)
+        with pytest.raises(SimulationDiverged) as run:
+            simulate_free_run(net, u, y_init, spec)
+        assert 1 < run.value.index < 2000
+        assert run.value.index == ref.value.index
+
+
 class TestMetrics:
     def test_zero_for_identical(self):
         assert rmse([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == 0.0
@@ -176,6 +234,13 @@ class TestCsv:
         p = tmp_path / "d.csv"
         p.write_text("1,2\nx,4\n")
         with pytest.raises(ValueError, match=":2:"):
+            load_csv(p)
+
+    @pytest.mark.parametrize("row", ["nan,4", "3,inf", "-inf,4", "3,NaN"])
+    def test_non_finite_value_reports_line(self, tmp_path, row):
+        p = tmp_path / "d.csv"
+        p.write_text(f"u,y\n1,2\n{row}\n5,6\n")
+        with pytest.raises(ValueError, match=f"d.csv:3: non-finite value in row '{row}'"):
             load_csv(p)
 
     def test_round_trip_bitwise(self, tmp_path):

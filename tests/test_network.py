@@ -87,8 +87,10 @@ class TestBuildB:
     @settings(max_examples=50, deadline=None)
     def test_elementwise_oracle(self, X, beta):
         # the first neuron of each dimension is linear, the others are ramps,
-        # whether B is allocated or written into a Fortran-ordered buffer
-        for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7])):
+        # whether B is allocated, written into a Fortran-ordered buffer or
+        # built one row at a time
+        by_row = np.array([build_B(x, beta) for x in X])
+        for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7]), by_row):
             for k in range(7):
                 for i in range(2):
                     for j in range(3):
@@ -130,6 +132,29 @@ class TestForward:
         # knots at 0 and 0.5; only the first ramp active
         np.testing.assert_allclose(forward(net, np.array([[0.3]])), [0.3])
         np.testing.assert_allclose(forward(net, np.array([[0.7]])), [0.7])
+
+    def test_one_vector_gives_the_bits_of_a_one_row_block(self):
+        # a single m-vector (the free-run step) against the same row as a
+        # 1 x m block, including rows below the knot grid; a taller block
+        # takes other BLAS kernels and agrees to rounding
+        rng = np.random.default_rng(7)
+        V = rng.normal(size=(4, 3))
+        U = rng.normal(size=(60, 4))
+        net = toy_net(V, 5, rng.normal(size=3 * 5 + 1), transform(U[:30], V))
+        assert np.any(transform(U, V) < net.beta[:, 0])
+        one = np.array([forward(net, u) for u in U])
+        for k in range(60):
+            assert one[k].tobytes() == forward(net, U[k : k + 1])[0].tobytes()
+            assert net(U[k]) == one[k]
+        np.testing.assert_allclose(one, forward(net, U), rtol=1e-12, atol=1e-12)
+
+    def test_call_checks_its_input_shape(self):
+        rng = np.random.default_rng(8)
+        net = toy_net(rng.normal(size=(4, 2)), 3, np.zeros(7), rng.normal(size=(10, 2)))
+        with pytest.raises(ValueError, match=r"expected vector of length 4, got shape \(3,\)"):
+            net(np.zeros(3))
+        with pytest.raises(ValueError, match=r"expected vector of length 4, got shape \(1, 4\)"):
+            net(np.zeros((1, 4)))
 
     def test_exact_pwl_interpolation(self):
         # a 1-D piecewise-linear target with kinks on the knot grid is
