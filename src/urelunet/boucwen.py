@@ -171,6 +171,8 @@ def multisine(
 ) -> np.ndarray:
     """Random-phase multisine: equal-amplitude cosines on every DFT bin in the band,
     scaled to the requested RMS. The signal is periodic over n_samples."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     if not 0 <= f_min < f_max < fs / 2:
         raise ValueError("need 0 <= f_min < f_max < fs/2")
     df = fs / n_samples

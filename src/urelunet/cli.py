@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import dataclasses
 import json
 import resource
 import sys
@@ -30,9 +31,12 @@ from .varpro import solve_weights, train
 
 # Total degree of the candidate monomials that FROLS selects from.
 POLY_MAX_DEGREE = 3
-# Every record follows the hysteretic benchmark's recipe: the oscillator is simulated
-# at SIM_RATE_HZ, the input and output are decimated by DECIMATION (to 750 Hz), and the
-# first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
+# Every record follows the hysteretic benchmark's recipe: a random-phase multisine over
+# F_MIN_HZ to F_MAX_HZ drives the oscillator, which is simulated at SIM_RATE_HZ, the input
+# and output are decimated by DECIMATION (to 750 Hz), and the first SETTLE_SAMPLES
+# decimated samples are dropped as the start-up transient.
+F_MIN_HZ = 5.0
+F_MAX_HZ = 150.0
 SIM_RATE_HZ = 15000.0
 DECIMATION = 20
 SETTLE_SAMPLES = 128
@@ -54,7 +58,7 @@ DEFAULT_CONFIG = {
         "params_file": "boucwen_params.json",
         "train_samples": 4096,
         "validation_samples": 1024,
-        "excitation": {"f_min": 5.0, "f_max": 150.0, "amplitude_rms": 50.0},
+        "excitation": {"amplitude_rms": 50.0},
     },
 }
 
@@ -134,14 +138,26 @@ def _spec(cfg: dict) -> RegressorSpec:
     return RegressorSpec(n_u=cfg["regressors"]["n_u"], n_y=cfg["regressors"]["n_y"])
 
 
-@contextlib.contextmanager
-def _timed(stage_s: dict[str, float], stage: str):
-    """Add the wall seconds of the `with` body to `stage_s[stage]`."""
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        stage_s[stage] = stage_s.get(stage, 0.0) + time.perf_counter() - started
+class StageClock:
+    """The wall seconds and the peak RSS of each stage of a command.
+
+    `with clock("name"):` times its body as that stage; a stage that runs again adds to
+    its seconds. `clock.stage` names the stage running now, or the last one to start."""
+
+    def __init__(self):
+        self.seconds: dict[str, float] = {}
+        self.peak_rss_mb: dict[str, float] = {}
+        self.stage: str | None = None
+
+    @contextlib.contextmanager
+    def __call__(self, stage: str):
+        self.stage, started = stage, time.perf_counter()
+        try:
+            yield
+        finally:
+            self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - started
+            # the process's high-water mark so far; Linux reports ru_maxrss in KiB
+            self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
 
 
 def _sim_samples(n_out: int) -> int:
@@ -150,23 +166,18 @@ def _sim_samples(n_out: int) -> int:
 
 
 def _generate_record(
-    params, init, exc: dict, n_out: int, seed: int, stage_s: dict[str, float]
+    params, init, exc: dict, n_out: int, seed: int, stages: StageClock
 ) -> TimeSeriesData:
     """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`.
 
-    Adds the wall seconds of its excitation, simulation and decimation to `stage_s`."""
-    with _timed(stage_s, "excitation"):
+    Times its excitation, simulation and decimation on `stages`."""
+    with stages("excitation"):
         u_sim = boucwen.multisine(
-            _sim_samples(n_out),
-            SIM_RATE_HZ,
-            exc["f_min"],
-            exc["f_max"],
-            exc["amplitude_rms"],
-            seed=seed,
+            _sim_samples(n_out), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, exc["amplitude_rms"], seed=seed
         )
-    with _timed(stage_s, "simulation"):
+    with stages("simulation"):
         sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ, **init)
-    with _timed(stage_s, "decimation"):
+    with stages("decimation"):
         u_dec = boucwen.decimate(u_sim, DECIMATION)
         y_dec = boucwen.decimate(sim.y, DECIMATION)
     return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
@@ -174,13 +185,16 @@ def _generate_record(
 
 def cmd_datagen(cfg: dict) -> int:
     dg = cfg["datagen"]
+    for key in ("train_samples", "validation_samples"):
+        if dg[key] < 1:
+            raise ValueError(f"datagen.{key} must be >= 1, not {dg[key]}")
     params, init = boucwen.load_params(dg["params_file"])
     seed = cfg["seed"]
     exc = dg["excitation"]
     n_train, n_val = dg["train_samples"], dg["validation_samples"]
-    stage_s: dict[str, float] = {}
-    train_rec = _generate_record(params, init, exc, n_train, seed, stage_s)
-    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stage_s)
+    stages = StageClock()
+    train_rec = _generate_record(params, init, exc, n_train, seed, stages)
+    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
     paths = cfg["paths"]
     meta = {
         "seed": seed,
@@ -191,10 +205,10 @@ def cmd_datagen(cfg: dict) -> int:
         "settle_samples": SETTLE_SAMPLES,
         "filter": "butterworth order 4 forward-backward, cutoff 0.8x target Nyquist",
         "params_file": str(dg["params_file"]),
-        "excitation": {"signal": "random-phase multisine", **exc},
+        "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
-    with _timed(stage_s, "persist"):
+    with stages("persist"):
         save_csv(paths["train"], train_rec)
         save_csv(paths["validation"], val_rec)
         with open(meta_path, "w", encoding="utf-8") as fh:
@@ -203,7 +217,7 @@ def cmd_datagen(cfg: dict) -> int:
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
     print(f"simulation_steps={_sim_samples(n_train) + _sim_samples(n_val)}")
-    for name, seconds in stage_s.items():
+    for name, seconds in stages.seconds.items():
         print(f"stage_{name}_s={seconds:.6f}")
     return 0
 
@@ -215,74 +229,58 @@ def _frols_esr(err_values) -> str:
 
 def cmd_fit(cfg: dict) -> int:
     paths = cfg["paths"]
-    stage_s: dict[str, float] = {}
-    stage_peak_rss_mb: dict[str, float] = {}
-    stage, started = "load", time.perf_counter()
-
-    def close() -> float:
-        """Record the wall time and peak RSS of the current stage; return the time now."""
-        now = time.perf_counter()
-        stage_s[stage] = now - started
-        # the process's high-water mark so far; Linux reports ru_maxrss in KiB
-        stage_peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
-        return now
-
-    def enter(next_stage: str) -> None:
-        nonlocal stage, started
-        stage, started = next_stage, close()
-
+    stages = StageClock()
     try:
-        data = load_csv(paths["train"])
-        enter("regressors")
-        spec = _spec(cfg)
-        ds = build_regressors(data, spec)
-        enter("polynomial")
-        candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
-        poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
-        enter("initialization")
-        ic = cfg["init"]
-        V0, factors = cpd.init_transform(
-            ds,
-            poly,
-            n=ic["n"],
-            max_points=ic["max_points"],
-            max_iter=ic["cpd_max_iter"],
-            seed=cfg["seed"],
-            n_restarts=ic["cpd_restarts"],
-        )
-        enter("training")
-        net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
-        enter("persist")
-        Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
-        cpd_report = {
-            "status": "converged" if factors.converged else "max_iter",
-            "iterations": factors.iterations,
-            "rel_error": factors.rel_error,
-            "restart_errors": list(factors.restart_errors),
-        }
-        cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
-        # the report is written inside the persist stage, so it holds the five before it
-        doc = {
-            **json.loads(report.to_json()),
-            "cond_u": cond_u,
-            "cond_x": cond_x,
-            "cpd": cpd_report,
-            "frols_err": list(poly.err_values),
-            "stage_s": stage_s,
-            "stage_peak_rss_mb": stage_peak_rss_mb,
-        }
-        Path(paths["report"]).write_text(
-            json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        Path(str(paths["report"]) + ".history.csv").write_text(
-            report.history_csv(), encoding="utf-8"
-        )
-        close()
+        with stages("load"):
+            data = load_csv(paths["train"])
+        with stages("regressors"):
+            ds = build_regressors(data, _spec(cfg))
+        with stages("polynomial"):
+            candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
+            poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
+        with stages("initialization"):
+            ic = cfg["init"]
+            V0, factors = cpd.init_transform(
+                ds,
+                poly,
+                n=ic["n"],
+                max_points=ic["max_points"],
+                max_iter=ic["cpd_max_iter"],
+                seed=cfg["seed"],
+                n_restarts=ic["cpd_restarts"],
+            )
+        with stages("training"):
+            net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
+        with stages("persist"):
+            Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
+            cpd_report = {
+                "status": "converged" if factors.converged else "max_iter",
+                "iterations": factors.iterations,
+                "rel_error": factors.rel_error,
+                "restart_errors": list(factors.restart_errors),
+            }
+            cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
+            # the report is written inside the persist stage, so it holds the five before it
+            doc = {
+                **dataclasses.asdict(report),
+                "cond_u": cond_u,
+                "cond_x": cond_x,
+                "cpd": cpd_report,
+                "frols_err": list(poly.err_values),
+                "stage_s": stages.seconds,
+                "stage_peak_rss_mb": stages.peak_rss_mb,
+            }
+            Path(paths["report"]).write_text(
+                json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
+            )
+            Path(str(paths["report"]) + ".history.csv").write_text(
+                report.history_csv(), encoding="utf-8"
+            )
     except FileNotFoundError as exc:
-        print(f"error=stage:{stage} missing_file={exc.filename}", file=sys.stderr)
+        print(f"error=stage:{stages.stage} missing_file={exc.filename}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"error=stage:{stage} detail={exc}", file=sys.stderr)
+        print(f"error=stage:{stages.stage} detail={exc}", file=sys.stderr)
         return 1
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
@@ -300,9 +298,9 @@ def cmd_fit(cfg: dict) -> int:
     print(f"basis_cond={report.basis_cond:.6e}")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
-    for name, seconds in stage_s.items():
+    for name, seconds in stages.seconds.items():
         print(f"stage_{name}_s={seconds:.6f}")
-        print(f"stage_{name}_peak_rss_mb={stage_peak_rss_mb[name]:.1f}")
+        print(f"stage_{name}_peak_rss_mb={stages.peak_rss_mb[name]:.1f}")
     return 0
 
 

@@ -288,6 +288,11 @@ class TestMultisine:
         with pytest.raises(ValueError):
             multisine(512, 750.0, 5.0, 400.0, 1.0)
 
+    @pytest.mark.parametrize("n_samples", [0, -1, -200])
+    def test_no_samples_rejected(self, n_samples):
+        with pytest.raises(ValueError, match=f"n_samples must be >= 1, not {n_samples}"):
+            multisine(n_samples, 750.0, 5.0, 150.0, 1.0)
+
 
 class TestDecimate:
     def test_low_frequency_preserved(self):

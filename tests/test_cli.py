@@ -72,6 +72,7 @@ class TestConfig:
             "seed.x",
             "datagen.fs",
             "datagen.excitation.type",
+            "datagen.excitation.f_min",
             "datagen.validation_excitation.type",
         ],
     )
@@ -89,9 +90,9 @@ class TestConfig:
         assert "error=" in err and repr("net.extra") in err
 
     def test_set_object_merges(self):
-        cfg = cli.load_config(None, ['datagen.excitation={"f_min": 6.0}'])
-        default = cli.DEFAULT_CONFIG["datagen"]["excitation"]
-        assert cfg["datagen"]["excitation"] == {**default, "f_min": 6.0}
+        cfg = cli.load_config(None, ['init={"n": 4}'])
+        default = cli.DEFAULT_CONFIG["init"]
+        assert cfg["init"] == {**default, "n": 4}
 
     @pytest.mark.parametrize(
         "doc, key",
@@ -147,7 +148,11 @@ class TestConfig:
                         "validation_excitation": {"type": "zero"},
                     },
                 },
-                ["datagen.excitation.type", "datagen.validation_excitation"],
+                [
+                    "datagen.excitation.type",
+                    "datagen.excitation.f_min",
+                    "datagen.validation_excitation",
+                ],
             ),
         ],
     )
@@ -203,8 +208,8 @@ class TestConfig:
             ("net.q=8.0", "an integer"),
             ("net.q=true", "an integer"),
             ("seed=null", "an integer"),
-            ("datagen.excitation.f_max=false", "a number"),
-            ("datagen.excitation.f_max=fast", "a number"),
+            ("datagen.excitation.amplitude_rms=false", "a number"),
+            ("datagen.excitation.amplitude_rms=loud", "a number"),
             ("paths.model=5", "a string"),
             ("init.max_points=2.5", "an integer or null"),
         ],
@@ -298,6 +303,35 @@ class TestDatagen:
         assert rc == 1
         assert err.startswith("error=") and "'datagen.excitation.type'" in err
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("train_samples", -128),
+            ("train_samples", 0),
+            ("validation_samples", -128),
+            ("validation_samples", -200),
+        ],
+    )
+    def test_non_positive_sample_count_exit_code(self, tmp_path, key, value):
+        # rejected before any simulation; -128 samples would simulate none
+        rc, out, err = run_main(
+            [
+                "--set",
+                f"datagen.params_file={configs_dir() / 'desk_boucwen.json'}",
+                "--set",
+                f"paths.train={tmp_path / 't.csv'}",
+                "--set",
+                f"paths.validation={tmp_path / 'v.csv'}",
+                "--set",
+                f"datagen.{key}={value}",
+                "datagen",
+            ]
+        )
+        assert rc == 1
+        assert err == f"error=datagen.{key} must be >= 1, not {value}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
 
     def test_wrong_type_value_exit_code(self, tmp_path):
         rc, _, err = run_main(
@@ -499,6 +533,22 @@ class TestFit:
         assert rc == 2
         assert "stage:load" in err
 
+    @pytest.mark.parametrize(
+        "setting, rc_expected, line",
+        [
+            ("regressors.n_y=0", 1, "error=stage:regressors detail="),
+            ("poly.max_terms=0", 1, "error=stage:polynomial detail="),
+            ("net.q=1", 1, "error=stage:training detail="),
+            ("paths.model={tmp}/nodir/m.json", 2, "error=stage:persist missing_file="),
+        ],
+    )
+    def test_error_names_its_stage(self, tmp_path, setting, rc_expected, line):
+        setting = setting.format(tmp=tmp_path)
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", setting, "fit"])
+        assert rc == rc_expected
+        assert err.startswith(line) and err.count("\n") == 1
+        assert out == ""
+
 
 class TestEval:
     def test_reports_free_run_quality(self, desk_pipeline):
@@ -609,7 +659,7 @@ class TestEval:
         dg = cli.load_config(str(cli_config_path()), [])["datagen"]
         params, init = boucwen.load_params(configs_dir() / "desk_boucwen.json")
         rec = cli._generate_record(
-            params, init, dg["excitation"], dg["validation_samples"], seed, {}
+            params, init, dg["excitation"], dg["validation_samples"], seed, cli.StageClock()
         )
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
