@@ -13,6 +13,8 @@ from scipy import signal as sps
 BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
 NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
 NEWTON_MAX_ITER = 50
+PARAM_KEYS = ("m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu")
+INIT_KEYS = ("y0", "v0", "z0")
 
 
 class IntegrationError(RuntimeError):
@@ -47,11 +49,10 @@ class BoucWenParams:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "BoucWenParams":
-        keys = ["m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu"]
-        missing = [k for k in keys if k not in doc]
+        missing = [k for k in PARAM_KEYS if k not in doc]
         if missing:
             raise ValueError(f"Bouc-Wen parameters lack {', '.join(missing)}")
-        return cls(**{k: float(doc[k]) for k in keys})
+        return cls(**{k: float(doc[k]) for k in PARAM_KEYS})
 
 
 @dataclass(frozen=True)
@@ -214,13 +215,19 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
 
 
 def load_params(path) -> tuple[BoucWenParams, dict]:
-    """Read a parameter JSON file; returns (params, initial_conditions)."""
+    """Read a parameter JSON file; returns (params, initial_conditions).
+
+    The file must hold a JSON object, and each of PARAM_KEYS and INIT_KEYS present a
+    finite JSON number: a bool, a string, null, NaN or an infinity raises ValueError
+    naming the file and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError(f"params file {path} must hold a JSON object")
+    for key in PARAM_KEYS + INIT_KEYS:
+        value = doc.get(key, 0.0)
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+            raise ValueError(f"params file {path}: {key!r} takes a finite number, not {json.dumps(value)}")
     params = BoucWenParams.from_dict(doc)
-    init = {
-        "y0": float(doc.get("y0", 0.0)),
-        "v0": float(doc.get("v0", 0.0)),
-        "z0": float(doc.get("z0", 0.0)),
-    }
+    init = {k: float(doc.get(k, 0.0)) for k in INIT_KEYS}
     return params, init

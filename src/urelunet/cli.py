@@ -10,6 +10,7 @@ import json
 import resource
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -139,25 +140,36 @@ def _spec(cfg: dict) -> RegressorSpec:
 
 
 class StageClock:
-    """The wall seconds and the peak RSS of each stage of a command.
+    """The wall seconds, the peak RSS and the warnings of each stage of a command.
 
     `with clock("name"):` times its body as that stage; a stage that runs again adds to
-    its seconds. `clock.stage` names the stage running now, or the last one to start."""
+    its seconds. Every warning raised in a stage is recorded, not shown, in `warnings`
+    as {"stage", "message"}. `clock.stage` names the stage running now, or the last one
+    to start."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
         self.peak_rss_mb: dict[str, float] = {}
+        self.warnings: list[dict[str, str]] = []
         self.stage: str | None = None
 
     @contextlib.contextmanager
     def __call__(self, stage: str):
         self.stage, started = stage, time.perf_counter()
-        try:
-            yield
-        finally:
-            self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - started
-            # the process's high-water mark so far; Linux reports ru_maxrss in KiB
-            self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                yield
+            finally:
+                self.seconds[stage] = self.seconds.get(stage, 0.0) + time.perf_counter() - started
+                # the process's high-water mark so far; Linux reports ru_maxrss in KiB
+                self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
+                self.warnings += [{"stage": stage, "message": str(w.message)} for w in caught]
+
+    def print_warnings(self) -> None:
+        """One `warning=stage:<stage> detail=<message>` line on stderr per recorded warning."""
+        for w in self.warnings:
+            print(f"warning=stage:{w['stage']} detail={w['message']}", file=sys.stderr)
 
 
 def _sim_samples(n_out: int) -> int:
@@ -192,9 +204,6 @@ def cmd_datagen(cfg: dict) -> int:
     seed = cfg["seed"]
     exc = dg["excitation"]
     n_train, n_val = dg["train_samples"], dg["validation_samples"]
-    stages = StageClock()
-    train_rec = _generate_record(params, init, exc, n_train, seed, stages)
-    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
     paths = cfg["paths"]
     meta = {
         "seed": seed,
@@ -208,11 +217,17 @@ def cmd_datagen(cfg: dict) -> int:
         "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
-    with stages("persist"):
-        save_csv(paths["train"], train_rec)
-        save_csv(paths["validation"], val_rec)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
+    stages = StageClock()
+    try:
+        train_rec = _generate_record(params, init, exc, n_train, seed, stages)
+        val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
+        with stages("persist"):
+            save_csv(paths["train"], train_rec)
+            save_csv(paths["validation"], val_rec)
+            with open(meta_path, "w", encoding="utf-8") as fh:
+                json.dump(meta, fh, sort_keys=True, indent=2)
+    finally:
+        stages.print_warnings()
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
@@ -261,6 +276,7 @@ def cmd_fit(cfg: dict) -> int:
             }
             cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
             # the report is written inside the persist stage, so it holds the five before it
+            # and their warnings
             doc = {
                 **dataclasses.asdict(report),
                 "cond_u": cond_u,
@@ -269,6 +285,7 @@ def cmd_fit(cfg: dict) -> int:
                 "frols_err": list(poly.err_values),
                 "stage_s": stages.seconds,
                 "stage_peak_rss_mb": stages.peak_rss_mb,
+                "warnings": stages.warnings,
             }
             Path(paths["report"]).write_text(
                 json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
@@ -277,11 +294,14 @@ def cmd_fit(cfg: dict) -> int:
                 report.history_csv(), encoding="utf-8"
             )
     except FileNotFoundError as exc:
+        stages.print_warnings()
         print(f"error=stage:{stages.stage} missing_file={exc.filename}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
+        stages.print_warnings()
         print(f"error=stage:{stages.stage} detail={exc}", file=sys.stderr)
         return 1
+    stages.print_warnings()
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")

@@ -40,9 +40,6 @@ class CpdFactors:
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 
-    def reconstruct(self) -> np.ndarray:
-        return np.einsum("il,jl,kl->ijk", self.A, self.B, self.C)
-
 
 def cpd_als(
     tensor: HessianTensor,

@@ -4,9 +4,8 @@ the exact Golub-Pereyra Jacobian, and a Levenberg-Marquardt loop over the transf
 from __future__ import annotations
 
 import functools
-import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import block_diag, lapack
@@ -35,9 +34,6 @@ class TrainReport:
     status: str
     basis_rank: int  # numerical rank of [1, B] at the final V, as PINV_RCOND cuts it
     basis_cond: float  # its 2-norm condition number, inf when singular
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
 
     def history_csv(self) -> str:
         lines = ["iteration,squared_residual"]
@@ -125,28 +121,6 @@ def solve_weights(B: np.ndarray, y: np.ndarray):
     return proj.w, proj.rank
 
 
-@dataclass(frozen=True)
-class BasisDerivative:
-    """Sparse structure of d[B]/d[V] for the uniform knot grid.
-
-    The derivative of column (i, j) of B with respect to v_st is zero unless
-    t == i; for active samples it equals u_s(k) - dbeta[s, i, j] where
-    dbeta[s, i, j] = s_j * (u_s(k_max,i) - u_s(k_min,i)) + u_s(k_min,i).
-    """
-
-    mask: np.ndarray  # (N, n, q) activation pattern x_i(k) - beta_ij > 0
-    dbeta: np.ndarray  # (m, n, q) knot sensitivities
-    U: np.ndarray
-
-    def column(self, s: int, t: int) -> np.ndarray:
-        """Dense N x (n*q) derivative of B with respect to v_st."""
-        N, n, q = self.mask.shape
-        D = np.zeros((N, n * q))
-        block = self.mask[:, t, :] * (self.U[:, s][:, None] - self.dbeta[s, t, :][None, :])
-        D[:, t * q : (t + 1) * q] = block
-        return D
-
-
 def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
     """Activation mask (N, n, q) and knot ends Umin and dU (m, n) at X = U V.
 
@@ -170,19 +144,6 @@ def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
 def _knot_sensitivities(Umin: np.ndarray, dU: np.ndarray, q: int) -> np.ndarray:
     """dbeta[s, i, j] = s_j dU[s, i] + Umin[s, i], shape (m, n, q)."""
     return knot_fractions(q)[None, None, :] * dU[:, :, None] + Umin[:, :, None]
-
-
-def dB_dV(V: np.ndarray, dataset: RegressionDataset, q: int) -> BasisDerivative:
-    """Analytic derivative structure of the basis with respect to V, with q knots.
-
-    The knot grid is treated as a function of V (recomputed from X = U V), so
-    each knot moves with the per-dimension min and max samples. `vp_jacobian`
-    does not call this; both take the mask and the knot sensitivities from
-    `_basis_derivative` and `_knot_sensitivities`.
-    """
-    X = transform(dataset.U, V)
-    mask, Umin, dU = _basis_derivative(dataset.U, X, bias_grid(X, q))
-    return BasisDerivative(mask=mask, dbeta=_knot_sensitivities(Umin, dU, q), U=dataset.U)
 
 
 class _VpState:
@@ -235,8 +196,7 @@ def vp_jacobian(
     """Jacobian of the projected residual with respect to vec(V) (column-major).
 
     Column t*m + s is the derivative with respect to v_st. It is built from the
-    mask and knot sensitivities of `_basis_derivative` and `_knot_sensitivities`,
-    which `dB_dV` also uses.
+    mask and knot sensitivities of `_basis_derivative` and `_knot_sensitivities`.
     With P the projector onto the complement of [1, B], it is the exact
     two-term Golub-Pereyra form
     -P (dB/dv_st) w - ([1, B]^+)^T (dB/dv_st)^T r.

@@ -1,12 +1,12 @@
 import contextlib
-import dataclasses
 import io
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from urelunet import cli
+from urelunet import cli, varpro
+from urelunet.network import bias_grid, transform
 
 REPO = Path(__file__).resolve().parent.parent
 CONFIGS = REPO / "configs"
@@ -22,15 +22,22 @@ def parse_kv(stdout: str) -> dict:
     return out
 
 
-def wrong_sign_derivative(d, V):
-    """The basis derivative `d` at V with its min-sample knot term negated.
+def basis_derivative(V, ds, q, s, t, umin_sign=1.0):
+    """Dense N x (n*q) derivative of the basis B(U V) with respect to v_st, built from
+    `varpro._basis_derivative` and `_knot_sensitivities`, the helpers of `vp_jacobian`.
 
-    Each knot sensitivity holds +u(k_min), where k_min is the sample at the
-    dimension's minimum of X = U V; the control holds -u(k_min) instead, so
-    finite differences of the basis must reject it.
+    Only block t is nonzero: where x_t - beta_tj > 0, column (t, j) is
+    u_s - dbeta[s, t, j]. Each knot sensitivity holds +u(k_min), where k_min is the
+    sample at dimension t's minimum of X = U V; `umin_sign=-1.0` gives the wrong-sign
+    control, which holds -u(k_min) instead, so finite differences of the basis must
+    reject it.
     """
-    Umin = d.U[np.argmin(d.U @ V, axis=0)].T
-    return dataclasses.replace(d, dbeta=d.dbeta - 2 * Umin[:, :, None])
+    X = transform(ds.U, V)
+    mask, Umin, dU = varpro._basis_derivative(ds.U, X, bias_grid(X, q))
+    dbeta = varpro._knot_sensitivities(umin_sign * Umin, dU, q)
+    D = np.zeros((ds.n_samples, X.shape[1] * q))
+    D[:, t * q : (t + 1) * q] = mask[:, t, :] * (ds.U[:, s][:, None] - dbeta[s, t, :])
+    return D
 
 
 @pytest.fixture(scope="session")

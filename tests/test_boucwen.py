@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -108,6 +110,22 @@ class TestParams:
         p, init = load_params(path)
         assert p == desk_params()
         assert init == {"y0": 1e-4, "v0": 0.0, "z0": 2.0}
+
+    @pytest.mark.parametrize("key", ["nu", "k_L", "z0"])
+    @pytest.mark.parametrize("value", [True, "5e4", None, float("nan")])
+    def test_load_params_non_number_rejected(self, tmp_path, key, value):
+        import json
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({**DESK, key: value}))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: '{key}' takes a finite number")):
+            load_params(path)
+
+    def test_load_params_non_object_rejected(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(ValueError, match=re.escape(f"params file {path} must hold a JSON object")):
+            load_params(path)
 
 
 class TestSimulate:

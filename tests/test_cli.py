@@ -1,15 +1,17 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import itertools
 import json
 import resource
 import time
+import warnings
 
 import numpy as np
 import pytest
 
-from urelunet import boucwen, cli
+from urelunet import boucwen, cli, polyfit
 from urelunet.dataset import (
     RegressorSpec,
     TimeSeriesData,
@@ -22,6 +24,7 @@ from urelunet.dataset import (
 )
 from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count, transform
 from urelunet.pwl import PwlRegion, cond_diagnostics
+from urelunet.varpro import TrainReport
 
 from conftest import parse_kv
 
@@ -417,6 +420,16 @@ class TestFit:
         hist = (desk_pipeline["work"] / "report.json.history.csv").read_text()
         assert hist.startswith("iteration,squared_residual")
 
+    def test_report_holds_every_train_report_field(self, desk_pipeline):
+        kv = desk_pipeline["fit"]
+        report = json.loads(desk_pipeline["report"].read_text())
+        assert {f.name for f in dataclasses.fields(TrainReport)} <= set(report)
+        assert report["iterations"] == int(kv["iterations"])
+        assert report["status"] == kv["status"]
+        assert report["accepted"] == int(kv["accepted_steps"])
+        assert report["basis_rank"] == int(kv["basis_rank"])
+        assert report["warnings"] == []
+
     def test_training_reduced_residual(self, desk_pipeline):
         report = json.loads(desk_pipeline["report"].read_text())
         hist = report["residual_history"]
@@ -502,6 +515,21 @@ class TestFit:
         peak_now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
         # printed to 0.1 MB
         assert marks[-1] - 0.05 <= float(kv["stage_persist_peak_rss_mb"]) <= peak_now + 0.05
+
+    def test_library_warning_reported(self, tmp_path, monkeypatch):
+        message = "2 candidate columns numerically zero after orthogonalization; skipped"
+        frols_select = polyfit.frols_select
+
+        def warning_frols(*args, **kwargs):
+            warnings.warn(message)
+            return frols_select(*args, **kwargs)
+
+        monkeypatch.setattr(polyfit, "frols_select", warning_frols)
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])
+        assert rc == 0, err
+        assert err == f"warning=stage:polynomial detail={message}\n"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["warnings"] == [{"stage": "polynomial", "message": message}]
 
     def test_zero_target_esr_undefined(self, tmp_path):
         # FROLS's error reduction ratios are 0/0 when y is identically zero
