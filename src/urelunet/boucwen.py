@@ -176,6 +176,8 @@ def multisine(
         raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     if not 0 <= f_min < f_max < fs / 2:
         raise ValueError("need 0 <= f_min < f_max < fs/2")
+    if not amplitude_rms > 0:  # NaN fails too
+        raise ValueError(f"amplitude_rms must be > 0, not {amplitude_rms}")
     df = fs / n_samples
     k_lo = max(int(np.ceil(f_min / df)), 1)
     k_hi = int(np.floor(f_max / df))

@@ -84,7 +84,7 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
         if key not in ref:
             if strict:
                 raise ValueError(f"unknown config key {path!r}")
-            print(f"warning=unknown config key {path}", file=sys.stderr)
+            warnings.warn(f"unknown config key {path}")
             continue
         default = ref[key]
         if isinstance(value, dict) != isinstance(default, dict):
@@ -166,11 +166,6 @@ class StageClock:
                 self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
                 self.warnings += [{"stage": stage, "message": str(w.message)} for w in caught]
 
-    def print_warnings(self) -> None:
-        """One `warning=stage:<stage> detail=<message>` line on stderr per recorded warning."""
-        for w in self.warnings:
-            print(f"warning=stage:{w['stage']} detail={w['message']}", file=sys.stderr)
-
 
 def _sim_samples(n_out: int) -> int:
     """Samples simulated at SIM_RATE_HZ for a record of `n_out` decimated samples."""
@@ -195,7 +190,7 @@ def _generate_record(
     return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
 
 
-def cmd_datagen(cfg: dict) -> int:
+def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     dg = cfg["datagen"]
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
@@ -217,17 +212,13 @@ def cmd_datagen(cfg: dict) -> int:
         "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
-    stages = StageClock()
-    try:
-        train_rec = _generate_record(params, init, exc, n_train, seed, stages)
-        val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
-        with stages("persist"):
-            save_csv(paths["train"], train_rec)
-            save_csv(paths["validation"], val_rec)
-            with open(meta_path, "w", encoding="utf-8") as fh:
-                json.dump(meta, fh, sort_keys=True, indent=2)
-    finally:
-        stages.print_warnings()
+    train_rec = _generate_record(params, init, exc, n_train, seed, stages)
+    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
+    with stages("persist"):
+        save_csv(paths["train"], train_rec)
+        save_csv(paths["validation"], val_rec)
+        with open(meta_path, "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
@@ -242,66 +233,61 @@ def _frols_esr(err_values) -> str:
     return repr(1.0 - sum(err_values)) if len(err_values) else "undefined"
 
 
-def cmd_fit(cfg: dict) -> int:
+def identify(data: TimeSeriesData, cfg: dict, stages: StageClock):
+    """The identification chain on `data` with the settings of `cfg`: NARX regressors,
+    FROLS polynomial, CPD start for the transform V, then VarPro training of the network.
+
+    Times each as a stage on `stages`; returns (ds, poly, factors, net, report)."""
+    with stages("regressors"):
+        ds = build_regressors(data, _spec(cfg))
+    with stages("polynomial"):
+        candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
+        poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
+    with stages("initialization"):
+        ic = cfg["init"]
+        V0, factors = cpd.init_transform(
+            ds,
+            poly,
+            n=ic["n"],
+            max_points=ic["max_points"],
+            max_iter=ic["cpd_max_iter"],
+            seed=cfg["seed"],
+            n_restarts=ic["cpd_restarts"],
+        )
+    with stages("training"):
+        net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
+    return ds, poly, factors, net, report
+
+
+def cmd_fit(cfg: dict, stages: StageClock) -> int:
     paths = cfg["paths"]
-    stages = StageClock()
-    try:
-        with stages("load"):
-            data = load_csv(paths["train"])
-        with stages("regressors"):
-            ds = build_regressors(data, _spec(cfg))
-        with stages("polynomial"):
-            candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
-            poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])
-        with stages("initialization"):
-            ic = cfg["init"]
-            V0, factors = cpd.init_transform(
-                ds,
-                poly,
-                n=ic["n"],
-                max_points=ic["max_points"],
-                max_iter=ic["cpd_max_iter"],
-                seed=cfg["seed"],
-                n_restarts=ic["cpd_restarts"],
-            )
-        with stages("training"):
-            net, report = train(V0, ds, cfg["net"]["q"], max_iter=cfg["train"]["max_iter"])
-        with stages("persist"):
-            Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
-            cpd_report = {
-                "status": "converged" if factors.converged else "max_iter",
-                "iterations": factors.iterations,
-                "rel_error": factors.rel_error,
-                "restart_errors": list(factors.restart_errors),
-            }
-            cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
-            # the report is written inside the persist stage, so it holds the five before it
-            # and their warnings
-            doc = {
-                **dataclasses.asdict(report),
-                "cond_u": cond_u,
-                "cond_x": cond_x,
-                "cpd": cpd_report,
-                "frols_err": list(poly.err_values),
-                "stage_s": stages.seconds,
-                "stage_peak_rss_mb": stages.peak_rss_mb,
-                "warnings": stages.warnings,
-            }
-            Path(paths["report"]).write_text(
-                json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8"
-            )
-            Path(str(paths["report"]) + ".history.csv").write_text(
-                report.history_csv(), encoding="utf-8"
-            )
-    except FileNotFoundError as exc:
-        stages.print_warnings()
-        print(f"error=stage:{stages.stage} missing_file={exc.filename}", file=sys.stderr)
-        return 2
-    except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
-        stages.print_warnings()
-        print(f"error=stage:{stages.stage} detail={exc}", file=sys.stderr)
-        return 1
-    stages.print_warnings()
+    with stages("load"):
+        data = load_csv(paths["train"])
+    ds, poly, factors, net, report = identify(data, cfg, stages)
+    with stages("persist"):
+        # computed before any file is written, so a record they fail on leaves no model
+        cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
+        Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
+        cpd_report = {
+            "status": "converged" if factors.converged else "max_iter",
+            "iterations": factors.iterations,
+            "rel_error": factors.rel_error,
+            "restart_errors": list(factors.restart_errors),
+        }
+        # the report is written inside the persist stage, so it holds the five before it
+        # and their warnings
+        doc = {
+            **dataclasses.asdict(report),
+            "cond_u": cond_u,
+            "cond_x": cond_x,
+            "cpd": cpd_report,
+            "frols_err": list(poly.err_values),
+            "stage_s": stages.seconds,
+            "stage_peak_rss_mb": stages.peak_rss_mb,
+            "warnings": stages.warnings,
+        }
+        Path(paths["report"]).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+        Path(str(paths["report"]) + ".history.csv").write_text(report.history_csv(), encoding="utf-8")
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")
@@ -438,23 +424,35 @@ def main(argv: list[str] | None = None) -> int:
     p_reg.add_argument("--output", help="output JSON-lines path")
     args = parser.parse_args(argv)
 
+    stages, config_warnings = StageClock(), []
     try:
-        cfg = load_config(args.config, args.overrides)
-        if args.command == "datagen":
-            return cmd_datagen(cfg)
-        if args.command == "fit":
-            return cmd_fit(cfg)
-        if args.command == "eval":
-            return cmd_eval(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.output)
-        if args.command == "regions":
-            return cmd_regions(cfg, args.limit, args.output)
+        try:
+            with warnings.catch_warnings(record=True) as config_warnings:
+                warnings.simplefilter("always")
+                cfg = load_config(args.config, args.overrides)
+            if args.command == "datagen":
+                return cmd_datagen(cfg, stages)
+            if args.command == "fit":
+                return cmd_fit(cfg, stages)
+            if args.command == "eval":
+                return cmd_eval(cfg)
+            if args.command == "simulate":
+                return cmd_simulate(cfg, args.output)
+            if args.command == "regions":
+                return cmd_regions(cfg, args.limit, args.output)
+        finally:
+            # the warnings come before any error line
+            for w in config_warnings:
+                print(f"warning={w.message}", file=sys.stderr)
+            for w in stages.warnings:
+                print(f"warning=stage:{w['stage']} detail={w['message']}", file=sys.stderr)
     except FileNotFoundError as exc:
-        print(f"error=missing_file path={exc.filename}", file=sys.stderr)
+        where = f"stage:{stages.stage} missing_file=" if stages.stage else "missing_file path="
+        print(f"error={where}{exc.filename}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
-        print(f"error={exc}", file=sys.stderr)
+        where = f"stage:{stages.stage} detail=" if stages.stage else ""
+        print(f"error={where}{exc}", file=sys.stderr)
         return 1
     return 0
 

@@ -311,6 +311,12 @@ class TestMultisine:
         with pytest.raises(ValueError, match=f"n_samples must be >= 1, not {n_samples}"):
             multisine(n_samples, 750.0, 5.0, 150.0, 1.0)
 
+    @pytest.mark.parametrize("amplitude_rms", [0.0, -120.0, float("nan")])
+    def test_non_positive_amplitude_rejected(self, amplitude_rms):
+        # 0 would give an all-zero record and -120 a sign-flipped one
+        with pytest.raises(ValueError, match=f"amplitude_rms must be > 0, not {amplitude_rms}"):
+            multisine(512, 750.0, 5.0, 150.0, amplitude_rms)
+
 
 class TestDecimate:
     def test_low_frequency_preserved(self):

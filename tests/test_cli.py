@@ -159,14 +159,20 @@ class TestConfig:
             ),
         ],
     )
-    def test_unknown_file_keys_warn(self, tmp_path, capsys, doc, unknown):
+    def test_unknown_file_keys_warn(self, tmp_path, doc, unknown):
         p = tmp_path / "c.json"
         p.write_text(json.dumps(doc))
-        cfg = cli.load_config(str(p), [])
-        assert capsys.readouterr().err.splitlines() == [
-            f"warning=unknown config key {key}" for key in unknown
-        ]
+        with pytest.warns(UserWarning) as caught:
+            cfg = cli.load_config(str(p), [])
+        assert [str(w.message) for w in caught] == [f"unknown config key {key}" for key in unknown]
         assert cfg["train"]["max_iter"] == cli.DEFAULT_CONFIG["train"]["max_iter"]
+        # main prints each as a warning= line, before the command's error line
+        absent = tmp_path / "absent.json"
+        rc, out, err = run_main(["--config", str(p), "--set", f"paths.model={absent}", "regions"])
+        assert rc == 2 and out == ""
+        assert err.splitlines() == [f"warning=unknown config key {key}" for key in unknown] + [
+            f"error=missing_file path={absent}"
+        ]
 
     def test_unknown_file_keys_dropped(self, tmp_path):
         def tree(doc):
@@ -175,7 +181,8 @@ class TestConfig:
         p = tmp_path / "c.json"
         doc = {"_comment": "x", "nosuch": {"a": 1}, "net": {"q": 9, "extra": {"depth": 1}}}
         p.write_text(json.dumps(doc))
-        cfg = cli.load_config(str(p), [])
+        with pytest.warns(UserWarning, match="unknown config key"):
+            cfg = cli.load_config(str(p), [])
         assert tree(cfg) == tree(cli.DEFAULT_CONFIG)
         assert cfg["net"]["q"] == 9
 
@@ -336,6 +343,26 @@ class TestDatagen:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-120", "-120"), ("NaN", "nan")])
+    def test_non_positive_amplitude_exit_code(self, tmp_path, value, shown):
+        rc, out, err = run_main(
+            small_datagen_args(tmp_path)
+            + ["--set", f"datagen.excitation.amplitude_rms={value}", "datagen"]
+        )
+        assert rc == 1
+        assert err == f"error=stage:excitation detail=amplitude_rms must be > 0, not {shown}\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_missing_output_directory_names_its_stage(self, tmp_path):
+        train = tmp_path / "nodir" / "t.csv"
+        rc, out, err = run_main(
+            small_datagen_args(tmp_path) + ["--set", f"paths.train={train}", "datagen"]
+        )
+        assert rc == 2
+        assert err == f"error=stage:persist missing_file={train}\n"
+        assert out == ""
+
     def test_wrong_type_value_exit_code(self, tmp_path):
         rc, _, err = run_main(
             [
@@ -395,6 +422,18 @@ def small_fit_args(tmp_path, zero_target=False):
     for key, value in settings.items():
         args += ["--set", f"{key}={value}"]
     return args
+
+
+def small_datagen_args(tmp_path):
+    """Arguments of a fast `datagen` of two 64-sample records into `tmp_path`."""
+    settings = {
+        "datagen.params_file": configs_dir() / "desk_boucwen.json",
+        "datagen.train_samples": 64,
+        "datagen.validation_samples": 64,
+        "paths.train": tmp_path / "t.csv",
+        "paths.validation": tmp_path / "v.csv",
+    }
+    return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
 
 
 def configs_dir():
@@ -553,6 +592,17 @@ class TestFit:
         assert err.startswith("error=stage:initialization detail=n_restarts must be >= 1")
         assert "model=" not in out
         assert not (tmp_path / "model.json").exists()
+
+    def test_all_zero_record_leaves_no_model(self, tmp_path):
+        # cond_u of an all-zero U is undefined; it is computed before any file is written
+        args = small_fit_args(tmp_path)
+        save_csv(tmp_path / "train.csv", TimeSeriesData(u=np.zeros(300), y=np.zeros(300)))
+        rc, out, err = run_main(args + ["fit"])
+        assert rc == 1
+        assert err.startswith("error=stage:persist detail=") and err.count("\n") == 1
+        assert out == ""
+        assert not (tmp_path / "model.json").exists()
+        assert not (tmp_path / "report.json").exists()
 
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
