@@ -215,10 +215,18 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     train_rec = _generate_record(params, init, exc, n_train, seed, stages)
     val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
     with stages("persist"):
-        save_csv(paths["train"], train_rec)
-        save_csv(paths["validation"], val_rec)
-        with open(meta_path, "w", encoding="utf-8") as fh:
-            json.dump(meta, fh, sort_keys=True, indent=2)
+        written = []
+        try:
+            for path, rec in ((paths["train"], train_rec), (paths["validation"], val_rec)):
+                save_csv(path, rec)
+                written.append(path)
+            with open(meta_path, "w", encoding="utf-8") as fh:
+                json.dump(meta, fh, sort_keys=True, indent=2)
+        except BaseException:
+            # a partial record set would pass for a whole one
+            for path in written:
+                Path(path).unlink(missing_ok=True)
+            raise
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
@@ -240,6 +248,8 @@ def identify(data: TimeSeriesData, cfg: dict, stages: StageClock):
     Times each as a stage on `stages`; returns (ds, poly, factors, net, report)."""
     with stages("regressors"):
         ds = build_regressors(data, _spec(cfg))
+        if not np.any(ds.U):
+            raise ValueError("regressor matrix is all zero")
     with stages("polynomial"):
         candidates = polyfit.enumerate_terms(ds.m, POLY_MAX_DEGREE)
         poly = polyfit.frols_select(ds, candidates, max_terms=cfg["poly"]["max_terms"])

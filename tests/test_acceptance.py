@@ -203,22 +203,28 @@ def test_criterion_07_region_affine_consistency():
     X = transform(pts, net.V)
     yhat = forward(net, pts)
     scale = max(np.abs(yhat).max(), 1.0)
+    maps = {r.cell: r for r in pwl.enumerate_regions(net)}
+    # left-closed cells 1..q per dimension; below the first knot cell 1's map
+    # holds, because the first neuron is linear
+    cells = [
+        tuple(max(int(np.searchsorted(net.beta[i], x[i], side="right")), 1) for i in range(net.n))
+        for x in X
+    ]
     worst = 0.0
     for k in range(1000):
-        reg = pwl.affine_in_region(net, pwl.region_of(net, X[k]))
-        worst = max(worst, abs(reg.evaluate_x(X[k]) - yhat[k]) / scale)
-        worst = max(worst, abs(reg.evaluate_u(pts[k]) - yhat[k]) / scale)
+        reg = maps[cells[k]]
+        worst = max(worst, abs(reg.a @ X[k] + reg.b - yhat[k]) / scale)
+        worst = max(worst, abs(reg.c @ pts[k] + reg.b - yhat[k]) / scale)
     facet_worst = 0.0
     for i in range(net.n):
         for kk in range(1, net.q):
             lo_cell = [1] * net.n
             hi_cell = [1] * net.n
             lo_cell[i], hi_cell[i] = kk, kk + 1
-            lo = pwl.affine_in_region(net, lo_cell)
-            hi = pwl.affine_in_region(net, hi_cell)
+            lo, hi = maps[tuple(lo_cell)], maps[tuple(hi_cell)]
             x = np.array([net.beta[d, 0] + 1e-3 for d in range(net.n)])
             x[i] = net.beta[i, kk]
-            facet_worst = max(facet_worst, abs(lo.evaluate_x(x) - hi.evaluate_x(x)))
+            facet_worst = max(facet_worst, abs((lo.a @ x + lo.b) - (hi.a @ x + hi.b)))
     ok = worst <= 1e-9 and facet_worst <= 1e-9
     report(
         7,

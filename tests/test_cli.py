@@ -23,7 +23,7 @@ from urelunet.dataset import (
     simulate_free_run,
 )
 from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count, transform
-from urelunet.pwl import PwlRegion, cond_diagnostics
+from urelunet.pwl import cond_diagnostics
 from urelunet.varpro import TrainReport
 
 from conftest import parse_kv
@@ -363,6 +363,17 @@ class TestDatagen:
         assert err == f"error=stage:persist missing_file={train}\n"
         assert out == ""
 
+    def test_missing_validation_directory_leaves_no_record(self, tmp_path):
+        val = tmp_path / "nodir" / "v.csv"
+        rc, out, err = run_main(
+            small_datagen_args(tmp_path) + ["--set", f"paths.validation={val}", "datagen"]
+        )
+        assert rc == 2
+        assert err == f"error=stage:persist missing_file={val}\n"
+        assert out == ""
+        # neither the training record nor its meta sidecar is left behind
+        assert list(tmp_path.iterdir()) == []
+
     def test_wrong_type_value_exit_code(self, tmp_path):
         rc, _, err = run_main(
             [
@@ -594,12 +605,12 @@ class TestFit:
         assert not (tmp_path / "model.json").exists()
 
     def test_all_zero_record_leaves_no_model(self, tmp_path):
-        # cond_u of an all-zero U is undefined; it is computed before any file is written
+        # an all-zero record is rejected with its regressors, before any training
         args = small_fit_args(tmp_path)
         save_csv(tmp_path / "train.csv", TimeSeriesData(u=np.zeros(300), y=np.zeros(300)))
         rc, out, err = run_main(args + ["fit"])
         assert rc == 1
-        assert err.startswith("error=stage:persist detail=") and err.count("\n") == 1
+        assert err.startswith("error=stage:regressors detail=") and err.count("\n") == 1
         assert out == ""
         assert not (tmp_path / "model.json").exists()
         assert not (tmp_path / "report.json").exists()
@@ -776,7 +787,7 @@ class TestRegions:
         assert header["total_cells"] == 8**3 == int(kv["total_cells"])
         assert header["emitted"] == len(lines) - 1 == 8**3
         assert header["truncated"] is False
-        cells = [tuple(PwlRegion.from_json(line).cell) for line in lines[1:]]
+        cells = [tuple(json.loads(line)["cell"]) for line in lines[1:]]
         assert cells == list(itertools.product(range(1, 9), repeat=3))
 
     def test_limit_truncates(self, desk_pipeline, tmp_path):
@@ -786,7 +797,7 @@ class TestRegions:
         lines = out.read_text().splitlines()
         header = json.loads(lines[0])
         assert header == {"total_cells": 8**3, "emitted": 10, "truncated": True}
-        cells = [tuple(PwlRegion.from_json(line).cell) for line in lines[1:]]
+        cells = [tuple(json.loads(line)["cell"]) for line in lines[1:]]
         assert cells == list(itertools.product(range(1, 9), repeat=3))[:10]
 
     def test_long_header_kept_on_its_own_line(self, tmp_path):
@@ -803,5 +814,5 @@ class TestRegions:
         assert rc == 0
         lines = out.read_text().splitlines()
         assert json.loads(lines[0]) == {"total_cells": q**n, "emitted": 2, "truncated": True}
-        assert len(PwlRegion.from_json(lines[1]).cell) == n
+        assert len(json.loads(lines[1])["cell"]) == n
         assert len(lines) == 3

@@ -7,14 +7,7 @@ from hypothesis import strategies as st
 
 from urelunet import pwl
 from urelunet.network import UReluNet, make_net, forward, transform
-from urelunet.pwl import (
-    PwlRegion,
-    affine_in_region,
-    cond_diagnostics,
-    enumerate_regions,
-    region_count,
-    region_of,
-)
+from urelunet.pwl import PwlRegion, cond_diagnostics, enumerate_regions, region_count
 
 
 def random_net(m, n, q, seed, N=200):
@@ -23,6 +16,19 @@ def random_net(m, n, q, seed, N=200):
     V = rng.normal(size=(m, n))
     w = rng.normal(size=n * q + 1)
     return make_net(V, q, w, transform(U, V)), U
+
+
+def region_maps(net):
+    """Every exported region, keyed by its cell."""
+    return {r.cell: r for r in enumerate_regions(net)}
+
+
+def cell_of(net, x):
+    """The cell of x: left-closed, 1..q per dimension. Below the first knot cell 1's
+    map holds, because the first neuron is linear."""
+    return tuple(
+        max(int(np.searchsorted(net.beta[i], x[i], side="right")), 1) for i in range(net.n)
+    )
 
 
 def summed_map(net, cell):
@@ -34,35 +40,12 @@ def summed_map(net, cell):
     a, a_scale = np.zeros(net.n), np.zeros(net.n)
     b, b_scale = float(net.w[0]), abs(float(net.w[0]))
     for i, k in enumerate(cell):
-        wi = net.w[1 + i * q : 1 + (i + 1) * q][: max(k, 1)]
-        terms = wi * net.beta[i, : max(k, 1)]
+        wi = net.w[1 + i * q : 1 + (i + 1) * q][:k]
+        terms = wi * net.beta[i, :k]
         a[i], a_scale[i] = np.sum(wi), np.sum(np.abs(wi))
         b -= float(np.sum(terms))
         b_scale += float(np.sum(np.abs(terms)))
     return a, b, a_scale, b_scale
-
-
-class TestRegionOf:
-    def test_one_dimensional_bins(self):
-        u = np.linspace(0.0, 1.0, 101)[:, None]
-        net = make_net(np.array([[1.0]]), 4, np.zeros(5), u)
-        # knots at 0, 0.25, 0.5, 0.75
-        assert region_of(net, np.array([-0.1])) == (0,)
-        assert region_of(net, np.array([0.1])) == (1,)
-        assert region_of(net, np.array([0.25])) == (2,)  # left-closed
-        assert region_of(net, np.array([0.9])) == (4,)
-
-    def test_every_training_point_in_bounded_cell(self):
-        net, U = random_net(3, 2, 5, seed=0)
-        X = transform(U, net.V)
-        for x in X:
-            cell = region_of(net, x)
-            assert all(1 <= k <= net.q for k in cell)
-
-    def test_wrong_length_rejected(self):
-        net, _ = random_net(3, 2, 4, seed=1)
-        with pytest.raises(ValueError):
-            region_of(net, np.zeros(3))
 
 
 class TestAffineInRegion:
@@ -73,33 +56,26 @@ class TestAffineInRegion:
         X = transform(pts, net.V)
         yhat = forward(net, pts)
         scale = max(np.abs(yhat).max(), 1.0)
+        maps = region_maps(net)
         for k in range(1000):
-            reg = affine_in_region(net, region_of(net, X[k]))
-            assert abs(reg.evaluate_x(X[k]) - yhat[k]) <= 1e-9 * scale
-            assert abs(reg.evaluate_u(pts[k]) - yhat[k]) <= 1e-9 * scale
+            reg = maps[cell_of(net, X[k])]
+            assert abs(reg.a @ X[k] + reg.b - yhat[k]) <= 1e-9 * scale
+            assert abs(reg.c @ pts[k] + reg.b - yhat[k]) <= 1e-9 * scale
 
     def test_neighbor_cells_agree_on_shared_facet(self):
         net, _ = random_net(3, 2, 4, seed=4)
         q = net.q
+        maps = region_maps(net)
         for i in range(net.n):
             for k in range(1, q):
                 lo_cell = [1] * net.n
                 hi_cell = [1] * net.n
                 lo_cell[i], hi_cell[i] = k, k + 1
-                lo = affine_in_region(net, lo_cell)
-                hi = affine_in_region(net, hi_cell)
+                lo, hi = maps[tuple(lo_cell)], maps[tuple(hi_cell)]
                 # point on the facet x_i = beta_{i,k}
                 x = np.array([net.beta[d, 0] + 1e-3 for d in range(net.n)])
                 x[i] = net.beta[i, k]
-                assert abs(lo.evaluate_x(x) - hi.evaluate_x(x)) <= 1e-9
-
-    def test_below_grid_cell_extends_first_cell(self):
-        # the first neuron is linear, so cell 0 keeps the map of cell 1
-        net, _ = random_net(2, 2, 3, seed=5)
-        for below, first in (((0, 0), (1, 1)), ((0, 2), (1, 2)), ((3, 0), (3, 1))):
-            lo, hi = affine_in_region(net, below), affine_in_region(net, first)
-            np.testing.assert_array_equal(lo.a, hi.a)
-            assert lo.b == hi.b
+                assert abs((lo.a @ x + lo.b) - (hi.a @ x + hi.b)) <= 1e-9
 
     def test_forward_below_grid_matches_cell_zero_map(self):
         # x_0 = u_0 + u_1 and x_1 = u_0 - u_1 on knots 0, 1, 2 per dimension
@@ -111,27 +87,19 @@ class TestAffineInRegion:
         X = transform(U, V)
         assert np.all(X.min(axis=1) < net.x_min.min())  # each row leaves the grid
         y = forward(net, U)
+        maps = region_maps(net)
         for u, x, yk in zip(U, X, y):
-            reg = affine_in_region(net, region_of(net, x))
-            assert yk == pytest.approx(reg.evaluate_x(x), abs=1e-12)
-            assert yk == pytest.approx(reg.evaluate_u(u), abs=1e-12)
+            reg = maps[cell_of(net, x)]
+            assert yk == pytest.approx(reg.a @ x + reg.b, abs=1e-12)
+            assert yk == pytest.approx(reg.c @ u + reg.b, abs=1e-12)
         # by hand: row 0 has x = (-1.5, -0.5), below the first knot in both
         # dimensions, where only the linear neurons act
         assert y[0] == pytest.approx(0.5 + 2.0 * -1.5 + -3.0 * -0.5, abs=1e-12)
 
     def test_u_slope_is_transform_of_x_slope(self):
         net, _ = random_net(4, 2, 4, seed=6)
-        reg = affine_in_region(net, (2, 3))
+        reg = region_maps(net)[(2, 3)]
         np.testing.assert_allclose(reg.c, net.V @ reg.a, atol=1e-14)
-
-    def test_bad_cell_rejected(self):
-        net, _ = random_net(3, 2, 4, seed=7)
-        with pytest.raises(ValueError):
-            affine_in_region(net, (1,))
-        with pytest.raises(ValueError):
-            affine_in_region(net, (1, 5))
-        with pytest.raises(ValueError):
-            affine_in_region(net, (-1, 1))
 
 
 class TestEnumeration:
@@ -159,16 +127,9 @@ class TestEnumeration:
     def test_maps_from_tables(self, m, n, q, seed):
         net, _ = random_net(m, n, q, seed, N=20)
         for reg in enumerate_regions(net):
-            assert reg.to_json() == affine_in_region(net, reg.cell).to_json()
             a, b, a_scale, b_scale = summed_map(net, reg.cell)
             assert np.all(np.abs(reg.a - a) <= 1e-12 * a_scale)
             assert abs(reg.b - b) <= 1e-12 * b_scale
-            # the linear first neuron makes cell 0 extend cell 1 in every dimension
-            for i in range(n):
-                if reg.cell[i] == 1:
-                    below = affine_in_region(net, reg.cell[:i] + (0,) + reg.cell[i + 1 :])
-                    assert below.a.tolist() == reg.a.tolist() and below.b == reg.b
-                    assert below.c.tolist() == reg.c.tolist()
 
     def test_limit_stops_before_later_cells(self, monkeypatch):
         net, _ = random_net(8, 6, 10, seed=14, N=50)
@@ -186,17 +147,7 @@ class TestEnumeration:
                 assert lo < hi
                 k = reg.cell[i]
                 assert lo == float(net.beta[i, k - 1])
-
-
-def test_region_json_round_trip():
-    net, _ = random_net(3, 2, 4, seed=12)
-    reg = affine_in_region(net, (2, 3))
-    clone = PwlRegion.from_json(reg.to_json())
-    assert clone.cell == reg.cell
-    np.testing.assert_array_equal(clone.a, reg.a)
-    np.testing.assert_array_equal(clone.c, reg.c)
-    assert clone.b == reg.b
-    assert clone.to_json() == reg.to_json()
+                assert hi == float(net.beta[i, k] if k < net.q else net.x_max[i])
 
 
 def test_region_json_bytes_pinned():
