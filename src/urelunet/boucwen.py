@@ -47,20 +47,12 @@ class BoucWenParams:
         if self.nu < 1:
             raise ValueError("nu must be >= 1")
 
-    @classmethod
-    def from_dict(cls, doc: dict) -> "BoucWenParams":
-        missing = [k for k in PARAM_KEYS if k not in doc]
-        if missing:
-            raise ValueError(f"Bouc-Wen parameters lack {', '.join(missing)}")
-        return cls(**{k: float(doc[k]) for k in PARAM_KEYS})
-
 
 @dataclass(frozen=True)
 class SimOutput:
     y: np.ndarray
     ydot: np.ndarray
     z: np.ndarray
-    fs: float
 
     def __post_init__(self):
         if not (len(self.y) == len(self.ydot) == len(self.z)):
@@ -159,7 +151,7 @@ def simulate(
         Y[t] = y
         V[t] = v
         Z[t] = z
-    return SimOutput(y=Y, ydot=V, z=Z, fs=fs)
+    return SimOutput(y=Y, ydot=V, z=Z)
 
 
 def multisine(
@@ -230,6 +222,9 @@ def load_params(path) -> tuple[BoucWenParams, dict]:
         value = doc.get(key, 0.0)
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
             raise ValueError(f"params file {path}: {key!r} takes a finite number, not {json.dumps(value)}")
-    params = BoucWenParams.from_dict(doc)
+    missing = [k for k in PARAM_KEYS if k not in doc]
+    if missing:
+        raise ValueError(f"Bouc-Wen parameters lack {', '.join(missing)}")
+    params = BoucWenParams(**{k: float(doc[k]) for k in PARAM_KEYS})
     init = {k: float(doc.get(k, 0.0)) for k in INIT_KEYS}
     return params, init

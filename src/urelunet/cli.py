@@ -297,7 +297,6 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
             "warnings": stages.warnings,
         }
         Path(paths["report"]).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-        Path(str(paths["report"]) + ".history.csv").write_text(report.history_csv(), encoding="utf-8")
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")
@@ -368,7 +367,7 @@ def cmd_eval(cfg: dict) -> int:
         print("diverged=false")
         print(f"n_s={n_s}")
         print(f"rmse={value:.6e}")
-        print(f"rmse_db={rmse_db(value):.4f}" if value > 0 else "rmse_db=-inf")
+        print(f"rmse_db={rmse_db(value):.4f}")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
     affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, spec, seed_len)
@@ -376,7 +375,7 @@ def cmd_eval(cfg: dict) -> int:
     if affine is None:
         print(f"affine_divergence_index={aff_index}")
     else:
-        print(f"affine_rmse_db={rmse_db(affine):.6f}" if affine > 0 else "affine_rmse_db=-inf")
+        print(f"affine_rmse_db={rmse_db(affine):.6f}")
     if value and affine:  # both free runs finite and nonzero
         print(f"margin_db={rmse_db(affine) - rmse_db(value):.6f}")
     return 0
@@ -392,11 +391,13 @@ def cmd_simulate(cfg: dict, output: str | None) -> int:
 
 
 def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
+    if limit < 0:
+        raise ValueError(f"--limit must be >= 0, not {limit}")
     paths = cfg["paths"]
     net = _load_model(paths["model"])
     total = pwl.region_count(net)
     # enumerate_regions yields exactly this many cells
-    emitted = max(0, min(limit, total))
+    emitted = min(limit, total)
     out = output or "regions.jsonl"
     with open(out, "w", encoding="utf-8") as fh:
         header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}

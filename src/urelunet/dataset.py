@@ -174,10 +174,10 @@ def rmse(y: Sequence[float], y_s: Sequence[float]) -> float:
 
 
 def rmse_db(value: float) -> float:
-    """Express an RMSE as 20*log10(RMSE) decibels."""
-    if value <= 0:
-        raise ValueError("rmse must be positive for a dB conversion")
-    return float(20.0 * np.log10(value))
+    """Express an RMSE as 20*log10(RMSE) decibels; an exact fit, RMSE 0, is -inf dB."""
+    if not value >= 0:  # NaN fails too
+        raise ValueError(f"rmse must be >= 0 for a dB conversion, not {value}")
+    return 20.0 * math.log10(value) if value > 0 else -math.inf
 
 
 def load_csv(path) -> TimeSeriesData:

@@ -22,10 +22,6 @@ class HessianTensor:
         object.__setattr__(self, "data", data)
 
     @property
-    def m(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def n_points(self) -> int:
         return self.data.shape[2]
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,7 +62,7 @@ def _activation_floor(n: int, q: int) -> np.ndarray:
 
 
 def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Neuron activations, columns ordered dimension-major, knot-minor.
+    """Neuron activations on the n x q knot grid beta, columns dimension-major, knot-minor.
 
     The first neuron of each dimension is linear, x_i - beta_i0; the others are
     ramps max(0, x_i - beta_ij). On the training data x_i >= beta_i0, so the
@@ -78,8 +79,6 @@ def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
-    if beta.ndim != 2:
-        beta = np.atleast_2d(beta)
     n, q = beta.shape
     if X.ndim not in (1, 2) or X.shape[-1] != n:
         raise ValueError(f"beta has {n} rows, X has shape {X.shape}")
@@ -173,13 +172,24 @@ class UReluNet:
 
     @classmethod
     def from_json(cls, text: str) -> "UReluNet":
+        """Read a model that `to_json` wrote. A missing field, an m, n or q that is not an
+        integer, an entry of V, beta, w, x_min or x_max that is not a finite number (NaN,
+        an infinity, a string) and a knot row [beta_i, x_max_i] that decreases raise
+        ValueError naming the field."""
         doc = json.loads(text)
         missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_min", "x_max") if k not in doc]
         if missing:
             raise ValueError(f"model JSON has no field {', '.join(missing)}")
-        m, n, q = int(doc["m"]), int(doc["n"]), int(doc["q"])
+        for key in ("m", "n", "q"):
+            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+                raise ValueError(f"model field {key!r} takes an integer, not {doc[key]!r}")
+        for key in ("V", "beta", "w", "x_min", "x_max"):
+            for v in doc[key]:
+                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                    raise ValueError(f"model field {key!r} takes finite numbers, not {v!r}")
+        m, n, q = doc["m"], doc["n"], doc["q"]
         spec = doc.get("regressor_spec")
-        return cls(
+        net = cls(
             V=np.array(doc["V"], dtype=float).reshape(m, n),
             q=q,
             beta=np.array(doc["beta"], dtype=float).reshape(n, q),
@@ -192,6 +202,10 @@ class UReluNet:
                 else None
             ),
         )
+        falls = (np.diff(np.column_stack([net.beta, net.x_max]), axis=1) < 0).any(axis=1)
+        if falls.any():
+            raise ValueError(f"model knot row {int(np.argmax(falls))} of [beta, x_max] decreases")
+        return net
 
 
 def make_net(

@@ -63,14 +63,7 @@ class PolyNarxModel:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}, got shape {u.shape}")
-        return float(self.predict(u[None, :])[0])
-
-    def design_matrix(self, U: np.ndarray) -> np.ndarray:
-        """Evaluate every term on the rows of U; returns N x n_terms."""
-        return monomials([t.exponents for t in self.terms], U)
-
-    def predict(self, U: np.ndarray) -> np.ndarray:
-        return self.design_matrix(U) @ self.coeffs
+        return float((monomials([t.exponents for t in self.terms], u) @ self.coeffs)[0])
 
     def to_json(self) -> str:
         doc = {

@@ -47,7 +47,7 @@ def enumerate_regions(net: UReluNet, limit: int = 1_000_000) -> Iterator[PwlRegi
     """
     tables = _CellTables(net)
     cells = itertools.product(range(1, net.q + 1), repeat=net.n)
-    for cell in itertools.islice(cells, max(limit, 0)):
+    for cell in itertools.islice(cells, limit):
         yield _cell_map(tables, cell)
 
 

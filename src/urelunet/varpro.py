@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag, lapack
 
-from .dataset import RegressionDataset
+from .dataset import RegressionDataset, rmse_db
 from .network import UReluNet, bias_grid, build_B, knot_fractions, make_net, transform
 
 PINV_RCOND = 1e-10
@@ -34,11 +34,6 @@ class TrainReport:
     status: str
     basis_rank: int  # numerical rank of [1, B] at the final V, as PINV_RCOND cuts it
     basis_cond: float  # its 2-norm condition number, inf when singular
-
-    def history_csv(self) -> str:
-        lines = ["iteration,squared_residual"]
-        lines += [f"{i},{v!r}" for i, v in enumerate(self.residual_history)]
-        return "\n".join(lines) + "\n"
 
 
 def _lapack(routine: str, *args, **kwargs):
@@ -310,11 +305,10 @@ def train(
 
     st = _state(V, dataset, q, cache)
     net = make_net(V, q, st.proj.w, st.X, regressor_spec=dataset.spec)
-    final_rmse = math.sqrt(cost / dataset.n_samples)
     report = TrainReport(
         iterations=iterations,
         residual_history=history,
-        final_rmse_db=20.0 * math.log10(final_rmse) if final_rmse > 0 else -math.inf,
+        final_rmse_db=rmse_db(math.sqrt(cost / dataset.n_samples)),
         accepted=accepted,
         rejected=rejected,
         status=status,

@@ -90,10 +90,6 @@ def reference_multisine(n_samples, fs, f_min, f_max, amplitude_rms, seed):
 
 
 class TestParams:
-    def test_from_dict_round_trip(self):
-        p = BoucWenParams.from_dict(DESK)
-        assert p == desk_params()
-
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             desk_params(m_L=0.0)

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import itertools
 import json
+import math
 import resource
 import time
 import warnings
@@ -35,6 +36,17 @@ def run_main(argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, buf.getvalue(), err.getvalue()
+
+
+def corrupt_model(path, key, index, value):
+    """The model JSON at `path` with entry `index` of field `key` (the whole field when
+    `index` is None) set to `value`."""
+    doc = json.loads(path.read_text())
+    if index is None:
+        doc[key] = value
+    else:
+        doc[key][index] = value
+    return json.dumps(doc)
 
 
 class TestConfig:
@@ -467,8 +479,9 @@ class TestFit:
     def test_report_files_written(self, desk_pipeline):
         report = json.loads(desk_pipeline["report"].read_text())
         assert report["accepted"] >= 1
-        hist = (desk_pipeline["work"] / "report.json.history.csv").read_text()
-        assert hist.startswith("iteration,squared_residual")
+        # the LM record is the start plus one entry per accepted step, in report.json only
+        assert len(report["residual_history"]) == report["accepted"] + 1
+        assert list(desk_pipeline["work"].glob("*.history.csv")) == []
 
     def test_report_holds_every_train_report_field(self, desk_pipeline):
         kv = desk_pipeline["fit"]
@@ -740,6 +753,47 @@ class TestEval:
         assert rc == 1
         assert err.startswith("error=model JSON has no field n,")
 
+    @pytest.mark.parametrize(
+        "key, index, value, detail",
+        [
+            ("w", 5, math.nan, "model field 'w' takes finite numbers, not nan"),
+            ("beta", 0, math.inf, "model field 'beta' takes finite numbers, not inf"),
+            ("V", 0, "0.5", "model field 'V' takes finite numbers, not '0.5'"),
+            ("q", None, 8.7, "model field 'q' takes an integer, not 8.7"),
+            ("beta", 1, -1e300, "model knot row 0 of [beta, x_max] decreases"),
+            ("x_max", 0, -1e300, "model knot row 0 of [beta, x_max] decreases"),
+        ],
+        ids=["nan-weight", "infinite-knot", "string-entry", "fractional-q", "knot-falls", "x_max-falls"],
+    )
+    def test_corrupt_model_rejected(self, desk_pipeline, tmp_path, key, index, value, detail):
+        # a corrupt model file is a bad input, not a diverged free run
+        model = tmp_path / "model.json"
+        model.write_text(corrupt_model(desk_pipeline["model"], key, index, value))
+        rc, out, err = run_main(
+            ["--set", f"paths.model={model}",
+             "--set", f"paths.validation={desk_pipeline['validation_csv']}",
+             "--set", f"paths.train={desk_pipeline['train_csv']}", "eval"]
+        )
+        assert rc == 1
+        assert out == ""
+        assert err == f"error={detail}\n"
+
+    def test_exact_free_run_is_minus_inf_db(self, desk_pipeline, tmp_path):
+        # the network's own free run as the validation record: eval reproduces it exactly
+        sim = tmp_path / "sim.csv"
+        paths = ["--set", f"paths.model={desk_pipeline['model']}",
+                 "--set", f"paths.validation={desk_pipeline['validation_csv']}",
+                 "--set", f"paths.train={desk_pipeline['train_csv']}"]
+        assert run_main(paths + ["simulate", "--output", str(sim)])[0] == 0
+        rc, out, err = run_main(paths + ["--set", f"paths.validation={sim}", "eval"])
+        assert rc == 0 and err == ""
+        kv = parse_kv(out)
+        assert kv["diverged"] == "false"
+        assert kv["rmse"] == "0.000000e+00"
+        assert kv["rmse_db"] == "-inf"
+        assert math.isfinite(float(kv["affine_rmse_db"]))
+        assert "margin_db" not in kv
+
     @pytest.mark.parametrize("seed", [100, 102])
     def test_free_run_finite_below_training_range(self, desk_pipeline, seed):
         # validation multisines at the training level that take some
@@ -799,6 +853,26 @@ class TestRegions:
         assert header == {"total_cells": 8**3, "emitted": 10, "truncated": True}
         cells = [tuple(json.loads(line)["cell"]) for line in lines[1:]]
         assert cells == list(itertools.product(range(1, 9), repeat=3))[:10]
+
+    def test_corrupt_model_leaves_no_file(self, desk_pipeline, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_text(corrupt_model(desk_pipeline["model"], "w", 5, math.nan))
+        out = tmp_path / "regions.jsonl"
+        rc, _, err = run_main(["--set", f"paths.model={model}", "regions", "--output", str(out)])
+        assert rc == 1
+        assert err == "error=model field 'w' takes finite numbers, not nan\n"
+        assert not out.exists()
+
+    def test_negative_limit_rejected(self, desk_pipeline, tmp_path):
+        out = tmp_path / "regions.jsonl"
+        rc, stdout, err = run_main(
+            ["--set", f"paths.model={desk_pipeline['model']}",
+             "regions", "--limit", "-3", "--output", str(out)]
+        )
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error=--limit must be >= 0, not -3\n"
+        assert not out.exists()
 
     def test_long_header_kept_on_its_own_line(self, tmp_path):
         # total_cells = 10**30 makes the header longer than 80 characters

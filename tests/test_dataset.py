@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -192,12 +194,13 @@ class TestMetrics:
     def test_db_values(self):
         assert rmse_db(1.0) == 0.0
         assert rmse_db(0.01) == pytest.approx(-40.0)
+        # an exact fit
+        assert rmse_db(0.0) == -math.inf
 
-    def test_db_rejects_nonpositive(self):
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_db_rejects_negative_and_nan(self, value):
         with pytest.raises(ValueError):
-            rmse_db(0.0)
-        with pytest.raises(ValueError):
-            rmse_db(-1.0)
+            rmse_db(value)
 
     @given(st.floats(1e-12, 1e6), st.floats(1e-12, 1e6))
     @example(1e-12, 1.0000000000000002e-12)

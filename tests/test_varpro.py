@@ -275,13 +275,6 @@ class TestTrain:
             float(resid @ resid), report.residual_history[-1], rtol=1e-8
         )
 
-    def test_history_csv(self):
-        V, ds = safe_instance(N=100, m=4, n=2, q=4, seed=36)
-        _, report = train(V, ds, 4, max_iter=5)
-        csv = report.history_csv()
-        assert csv.startswith("iteration,squared_residual\n")
-        assert len(csv.strip().splitlines()) == len(report.residual_history) + 1
-
     def test_bad_shapes_and_config(self):
         V, ds = safe_instance(N=50, m=4, n=2, q=4, seed=37)
         with pytest.raises(ValueError):
