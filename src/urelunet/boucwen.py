@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import signal as sps
 
+from .dataset import is_finite_number
+
 BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
 NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
 NEWTON_MAX_ITER = 50
@@ -212,15 +214,16 @@ def load_params(path) -> tuple[BoucWenParams, dict]:
     """Read a parameter JSON file; returns (params, initial_conditions).
 
     The file must hold a JSON object, and each of PARAM_KEYS and INIT_KEYS present a
-    finite JSON number: a bool, a string, null, NaN or an infinity raises ValueError
-    naming the file and the key."""
+    number finite as a double (`dataset.is_finite_number`): a bool, a string, null, NaN,
+    an infinity or an integer beyond the double range raises ValueError naming the file
+    and the key."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ValueError(f"params file {path} must hold a JSON object")
     for key in PARAM_KEYS + INIT_KEYS:
         value = doc.get(key, 0.0)
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not is_finite_number(value):
             raise ValueError(f"params file {path}: {key!r} takes a finite number, not {json.dumps(value)}")
     missing = [k for k in PARAM_KEYS if k not in doc]
     if missing:

@@ -20,6 +20,7 @@ from .dataset import (
     RegressorSpec,
     SimulationDiverged,
     build_regressors,
+    is_finite_number,
     load_csv,
     rmse,
     rmse_db,
@@ -76,7 +77,8 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
     `strict`, and is otherwise warned about and dropped, so `cfg` keeps the key tree of
     `ref`. An object where `ref` holds a plain value, or the reverse, raises; so does a
     value without its default's type: a float default also takes an int, an int default
-    does not take a bool, and the NULLABLE_KEYS also take null."""
+    does not take a bool, a number must be finite as a double (`is_finite_number`), and
+    the NULLABLE_KEYS also take null."""
     for key, value in doc.items():
         path = prefix + key
         if key.startswith("_"):
@@ -94,8 +96,10 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
             _apply(cfg[key], value, default, strict, path + ".")
             continue
         nullable = path in NULLABLE_KEYS
-        allowed = (int, float) if isinstance(default, float) else type(default)
-        typed = isinstance(value, allowed) and not isinstance(value, bool)
+        if isinstance(default, str):
+            typed = isinstance(value, str)
+        else:
+            typed = is_finite_number(value, integer=isinstance(default, int))
         if not typed and not (value is None and nullable):
             takes = _TYPE_NAMES[type(default)] + (" or null" if nullable else "")
             raise ValueError(f"config key {path!r} takes {takes}, not {json.dumps(value)}")

@@ -180,6 +180,18 @@ def rmse_db(value: float) -> float:
     return 20.0 * math.log10(value) if value > 0 else -math.inf
 
 
+def is_finite_number(value, integer: bool = False) -> bool:
+    """Whether a value read from JSON is a number that is finite as a double, and with
+    `integer` also an integer: a bool, NaN, an infinity and an integer beyond the double
+    range are not. The JSON readers of the config, parameter and model files all use it."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer too large for a double
+        return False
+
+
 def load_csv(path) -> TimeSeriesData:
     """Load a two-column (u, y) CSV; a single non-numeric header line is allowed.
 

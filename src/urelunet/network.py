@@ -5,12 +5,11 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RegressorSpec
+from .dataset import RegressorSpec, is_finite_number
 
 
 def transform(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -105,14 +104,14 @@ class UReluNet:
     """Trained network: linear transform V, frozen knot grid beta, output weights w.
 
     The knot grid is derived from the training data and stored with the model;
-    it is never recomputed at inference time.
+    it is never recomputed at inference time. Its first column beta[:, 0] is the
+    bottom of each dimension's training range, x_max the top.
     """
 
     V: np.ndarray
     q: int
     beta: np.ndarray
     w: np.ndarray
-    x_min: np.ndarray
     x_max: np.ndarray
     regressor_spec: RegressorSpec | None = field(default=None, compare=False)
 
@@ -120,7 +119,6 @@ class UReluNet:
         V = np.asarray(self.V, dtype=float)
         beta = np.atleast_2d(np.asarray(self.beta, dtype=float))
         w = np.asarray(self.w, dtype=float)
-        x_min = np.asarray(self.x_min, dtype=float)
         x_max = np.asarray(self.x_max, dtype=float)
         if self.q < 2:
             raise ValueError("q must be >= 2")
@@ -129,12 +127,11 @@ class UReluNet:
             raise ValueError(f"beta must be {n} x {self.q}, got {beta.shape}")
         if w.shape != (n * self.q + 1,):
             raise ValueError(f"w must have length n*q + 1 = {n * self.q + 1}, got {w.shape}")
-        if x_min.shape != (n,) or x_max.shape != (n,):
-            raise ValueError("x_min and x_max must be length-n vectors")
+        if x_max.shape != (n,):
+            raise ValueError("x_max must be a length-n vector")
         object.__setattr__(self, "V", V)
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x_min", x_min)
         object.__setattr__(self, "x_max", x_max)
 
     @property
@@ -165,42 +162,52 @@ class UReluNet:
                 if self.regressor_spec is not None
                 else None
             ),
-            "x_min": [float(v) for v in self.x_min],
             "x_max": [float(v) for v in self.x_max],
         }
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "UReluNet":
-        """Read a model that `to_json` wrote. A missing field, an m, n or q that is not an
-        integer, an entry of V, beta, w, x_min or x_max that is not a finite number (NaN,
-        an infinity, a string) and a knot row [beta_i, x_max_i] that decreases raise
-        ValueError naming the field."""
+        """Read a model that `to_json` wrote; keys it does not write are ignored.
+
+        A document that is not a JSON object, a missing field, an m, n or q that is not an
+        integer, an entry of V, beta, w or x_max that is not a number finite as a double
+        (`dataset.is_finite_number`), a regressor_spec other than null or integer lags
+        that `RegressorSpec` accepts with n_u + n_y + 1 = m, and a knot row
+        [beta_i, x_max_i] that decreases raise ValueError naming the field."""
         doc = json.loads(text)
-        missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_min", "x_max") if k not in doc]
+        if not isinstance(doc, dict):
+            raise ValueError("model JSON must hold a JSON object")
+        missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_max") if k not in doc]
         if missing:
             raise ValueError(f"model JSON has no field {', '.join(missing)}")
         for key in ("m", "n", "q"):
-            if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            if not is_finite_number(doc[key], integer=True):
                 raise ValueError(f"model field {key!r} takes an integer, not {doc[key]!r}")
-        for key in ("V", "beta", "w", "x_min", "x_max"):
+        for key in ("V", "beta", "w", "x_max"):
             for v in doc[key]:
-                if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                if not is_finite_number(v):
                     raise ValueError(f"model field {key!r} takes finite numbers, not {v!r}")
         m, n, q = doc["m"], doc["n"], doc["q"]
-        spec = doc.get("regressor_spec")
+        raw, spec = doc.get("regressor_spec"), None
+        if raw is not None:
+            lags = (raw.get("n_u"), raw.get("n_y")) if isinstance(raw, dict) else (None, None)
+            try:
+                if not all(is_finite_number(v, integer=True) for v in lags):
+                    raise ValueError("n_u and n_y must be integers")
+                spec = RegressorSpec(*lags)
+                if spec.m != m:
+                    raise ValueError(f"n_u + n_y + 1 must equal m = {m}")
+            except ValueError as exc:
+                shown = json.dumps(raw)
+                raise ValueError(f"model field 'regressor_spec' takes null or lags, not {shown}: {exc}") from None
         net = cls(
             V=np.array(doc["V"], dtype=float).reshape(m, n),
             q=q,
             beta=np.array(doc["beta"], dtype=float).reshape(n, q),
             w=np.array(doc["w"], dtype=float),
-            x_min=np.array(doc["x_min"], dtype=float),
             x_max=np.array(doc["x_max"], dtype=float),
-            regressor_spec=(
-                RegressorSpec(n_u=int(spec["n_u"]), n_y=int(spec["n_y"]))
-                if spec is not None
-                else None
-            ),
+            regressor_spec=spec,
         )
         falls = (np.diff(np.column_stack([net.beta, net.x_max]), axis=1) < 0).any(axis=1)
         if falls.any():
@@ -222,7 +229,6 @@ def make_net(
         q=q,
         beta=bias_grid(X, q),
         w=w,
-        x_min=X.min(axis=0),
         x_max=X.max(axis=0),
         regressor_spec=regressor_spec,
     )

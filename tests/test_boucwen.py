@@ -108,7 +108,9 @@ class TestParams:
         assert init == {"y0": 1e-4, "v0": 0.0, "z0": 2.0}
 
     @pytest.mark.parametrize("key", ["nu", "k_L", "z0"])
-    @pytest.mark.parametrize("value", [True, "5e4", None, float("nan")])
+    @pytest.mark.parametrize(
+        "value", [True, "5e4", None, float("nan"), pytest.param(10**400, id="401-digits")]
+    )
     def test_load_params_non_number_rejected(self, tmp_path, key, value):
         import json
 

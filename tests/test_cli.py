@@ -38,6 +38,11 @@ def run_main(argv):
     return rc, buf.getvalue(), err.getvalue()
 
 
+# the start of from_json's message for a regressor_spec it rejects, and one of its reasons
+SPEC_RULE = "model field 'regressor_spec' takes null or lags, not "
+NOT_INTEGERS = "n_u and n_y must be integers"
+
+
 def corrupt_model(path, key, index, value):
     """The model JSON at `path` with entry `index` of field `key` (the whole field when
     `index` is None) set to `value`."""
@@ -234,6 +239,13 @@ class TestConfig:
             ("datagen.excitation.amplitude_rms=loud", "a number"),
             ("paths.model=5", "a string"),
             ("init.max_points=2.5", "an integer or null"),
+            ("datagen.excitation.amplitude_rms=NaN", "a number"),
+            ("datagen.excitation.amplitude_rms=Infinity", "a number"),
+            # a JSON integer beyond the double range
+            pytest.param(
+                f"datagen.excitation.amplitude_rms={10**400}", "a number", id="amplitude_rms=401-digits"
+            ),
+            pytest.param(f"datagen.train_samples={10**400}", "an integer", id="train_samples=401-digits"),
         ],
     )
     def test_set_value_of_wrong_type_rejected(self, setting, takes):
@@ -355,7 +367,7 @@ class TestDatagen:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-120", "-120"), ("NaN", "nan")])
+    @pytest.mark.parametrize("value, shown", [("0", "0"), ("-120", "-120")])
     def test_non_positive_amplitude_exit_code(self, tmp_path, value, shown):
         rc, out, err = run_main(
             small_datagen_args(tmp_path)
@@ -762,8 +774,16 @@ class TestEval:
             ("q", None, 8.7, "model field 'q' takes an integer, not 8.7"),
             ("beta", 1, -1e300, "model knot row 0 of [beta, x_max] decreases"),
             ("x_max", 0, -1e300, "model knot row 0 of [beta, x_max] decreases"),
+            ("w", 0, 10**400, f"model field 'w' takes finite numbers, not {10**400}"),
+            ("regressor_spec", "n_u", 4.5, SPEC_RULE + '{"n_u": 4.5, "n_y": 4}: ' + NOT_INTEGERS),
+            ("regressor_spec", None, {"n_y": 4}, SPEC_RULE + '{"n_y": 4}: ' + NOT_INTEGERS),
+            ("regressor_spec", "n_u", True, SPEC_RULE + '{"n_u": true, "n_y": 4}: ' + NOT_INTEGERS),
+            ("regressor_spec", "n_u", 6, SPEC_RULE + '{"n_u": 6, "n_y": 4}: n_u + n_y + 1 must equal m = 10'),
         ],
-        ids=["nan-weight", "infinite-knot", "string-entry", "fractional-q", "knot-falls", "x_max-falls"],
+        ids=[
+            "nan-weight", "infinite-knot", "string-entry", "fractional-q", "knot-falls", "x_max-falls",
+            "401-digit-weight", "fractional-n_u", "no-n_u", "bool-n_u", "spec-not-m",
+        ],
     )
     def test_corrupt_model_rejected(self, desk_pipeline, tmp_path, key, index, value, detail):
         # a corrupt model file is a bad input, not a diverged free run
@@ -807,7 +827,7 @@ class TestEval:
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V
-        assert np.any(X < net.x_min)
+        assert np.any(X < net.beta[:, 0])
         seed_len = max(spec.n_u, spec.n_y)
         y_s = simulate_free_run(net, rec.u, rec.y[:seed_len], spec)
         assert np.all(np.isfinite(y_s))

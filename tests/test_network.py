@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,13 +239,22 @@ def test_json_round_trip():
     np.testing.assert_array_equal(clone.V, net.V)
     np.testing.assert_array_equal(clone.beta, net.beta)
     np.testing.assert_array_equal(clone.w, net.w)
-    np.testing.assert_array_equal(clone.x_min, net.x_min)
     np.testing.assert_array_equal(clone.x_max, net.x_max)
     assert clone.regressor_spec == net.regressor_spec
     # determinism of the serialized form
     assert clone.to_json() == net.to_json()
+    # a file that still holds x_min, the bottom of each knot row, loads to the same network
+    doc = json.loads(net.to_json())
+    doc["x_min"] = [float(v) for v in net.beta[:, 0]]
+    assert UReluNet.from_json(json.dumps(doc)).to_json() == net.to_json()
 
 
 def test_from_json_names_a_missing_field():
-    with pytest.raises(ValueError, match="no field n, q, V, beta, w, x_min, x_max"):
+    with pytest.raises(ValueError, match="no field n, q, V, beta, w, x_max"):
         UReluNet.from_json('{"m": 2}')
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 3, "fit", None])
+def test_from_json_rejects_a_non_object(doc):
+    with pytest.raises(ValueError, match="model JSON must hold a JSON object"):
+        UReluNet.from_json(json.dumps(doc))

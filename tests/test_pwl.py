@@ -82,10 +82,10 @@ class TestAffineInRegion:
         V = np.array([[1.0, 1.0], [1.0, -1.0]])
         w = np.array([0.5, 2.0, -1.0, 0.25, -3.0, 0.5, 4.0])
         beta = np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 2.0]])
-        net = UReluNet(V=V, q=3, beta=beta, w=w, x_min=[0.0, 0.0], x_max=[3.0, 3.0])
+        net = UReluNet(V=V, q=3, beta=beta, w=w, x_max=[3.0, 3.0])
         U = np.array([[-1.0, -0.5], [-2.0, 0.5], [0.25, -1.0]])
         X = transform(U, V)
-        assert np.all(X.min(axis=1) < net.x_min.min())  # each row leaves the grid
+        assert np.all(X.min(axis=1) < net.beta[:, 0].min())  # each row leaves the grid
         y = forward(net, U)
         maps = region_maps(net)
         for u, x, yk in zip(U, X, y):
