@@ -3,14 +3,13 @@ excitation, zero-phase decimation."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
 
-from .dataset import is_finite_number
+from .dataset import is_finite_number, parse_json_object
 
 BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
 NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
@@ -213,21 +212,19 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
 def load_params(path) -> tuple[BoucWenParams, dict]:
     """Read a parameter JSON file; returns (params, initial_conditions).
 
-    The file must hold a JSON object, and each of PARAM_KEYS and INIT_KEYS present a
-    number finite as a double (`dataset.is_finite_number`): a bool, a string, null, NaN,
-    an infinity or an integer beyond the double range raises ValueError naming the file
-    and the key."""
+    The file must hold a JSON object (`dataset.parse_json_object`) with every PARAM_KEYS
+    key, and each of PARAM_KEYS and INIT_KEYS present a number finite as a double
+    (`dataset.is_finite_number`); anything else raises ValueError naming the file."""
+    where = f"params file {path}"
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"params file {path} must hold a JSON object")
+        doc = parse_json_object(fh.read(), where)
     for key in PARAM_KEYS + INIT_KEYS:
         value = doc.get(key, 0.0)
         if not is_finite_number(value):
-            raise ValueError(f"params file {path}: {key!r} takes a finite number, not {json.dumps(value)}")
+            raise ValueError(f"{where}: {key!r} takes a finite number, not {value!r}")
     missing = [k for k in PARAM_KEYS if k not in doc]
     if missing:
-        raise ValueError(f"Bouc-Wen parameters lack {', '.join(missing)}")
+        raise ValueError(f"{where} lacks {', '.join(missing)}")
     params = BoucWenParams(**{k: float(doc[k]) for k in PARAM_KEYS})
     init = {k: float(doc.get(k, 0.0)) for k in INIT_KEYS}
     return params, init

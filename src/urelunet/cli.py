@@ -22,6 +22,7 @@ from .dataset import (
     build_regressors,
     is_finite_number,
     load_csv,
+    parse_json_object,
     rmse,
     rmse_db,
     save_csv,
@@ -115,18 +116,15 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     sources = []
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        sources.append((f"config file {path}", doc, False))
+        where = f"config file {path}"
+        sources.append((where, parse_json_object(Path(path).read_text(encoding="utf-8"), where), False))
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
             raise ValueError(f"override must look like section.key=value: {item!r}")
         try:
             doc = json.loads(raw)
-        except json.JSONDecodeError:
+        except (ValueError, RecursionError):  # what parse_json_object rejects is a string
             doc = raw
         for part in reversed(key.split(".")):
             doc = {part: doc}
@@ -324,8 +322,11 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
 
 
 def _load_model(path: str) -> UReluNet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return UReluNet.from_json(fh.read())
+    text = Path(path).read_text(encoding="utf-8")
+    try:
+        return UReluNet.from_json(text)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"model file {path}: {exc}") from None
 
 
 def _free_run_inputs(cfg: dict):

@@ -28,18 +28,6 @@ class CpdFactors:
     # the final error of each restart `cpd_als` attempted, None where it was singular
     restart_errors: tuple[float | None, ...] = field(default=(), compare=False)
 
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        C = np.asarray(self.C, dtype=float)
-        if A.shape[1] != self.r or B.shape[1] != self.r or C.shape[1] != self.r:
-            raise ValueError("factor column counts must equal r")
-        if A.shape[0] != B.shape[0]:
-            raise ValueError("modes 1 and 2 must have equal dimension")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
 
 def cpd_als(
     tensor: HessianTensor,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -190,6 +191,20 @@ def is_finite_number(value, integer: bool = False) -> bool:
         return math.isfinite(value)
     except OverflowError:  # an integer too large for a double
         return False
+
+
+def parse_json_object(text: str, where: str) -> dict:
+    """The JSON object in `text`, as the config, parameter and model readers parse it: an
+    error of the parse (bad syntax, an integer over Python's digit limit, nesting too deep
+    to recurse) or a document that is not an object raises one ValueError that starts
+    with `where`."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{where}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must hold a JSON object")
+    return doc
 
 
 def load_csv(path) -> TimeSeriesData:

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RegressorSpec, is_finite_number
+from .dataset import RegressorSpec, is_finite_number, parse_json_object
 
 
 def transform(U: np.ndarray, V: np.ndarray) -> np.ndarray:
@@ -170,20 +170,19 @@ class UReluNet:
     def from_json(cls, text: str) -> "UReluNet":
         """Read a model that `to_json` wrote; keys it does not write are ignored.
 
-        A document that is not a JSON object, a missing field, an m, n or q that is not an
-        integer, an entry of V, beta, w or x_max that is not a number finite as a double
-        (`dataset.is_finite_number`), a regressor_spec other than null or integer lags
-        that `RegressorSpec` accepts with n_u + n_y + 1 = m, and a knot row
-        [beta_i, x_max_i] that decreases raise ValueError naming the field."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("model JSON must hold a JSON object")
+        Text that `dataset.parse_json_object` rejects, a missing field, an m or n that is
+        not an integer >= 1 or a q that is not an integer >= 2, an entry of V, beta, w or
+        x_max that is not a number finite as a double (`dataset.is_finite_number`), a
+        regressor_spec other than null or integer lags that `RegressorSpec` accepts with
+        n_u + n_y + 1 = m, and a knot row [beta_i, x_max_i] that decreases raise
+        ValueError naming the field."""
+        doc = parse_json_object(text, "model JSON")
         missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_max") if k not in doc]
         if missing:
             raise ValueError(f"model JSON has no field {', '.join(missing)}")
-        for key in ("m", "n", "q"):
-            if not is_finite_number(doc[key], integer=True):
-                raise ValueError(f"model field {key!r} takes an integer, not {doc[key]!r}")
+        for key, low in (("m", 1), ("n", 1), ("q", 2)):  # before a reshape infers a -1
+            if not is_finite_number(doc[key], integer=True) or doc[key] < low:
+                raise ValueError(f"model field {key!r} takes an integer >= {low}, not {doc[key]!r}")
         for key in ("V", "beta", "w", "x_max"):
             for v in doc[key]:
                 if not is_finite_number(v):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RegressionDataset
+from .dataset import RegressionDataset, parse_json_object
 
 # Hard cap on enumerated candidate terms. FROLS forms no candidate matrix, so
 # this bounds the term list and the K-length vectors FROLS keeps per candidate
@@ -75,7 +75,7 @@ class PolyNarxModel:
 
     @classmethod
     def from_json(cls, text: str) -> "PolyNarxModel":
-        doc = json.loads(text)
+        doc = parse_json_object(text, "polynomial model JSON")
         return cls(
             terms=tuple(PolyTerm(tuple(e)) for e in doc["terms"]),
             coeffs=np.array(doc["coeffs"], dtype=float),

@@ -119,6 +119,14 @@ class TestParams:
         with pytest.raises(ValueError, match=re.escape(f"{path}: '{key}' takes a finite number")):
             load_params(path)
 
+    def test_load_params_missing_key_names_the_file(self, tmp_path):
+        import json
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({k: v for k, v in DESK.items() if k != "k_L"}))
+        with pytest.raises(ValueError, match=re.escape(f"params file {path} lacks k_L")):
+            load_params(path)
+
     def test_load_params_non_object_rejected(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_text("[1, 2]")

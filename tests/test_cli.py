@@ -273,6 +273,43 @@ class TestConfig:
         assert "missing_file" in err
 
 
+# (config, params or model file text, --set value) for a cut-off document, an integer
+# over Python's 4,300-digit limit on int(str), which json.loads enforces, and arrays
+# nested too deep for the parser's recursion
+DEEP = "[" * 100_000 + "]" * 100_000
+UNREADABLE = {
+    "truncated": ('{"seed": 2,\n', "[4096"),
+    "5001-digit-integer": ('{"seed": ' + "9" * 5001 + "}", "9" * 5001),
+    "deeply-nested": ('{"seed": ' + DEEP + "}", DEEP),
+}
+
+
+@pytest.mark.parametrize("defect", list(UNREADABLE))
+@pytest.mark.parametrize("source", ["config", "set", "params", "model-eval", "model-regions"])
+def test_unreadable_input_names_its_source(tmp_path, source, defect):
+    text, value = UNREADABLE[defect]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    argv = ["--set", f"paths.train={tmp_path / 'train.csv'}",
+            "--set", f"paths.validation={tmp_path / 'validation.csv'}"]
+    # a Python built without the digit limit parses the integer, and the number rule
+    # rejects it, so only the naming of the file or key is checked
+    argv, named = {
+        "config": (["--config", str(path)] + argv + ["datagen"], f"config file {path}"),
+        "set": (argv + ["--set", f"datagen.train_samples={value}", "datagen"],
+                "--set 'datagen.train_samples': "),
+        "params": (argv + ["--set", f"datagen.params_file={path}", "datagen"], f"params file {path}"),
+        "model-eval": (argv + ["--set", f"paths.model={path}", "eval"], f"model file {path}: "),
+        "model-regions": (argv + ["--set", f"paths.model={path}", "regions",
+                                  "--output", str(tmp_path / "regions.jsonl")], f"model file {path}: "),
+    }[source]
+    rc, out, err = run_main(argv)
+    assert rc == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith(f"error={named}")
+    # nothing was written
+    assert list(tmp_path.iterdir()) == [path]
+
+
 class TestDatagen:
     def test_outputs(self, desk_pipeline):
         kv = desk_pipeline["datagen"]
@@ -763,7 +800,7 @@ class TestEval:
         model.write_text('{"m": 2}')
         rc, _, err = run_main(["--set", f"paths.model={model}", command])
         assert rc == 1
-        assert err.startswith("error=model JSON has no field n,")
+        assert err.startswith(f"error=model file {model}: model JSON has no field n,")
 
     @pytest.mark.parametrize(
         "key, index, value, detail",
@@ -771,7 +808,12 @@ class TestEval:
             ("w", 5, math.nan, "model field 'w' takes finite numbers, not nan"),
             ("beta", 0, math.inf, "model field 'beta' takes finite numbers, not inf"),
             ("V", 0, "0.5", "model field 'V' takes finite numbers, not '0.5'"),
-            ("q", None, 8.7, "model field 'q' takes an integer, not 8.7"),
+            ("q", None, 8.7, "model field 'q' takes an integer >= 2, not 8.7"),
+            ("m", None, -1, "model field 'm' takes an integer >= 1, not -1"),
+            ("m", None, 0, "model field 'm' takes an integer >= 1, not 0"),
+            ("n", None, -1, "model field 'n' takes an integer >= 1, not -1"),
+            ("n", None, 0, "model field 'n' takes an integer >= 1, not 0"),
+            ("q", None, 0, "model field 'q' takes an integer >= 2, not 0"),
             ("beta", 1, -1e300, "model knot row 0 of [beta, x_max] decreases"),
             ("x_max", 0, -1e300, "model knot row 0 of [beta, x_max] decreases"),
             ("w", 0, 10**400, f"model field 'w' takes finite numbers, not {10**400}"),
@@ -781,7 +823,8 @@ class TestEval:
             ("regressor_spec", "n_u", 6, SPEC_RULE + '{"n_u": 6, "n_y": 4}: n_u + n_y + 1 must equal m = 10'),
         ],
         ids=[
-            "nan-weight", "infinite-knot", "string-entry", "fractional-q", "knot-falls", "x_max-falls",
+            "nan-weight", "infinite-knot", "string-entry", "fractional-q",
+            "negative-m", "zero-m", "negative-n", "zero-n", "zero-q", "knot-falls", "x_max-falls",
             "401-digit-weight", "fractional-n_u", "no-n_u", "bool-n_u", "spec-not-m",
         ],
     )
@@ -796,7 +839,7 @@ class TestEval:
         )
         assert rc == 1
         assert out == ""
-        assert err == f"error={detail}\n"
+        assert err == f"error=model file {model}: {detail}\n"
 
     def test_exact_free_run_is_minus_inf_db(self, desk_pipeline, tmp_path):
         # the network's own free run as the validation record: eval reproduces it exactly
@@ -880,7 +923,7 @@ class TestRegions:
         out = tmp_path / "regions.jsonl"
         rc, _, err = run_main(["--set", f"paths.model={model}", "regions", "--output", str(out)])
         assert rc == 1
-        assert err == "error=model field 'w' takes finite numbers, not nan\n"
+        assert err == f"error=model file {model}: model field 'w' takes finite numbers, not nan\n"
         assert not out.exists()
 
     def test_negative_limit_rejected(self, desk_pipeline, tmp_path):
