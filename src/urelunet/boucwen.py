@@ -164,7 +164,11 @@ def multisine(
     seed: int = 0,
 ) -> np.ndarray:
     """Random-phase multisine: equal-amplitude cosines on every DFT bin in the band,
-    scaled to the requested RMS. The signal is periodic over n_samples."""
+    scaled to the requested RMS. The signal is periodic over n_samples.
+
+    The sum over bins k of cos(2 pi k t / n_samples + phase_k) is one inverse real FFT
+    with X[k] = (n_samples / 2) exp(i phase_k); a bin at Nyquist (k = n_samples / 2,
+    which rounding can let into the band) is real, so it holds n_samples cos(phase_k)."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be >= 1, not {n_samples}")
     if not 0 <= f_min < f_max < fs / 2:
@@ -178,16 +182,11 @@ def multisine(
         raise ValueError("excitation band contains no DFT bins")
     rng = np.random.default_rng(seed)
     phases = rng.uniform(0.0, 2.0 * np.pi, size=k_hi - k_lo + 1)
-    t = np.arange(n_samples, dtype=float)
-    x = np.zeros(n_samples)
-    # each bin is cos(2 pi k t / n_samples + phase), evaluated in that order in one buffer
-    buf = np.empty(n_samples)
-    for k, ph in zip(range(k_lo, k_hi + 1), phases):
-        np.multiply(t, 2.0 * np.pi * k, out=buf)
-        np.divide(buf, n_samples, out=buf)
-        np.add(buf, ph, out=buf)
-        np.cos(buf, out=buf)
-        x += buf
+    X = np.zeros(n_samples // 2 + 1, dtype=complex)
+    X[k_lo : k_hi + 1] = (n_samples / 2) * np.exp(1j * phases)
+    if 2 * k_hi == n_samples:
+        X[k_hi] = n_samples * np.cos(phases[-1])
+    x = np.fft.irfft(X, n_samples)
     rms = np.sqrt(np.mean(x**2))
     if rms == 0:
         raise ValueError("degenerate multisine (zero RMS)")
@@ -216,7 +215,7 @@ def load_params(path) -> tuple[BoucWenParams, dict]:
     key, and each of PARAM_KEYS and INIT_KEYS present a number finite as a double
     (`dataset.is_finite_number`); anything else raises ValueError naming the file."""
     where = f"params file {path}"
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         doc = parse_json_object(fh.read(), where)
     for key in PARAM_KEYS + INIT_KEYS:
         value = doc.get(key, 0.0)

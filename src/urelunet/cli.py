@@ -69,6 +69,8 @@ DEFAULT_CONFIG = {
 # Config keys that also take null; for init.max_points it means CPD on every point.
 NULLABLE_KEYS = {"init.max_points"}
 _TYPE_NAMES = {float: "a number", int: "an integer", str: "a string"}
+# A rejected value is shown as JSON, cut to this many characters.
+SHOWN_VALUE_CHARS = 40
 
 
 def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> None:
@@ -79,7 +81,7 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
     `ref`. An object where `ref` holds a plain value, or the reverse, raises; so does a
     value without its default's type: a float default also takes an int, an int default
     does not take a bool, a number must be finite as a double (`is_finite_number`), and
-    the NULLABLE_KEYS also take null."""
+    the NULLABLE_KEYS also take null. The error shows the value cut to SHOWN_VALUE_CHARS."""
     for key, value in doc.items():
         path = prefix + key
         if key.startswith("_"):
@@ -103,7 +105,10 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
             typed = is_finite_number(value, integer=isinstance(default, int))
         if not typed and not (value is None and nullable):
             takes = _TYPE_NAMES[type(default)] + (" or null" if nullable else "")
-            raise ValueError(f"config key {path!r} takes {takes}, not {json.dumps(value)}")
+            shown = json.dumps(value)
+            if len(shown) > SHOWN_VALUE_CHARS:
+                shown = f"{shown[:SHOWN_VALUE_CHARS]}... ({len(shown)} characters)"
+            raise ValueError(f"config key {path!r} takes {takes}, not {shown}")
         cfg[key] = value
 
 
@@ -117,7 +122,7 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
     sources = []
     if path is not None:
         where = f"config file {path}"
-        sources.append((where, parse_json_object(Path(path).read_text(encoding="utf-8"), where), False))
+        sources.append((where, parse_json_object(Path(path).read_bytes(), where), False))
     for item in overrides:
         key, sep, raw = item.partition("=")
         if not sep:
@@ -322,9 +327,9 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
 
 
 def _load_model(path: str) -> UReluNet:
-    text = Path(path).read_text(encoding="utf-8")
+    raw = Path(path).read_bytes()
     try:
-        return UReluNet.from_json(text)
+        return UReluNet.from_json(raw)
     except (ValueError, TypeError) as exc:
         raise ValueError(f"model file {path}: {exc}") from None
 

@@ -193,14 +193,14 @@ def is_finite_number(value, integer: bool = False) -> bool:
         return False
 
 
-def parse_json_object(text: str, where: str) -> dict:
-    """The JSON object in `text`, as the config, parameter and model readers parse it: an
-    error of the parse (bad syntax, an integer over Python's digit limit, nesting too deep
-    to recurse) or a document that is not an object raises one ValueError that starts
-    with `where`."""
+def parse_json_object(text: str | bytes, where: str) -> dict:
+    """The JSON object in `text` (or in the bytes of a file, decoded as UTF-8), as the
+    config, parameter and model readers parse it: an error of the decode or of the parse
+    (bad syntax, an integer over Python's digit limit, nesting too deep to recurse) or a
+    document that is not an object raises one ValueError that starts with `where`."""
     try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
+        doc = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(f"{where}: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{where} must hold a JSON object")

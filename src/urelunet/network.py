@@ -167,7 +167,7 @@ class UReluNet:
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "UReluNet":
+    def from_json(cls, text: str | bytes) -> "UReluNet":
         """Read a model that `to_json` wrote; keys it does not write are ignored.
 
         Text that `dataset.parse_json_object` rejects, a missing field, an m or n that is

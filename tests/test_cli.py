@@ -263,6 +263,14 @@ class TestConfig:
         cfg = cli.load_config(str(p), ["datagen.excitation.amplitude_rms=90.5"])
         assert cfg["datagen"]["excitation"]["amplitude_rms"] == 90.5
 
+    def test_long_rejected_value_cut(self):
+        # a Python with the digit limit reads the value as a string, one without as an int
+        rc, out, err = run_main(["--set", "datagen.train_samples=" + "9" * 5001, "datagen"])
+        assert rc == 1 and out == ""
+        assert len(err.splitlines()) == 1 and len(err) < 200
+        assert err.startswith("error=--set 'datagen.train_samples': config key 'datagen.train_samples'")
+        assert err.rstrip().endswith("characters)")
+
     def test_malformed_override_rejected(self):
         with pytest.raises(ValueError):
             cli.load_config(None, ["no_equals_sign"])
@@ -273,14 +281,16 @@ class TestConfig:
         assert "missing_file" in err
 
 
-# (config, params or model file text, --set value) for a cut-off document, an integer
-# over Python's 4,300-digit limit on int(str), which json.loads enforces, and arrays
-# nested too deep for the parser's recursion
+# (config, params or model file bytes, --set value) for a cut-off document, an integer
+# over Python's 4,300-digit limit on int(str), which json.loads enforces, arrays nested
+# too deep for the parser's recursion, and a byte that is not UTF-8 (which reaches a
+# --set value as a lone surrogate)
 DEEP = "[" * 100_000 + "]" * 100_000
 UNREADABLE = {
-    "truncated": ('{"seed": 2,\n', "[4096"),
-    "5001-digit-integer": ('{"seed": ' + "9" * 5001 + "}", "9" * 5001),
-    "deeply-nested": ('{"seed": ' + DEEP + "}", DEEP),
+    "truncated": (b'{"seed": 2,\n', "[4096"),
+    "5001-digit-integer": (b'{"seed": ' + b"9" * 5001 + b"}", "9" * 5001),
+    "deeply-nested": (('{"seed": ' + DEEP + "}").encode(), DEEP),
+    "not-utf-8": (b'{"seed": \xff}', "\udcff"),
 }
 
 
@@ -289,7 +299,7 @@ UNREADABLE = {
 def test_unreadable_input_names_its_source(tmp_path, source, defect):
     text, value = UNREADABLE[defect]
     path = tmp_path / "input.json"
-    path.write_text(text)
+    path.write_bytes(text)
     argv = ["--set", f"paths.train={tmp_path / 'train.csv'}",
             "--set", f"paths.validation={tmp_path / 'validation.csv'}"]
     # a Python built without the digit limit parses the integer, and the number rule
