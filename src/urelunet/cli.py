@@ -286,7 +286,7 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
         cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
         Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
         cpd_report = {
-            "status": "converged" if factors.converged else "max_iter",
+            "status": factors.status,
             "iterations": factors.iterations,
             "rel_error": factors.rel_error,
             "restart_errors": list(factors.restart_errors),
@@ -335,17 +335,17 @@ def _load_model(path: str) -> UReluNet:
 
 
 def _free_run_inputs(cfg: dict):
-    """The model, the validation record, the regressor spec (the model's, else the
-    config's) and the seed length of a free run, as `eval` and `simulate` use them."""
+    """The model, the validation record and the regressor spec (the model's, else the
+    config's) of a free run, as `eval` and `simulate` use them."""
     net = _load_model(cfg["paths"]["model"])
     data = load_csv(cfg["paths"]["validation"])
-    spec = net.regressor_spec or _spec(cfg)
-    return net, data, spec, spec.max_lag
+    return net, data, net.regressor_spec or _spec(cfg)
 
 
-def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec, seed_len: int):
-    """(rmse, None) of `model`'s free run on `data`, or (None, index) when the run diverges:
-    a non-finite prediction, or a finite run too large to square or sum."""
+def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
+    """(rmse, None) of `model`'s free run on `data` from its first `spec.max_lag` outputs,
+    or (None, index) when it diverges: a non-finite prediction, or a run too large to square or sum."""
+    seed_len = spec.max_lag
     try:
         y_s = simulate_free_run(model, data.u, data.y[:seed_len], spec)
     except SimulationDiverged as exc:
@@ -362,25 +362,25 @@ def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec, seed_len: 
 
 
 def cmd_eval(cfg: dict) -> int:
-    net, data, spec, seed_len = _free_run_inputs(cfg)
+    net, data, spec = _free_run_inputs(cfg)
     # the affine baseline [1, U] w, least squares on the training record's regressors
     train_ds = build_regressors(load_csv(cfg["paths"]["train"]), spec)
     w, _ = solve_weights(train_ds.U, train_ds.y)
-    value, div_index = _score_free_run(net, data, spec, seed_len)
+    value, div_index = _score_free_run(net, data, spec)
     ds = build_regressors(data, spec)
     cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
     if value is None:
         print("diverged=true")
         print(f"divergence_index={div_index}")
     else:
-        n_s = len(data) - seed_len
+        n_s = len(data) - spec.max_lag
         print("diverged=false")
         print(f"n_s={n_s}")
         print(f"rmse={value:.6e}")
         print(f"rmse_db={rmse_db(value):.4f}")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
-    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, spec, seed_len)
+    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, spec)
     print(f"affine_diverged={str(affine is None).lower()}")
     if affine is None:
         print(f"affine_divergence_index={aff_index}")
@@ -392,8 +392,8 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict, output: str | None) -> int:
-    net, data, spec, seed_len = _free_run_inputs(cfg)
-    y_s = simulate_free_run(net, data.u, data.y[:seed_len], spec)
+    net, data, spec = _free_run_inputs(cfg)
+    y_s = simulate_free_run(net, data.u, data.y[: spec.max_lag], spec)
     out = output or "simulated.csv"
     save_csv(out, TimeSeriesData(u=data.u, y=y_s))
     print(f"output={out} rows={len(y_s)}")

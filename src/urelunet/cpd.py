@@ -23,8 +23,8 @@ class CpdFactors:
     rel_error: float = field(default=np.nan, compare=False)
     iterations: int = field(default=0, compare=False)
     error_history: tuple[float, ...] = field(default=(), compare=False)
-    # whether the `tol` test on the error or its change stopped ALS, not the iteration cap
-    converged: bool = field(default=False, compare=False)
+    # "converged" when the `tol` test on the error or its change stopped ALS, else "max_iter"
+    status: str = field(default="max_iter", compare=False)
     # the final error of each restart `cpd_als` attempted, None where it was singular
     restart_errors: tuple[float | None, ...] = field(default=(), compare=False)
 
@@ -74,10 +74,11 @@ def cpd_als(
     normT2 = float(np.sum(data * data))
     if normT2 == 0.0:
         rng = np.random.default_rng(seed)
-        A = _unit_columns(rng.standard_normal((m, r)))
+        A = rng.standard_normal((m, r))
+        A /= np.linalg.norm(A, axis=0)
         C = np.zeros((N, r))
         return CpdFactors(
-            A=A, B=A.copy(), C=C, r=r, rel_error=0.0, converged=True, restart_errors=(0.0,)
+            A=A, B=A.copy(), C=C, r=r, rel_error=0.0, status="converged", restart_errors=(0.0,)
         )
 
     G, Q = _compress_mode3(data) if basis is None else (data, basis)
@@ -126,12 +127,9 @@ def _als_run(G, Q, r, max_iter, tol, rng, normT2) -> CpdFactors:
     # the first A and B updates use the Gram of the full start C0, as ALS on T
     # does; from the first C update on, C^T C equals the Gram of the lift Q C
     CtC = C0.T @ C0
-    prev = np.inf
-    err = np.inf
-    it = 0
-    converged = False
     history = []
-    for it in range(1, max_iter + 1):
+    status = "max_iter"
+    for _ in range(max_iter):
         A = _solve_mode(G1 @ _khatri_rao(B, C), (B.T @ B) * CtC)
         B = _solve_mode(G2 @ _khatri_rao(A, C), (A.T @ A) * CtC)
         AB = _khatri_rao(A, B)
@@ -144,19 +142,18 @@ def _als_run(G, Q, r, max_iter, tol, rng, normT2) -> CpdFactors:
         history.append(float(err))
         # err is already relative to ||T||; the change test alone never fires once
         # the error wobbles at rounding level
-        if err <= tol or np.isfinite(prev) and abs(prev - err) <= tol * max(err, 1e-300):
-            converged = True
+        if err <= tol or len(history) > 1 and abs(history[-2] - err) <= tol * max(err, 1e-300):
+            status = "converged"
             break
-        prev = err
     return CpdFactors(
         A=A,
         B=B,
         C=Q @ C,
         r=r,
-        rel_error=float(err),
-        iterations=it,
+        rel_error=history[-1],
+        iterations=len(history),
         error_history=tuple(history),
-        converged=converged,
+        status=status,
     )
 
 
@@ -165,12 +162,6 @@ def _solve_mode(M, gram):
     # singularity still raises and triggers a restart
     gram = gram + np.eye(gram.shape[0]) * (1e-14 * max(np.trace(gram), 1e-300))
     return np.linalg.solve(gram, M.T).T
-
-
-def _unit_columns(V: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(V, axis=0)
-    norms[norms == 0] = 1.0
-    return V / norms
 
 
 def symmetrize_to_V(factors: CpdFactors) -> np.ndarray:
@@ -193,11 +184,8 @@ def symmetrize_to_V(factors: CpdFactors) -> np.ndarray:
                 f"factor columns {l} nearly orthogonal (|cos|={abs(cos):.3f}); "
                 "mode-1/2 symmetry assumption likely violated"
             )
-        v = a / na + np.copysign(1.0, cos) * b / nb
-        nv = np.linalg.norm(v)
-        if nv == 0:
-            raise ValueError(f"factor column {l} cancelled during averaging")
-        V[:, l] = v / nv
+        v = a / na + np.copysign(1.0, cos) * b / nb  # ||v||^2 = 2 + 2|cos| >= 2, never 0
+        V[:, l] = v / np.linalg.norm(v)
     return V
 
 

@@ -208,13 +208,14 @@ def parse_json_object(text: str | bytes, where: str) -> dict:
 
 
 def load_csv(path) -> TimeSeriesData:
-    """Load a two-column (u, y) CSV; a single non-numeric header line is allowed.
+    """Load a two-column (u, y) CSV; a single non-numeric header line and a leading
+    UTF-8 byte-order mark are allowed.
 
     Every value must be finite: a nan or inf is rejected with its line, rather
     than read in and later mistaken for a diverged free run.
     """
     rows: list[tuple[float, float]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

@@ -171,8 +171,9 @@ class UReluNet:
         """Read a model that `to_json` wrote; keys it does not write are ignored.
 
         Text that `dataset.parse_json_object` rejects, a missing field, an m or n that is
-        not an integer >= 1 or a q that is not an integer >= 2, an entry of V, beta, w or
-        x_max that is not a number finite as a double (`dataset.is_finite_number`), a
+        not an integer >= 1 or a q that is not an integer >= 2, a V, beta, w or x_max that
+        is not a list of m*n, n*q, n*q + 1 or n entries, an entry of them that is not a
+        number finite as a double (`dataset.is_finite_number`), a
         regressor_spec other than null or integer lags that `RegressorSpec` accepts with
         n_u + n_y + 1 = m, and a knot row [beta_i, x_max_i] that decreases raise
         ValueError naming the field."""
@@ -183,11 +184,16 @@ class UReluNet:
         for key, low in (("m", 1), ("n", 1), ("q", 2)):  # before a reshape infers a -1
             if not is_finite_number(doc[key], integer=True) or doc[key] < low:
                 raise ValueError(f"model field {key!r} takes an integer >= {low}, not {doc[key]!r}")
-        for key in ("V", "beta", "w", "x_max"):
-            for v in doc[key]:
+        m, n, q = doc["m"], doc["n"], doc["q"]
+        sizes = (("V", "m*n", m * n), ("beta", "n*q", n * q), ("w", "n*q + 1", n * q + 1), ("x_max", "n", n))
+        for key, rule, size in sizes:
+            value = doc[key]
+            if not isinstance(value, list) or len(value) != size:
+                got = f"a list of {len(value)}" if isinstance(value, list) else repr(value)
+                raise ValueError(f"model field {key!r} takes a list of {rule} = {size} numbers, not {got}")
+            for v in value:
                 if not is_finite_number(v):
                     raise ValueError(f"model field {key!r} takes finite numbers, not {v!r}")
-        m, n, q = doc["m"], doc["n"], doc["q"]
         raw, spec = doc.get("regressor_spec"), None
         if raw is not None:
             lags = (raw.get("n_u"), raw.get("n_y")) if isinstance(raw, dict) else (None, None)

@@ -265,23 +265,21 @@ def frols_select(
     esr = 1.0
     drop_tol = 1e-10
     for k in range(max_terms):
-        ok = alive.copy()
-        ok[selected] = False
-        degenerate = ok & (wn2 <= drop_tol)
+        degenerate = alive & (wn2 <= drop_tol)
         if degenerate.any():
             warnings.warn(
                 f"{int(degenerate.sum())} candidate columns numerically zero after "
                 "orthogonalization; skipped"
             )
             alive[degenerate] = False
-            ok[degenerate] = False
-        if not ok.any():
+        if not alive.any():
             if not selected:
                 raise ValueError("all candidate columns are degenerate")
             break
         err = np.zeros(K)
-        err[ok] = wy[ok] ** 2 / (wn2[ok] * yty)
+        err[alive] = wy[alive] ** 2 / (wn2[alive] * yty)
         best = int(np.argmax(err))
+        alive[best] = False  # a selected term is never a candidate again
         selected.append(best)
         err_values.append(float(err[best]))
         esr -= err[best]

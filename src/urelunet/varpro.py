@@ -259,10 +259,8 @@ def train(
     r = vp_residual(V, dataset, q, cache=cache)
     if not np.all(np.isfinite(r)):
         raise ValueError("non-finite residual at the initial transform")
-    cost = float(r @ r)
-    history = [cost]
+    history = [float(r @ r)]  # the cost at the start and after each accepted step
     lam = LM_LAMBDA0
-    accepted = 0
     rejected = 0
     status = "max_iter"
 
@@ -289,10 +287,9 @@ def train(
                 r_new = vp_residual(V_new, dataset, q, cache=cache)
                 cost_new = float(r_new @ r_new)
             # an infinite or NaN trial cost compares false, so it is rejected
-            if cost_new < cost:
-                V, r, cost = V_new, r_new, cost_new
-                history.append(cost)
-                accepted += 1
+            if cost_new < history[-1]:
+                V, r = V_new, r_new
+                history.append(cost_new)
                 lam = max(lam / LM_FACTOR, 1e-15)
                 break
             rejected += 1
@@ -308,8 +305,8 @@ def train(
     report = TrainReport(
         iterations=iterations,
         residual_history=history,
-        final_rmse_db=rmse_db(math.sqrt(cost / dataset.n_samples)),
-        accepted=accepted,
+        final_rmse_db=rmse_db(math.sqrt(history[-1] / dataset.n_samples)),
+        accepted=len(history) - 1,
         rejected=rejected,
         status=status,
         basis_rank=st.proj.rank,

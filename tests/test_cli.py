@@ -831,11 +831,17 @@ class TestEval:
             ("regressor_spec", None, {"n_y": 4}, SPEC_RULE + '{"n_y": 4}: ' + NOT_INTEGERS),
             ("regressor_spec", "n_u", True, SPEC_RULE + '{"n_u": true, "n_y": 4}: ' + NOT_INTEGERS),
             ("regressor_spec", "n_u", 6, SPEC_RULE + '{"n_u": 6, "n_y": 4}: n_u + n_y + 1 must equal m = 10'),
+            ("V", None, [0.5] * 5, "model field 'V' takes a list of m*n = 30 numbers, not a list of 5"),
+            ("V", None, 3, "model field 'V' takes a list of m*n = 30 numbers, not 3"),
+            ("beta", None, [0.0] * 25, "model field 'beta' takes a list of n*q = 24 numbers, not a list of 25"),
+            ("w", None, "0.5", "model field 'w' takes a list of n*q + 1 = 25 numbers, not '0.5'"),
+            ("x_max", None, {"0": 1.0}, "model field 'x_max' takes a list of n = 3 numbers, not {'0': 1.0}"),
         ],
         ids=[
             "nan-weight", "infinite-knot", "string-entry", "fractional-q",
             "negative-m", "zero-m", "negative-n", "zero-n", "zero-q", "knot-falls", "x_max-falls",
             "401-digit-weight", "fractional-n_u", "no-n_u", "bool-n_u", "spec-not-m",
+            "short-V", "scalar-V", "long-beta", "string-w", "object-x_max",
         ],
     )
     def test_corrupt_model_rejected(self, desk_pipeline, tmp_path, key, index, value, detail):

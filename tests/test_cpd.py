@@ -80,7 +80,7 @@ class TestCpdAls:
         assert fac.rel_error <= 1e-8
         # the error reaches rounding level and wobbles there, where only the
         # test on the error itself, not on its change, stops ALS
-        assert fac.converged and fac.iterations <= 30
+        assert fac.status == "converged" and fac.iterations <= 30
         assert np.all(congruence(V, fac.A) >= 0.999)
         assert np.all(congruence(V, fac.B) >= 0.999)
 
@@ -90,14 +90,17 @@ class TestCpdAls:
         noise = 1e-3 * np.random.default_rng(1).normal(size=tensor.data.shape)
         tensor = HessianTensor(data=tensor.data + noise)
         fac = cpd_als(tensor, r=3, seed=1, n_restarts=1)
-        assert fac.converged and fac.iterations < 500
+        assert fac.status == "converged" and fac.iterations < 500
         capped = cpd_als(tensor, r=3, max_iter=2, seed=1, n_restarts=1)
-        assert not capped.converged and capped.iterations == 2
+        assert capped.status == "max_iter" and capped.iterations == 2
+        for run in (fac, capped):
+            assert run.iterations == len(run.error_history)
+            assert run.rel_error == run.error_history[-1]
 
     def test_zero_tensor(self):
         tensor = HessianTensor(data=np.zeros((4, 4, 6)))
         fac = cpd_als(tensor, r=1, seed=0)
-        assert fac.rel_error == 0.0 and fac.converged
+        assert fac.rel_error == 0.0 and fac.status == "converged"
         assert np.all(fac.C == 0)
 
     def test_rank1_symmetric(self):

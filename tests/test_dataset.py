@@ -227,6 +227,14 @@ class TestCsv:
         data = load_csv(p)
         np.testing.assert_array_equal(data.u, [1])
 
+    def test_leading_bom_is_not_a_header(self, tmp_path):
+        # a byte-order mark before a numeric first row keeps that row; a header still goes
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"\xef\xbb\xbf1,2\n3,4\n5,6\n")
+        np.testing.assert_array_equal(load_csv(p).u, [1, 3, 5])
+        p.write_bytes(b"\xef\xbb\xbfu,y\n1,2\n")
+        np.testing.assert_array_equal(load_csv(p).u, [1])
+
     def test_empty_file_errors(self, tmp_path):
         p = tmp_path / "d.csv"
         p.write_text("")
