@@ -68,9 +68,7 @@ def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     two forms agree there; below the grid the linear neuron keeps the
     coordinate's linear term.
 
-    X is N x n, or one row of length n, for which the activations come back
-    as one vector of length n*q from a 2-D subtract and max; a free-run step
-    takes that path.
+    X is an N x n block; `forward` evaluates a single row on its own.
 
     `out`, if given, is a Fortran-ordered N x (n*q) array (for example columns
     of a Fortran-ordered matrix handed to LAPACK) that receives the same values
@@ -79,13 +77,9 @@ def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     n, q = beta.shape
-    if X.ndim not in (1, 2) or X.shape[-1] != n:
+    if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"beta has {n} rows, X has shape {X.shape}")
     floor = _activation_floor(n, q)
-    if X.ndim == 1 and out is None:
-        D = X[:, None] - beta
-        return np.maximum(D, floor, out=D).reshape(n * q)
-    X = np.atleast_2d(X)
     N = X.shape[0]
     if out is None:
         D = X[:, :, None] - beta
@@ -133,6 +127,10 @@ class UReluNet:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x_max", x_max)
+        # read by the one-vector `forward`; not fields, and bound anew by every
+        # construction, `dataclasses.replace` included
+        object.__setattr__(self, "_neuron_w", w[1:])
+        object.__setattr__(self, "_floor", _activation_floor(n, self.q))
 
     @property
     def m(self) -> int:
@@ -244,11 +242,17 @@ def forward(net: UReluNet, U: np.ndarray) -> np.ndarray:
 
     U is N x m, or one m-vector, for which the result is a scalar. The
     network's own arrays were checked when it was built and are used as they
-    are: one m-vector takes a gemv for U V, build_B's one-row path and a ddot
-    with the neuron weights.
+    are. One m-vector (a free-run step) takes a gemv for u V, a subtract of
+    beta, a max with the activation floor in the same buffer and a ddot with
+    the neuron weights; these are the operations of build_B on a 1 x n row,
+    so the bits are those of a one-row block.
     """
-    B = build_B(np.asarray(U, dtype=float) @ net.V, net.beta)
-    return net.w[0] + B @ net.w[1:]
+    U = np.asarray(U, dtype=float)
+    if U.ndim != 1:
+        return net.w[0] + build_B(U @ net.V, net.beta) @ net._neuron_w
+    D = np.subtract(np.dot(U, net.V)[:, None], net.beta)
+    np.maximum(D, net._floor, out=D)
+    return net.w[0] + np.dot(D.reshape(-1), net._neuron_w)
 
 
 def param_count(net: UReluNet) -> int:

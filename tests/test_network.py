@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -89,10 +90,13 @@ class TestBuildB:
     @settings(max_examples=50, deadline=None)
     def test_elementwise_oracle(self, X, beta):
         # the first neuron of each dimension is linear, the others are ramps,
-        # whether B is allocated, written into a Fortran-ordered buffer or
-        # built one row at a time
-        by_row = np.array([build_B(x, beta) for x in X])
-        for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7]), by_row):
+        # whether B is allocated, written into a Fortran-ordered buffer, built
+        # one row at a time or read off a one-vector `forward` with V = I and
+        # a unit weight on one neuron
+        by_row = np.array([build_B(x[None], beta)[0] for x in X])
+        units = [UReluNet(V=np.eye(2), q=3, beta=beta, w=np.eye(7)[1 + k], x_max=beta[:, -1]) for k in range(6)]
+        by_forward = np.array([[forward(net, x) for net in units] for x in X])
+        for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7]), by_row, by_forward):
             for k in range(7):
                 for i in range(2):
                     for j in range(3):
@@ -149,6 +153,26 @@ class TestForward:
             assert one[k].tobytes() == forward(net, U[k : k + 1])[0].tobytes()
             assert net(U[k]) == one[k]
         np.testing.assert_allclose(one, forward(net, U), rtol=1e-12, atol=1e-12)
+
+    def test_one_vector_follows_the_fields_on_every_construction_route(self):
+        # the one-vector path reads neuron weights and an activation floor
+        # bound when the net is built; each route binds them from its own
+        # fields, so a term left over from another net would change the bits
+        rng = np.random.default_rng(12)
+        V = rng.normal(size=(4, 3))
+        U = rng.normal(size=(40, 4))
+        made = toy_net(V, 5, rng.normal(size=3 * 5 + 1), transform(U, V))
+        nets = [
+            made,
+            UReluNet.from_json(made.to_json()),
+            dataclasses.replace(made, w=-made.w),
+            dataclasses.replace(made, q=4, beta=made.beta[:, :4], w=made.w[: 3 * 4 + 1]),
+        ]
+        for net in nets:
+            for u in U[:10]:
+                ref = (net.w[0] + build_B(transform(u[None], net.V), net.beta) @ net.w[1:])[0]
+                assert forward(net, u).tobytes() == ref.tobytes()
+                assert net(u) == float(ref)
 
     def test_call_checks_its_input_shape(self):
         rng = np.random.default_rng(8)
