@@ -4,10 +4,9 @@ excitation, zero-phase decimation."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
-from scipy import signal as sps
 
 from .dataset import is_finite_number, parse_json_object
 
@@ -24,10 +23,11 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class BoucWenParams:
-    """Oscillator and hysteresis coefficients.
+    """Oscillator and hysteresis coefficients, and the initial state (y0, v0, z0).
 
     m_L y'' + c_L y' + k_L y + z = u with the hysteretic state
-    z' = alpha y' - beta_bw (gamma |y'| |z|^(nu-1) z + delta y' |z|^nu).
+    z' = alpha y' - beta_bw (gamma |y'| |z|^(nu-1) z + delta y' |z|^nu),
+    starting from y = y0, y' = v0, z = z0.
     """
 
     m_L: float
@@ -38,10 +38,12 @@ class BoucWenParams:
     gamma: float
     delta: float
     nu: float = 1.0
+    y0: float = 0.0
+    v0: float = 0.0
+    z0: float = 0.0
 
     def __post_init__(self):
-        vals = [self.m_L, self.k_L, self.c_L, self.alpha, self.beta_bw, self.gamma, self.delta, self.nu]
-        if not all(np.isfinite(v) for v in vals):
+        if not all(np.isfinite(v) for v in astuple(self)):
             raise ValueError("all parameters must be finite")
         if self.m_L <= 0:
             raise ValueError("mass must be positive")
@@ -55,20 +57,10 @@ class SimOutput:
     ydot: np.ndarray
     z: np.ndarray
 
-    def __post_init__(self):
-        if not (len(self.y) == len(self.ydot) == len(self.z)):
-            raise ValueError("output series must have equal length")
 
-
-def simulate(
-    params: BoucWenParams,
-    u: np.ndarray,
-    fs: float,
-    y0: float = 0.0,
-    v0: float = 0.0,
-    z0: float = 0.0,
-) -> SimOutput:
-    """Integrate the oscillator with average-acceleration Newmark stepping.
+def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
+    """Integrate the oscillator with average-acceleration Newmark stepping from the
+    initial state of `params`.
 
     Each step solves the coupled (acceleration, hysteretic force) update with a
     Newton iteration on the implicit equations; the hysteretic state is
@@ -106,7 +98,7 @@ def simulate(
     Y = np.empty(L)
     V = np.empty(L)
     Z = np.empty(L)
-    y, v, z = float(y0), float(v0), float(z0)
+    y, v, z = float(params.y0), float(params.v0), float(params.z0)
     a = (u.item(0) - c_L * v - k_L * y - z) / m_L
     Y[0], V[0], Z[0] = y, v, z
     for t in range(1, L):
@@ -197,6 +189,9 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     """Zero-phase low-pass (4th-order Butterworth, applied forward-backward)
     with cutoff at 0.8 of the post-decimation Nyquist, then keep every
     factor-th sample."""
+    # imported here, so that only a process that decimates pays for the import
+    from scipy import signal as sps
+
     x = np.asarray(x, dtype=float)
     if factor < 1 or int(factor) != factor:
         raise ValueError("factor must be a positive integer")
@@ -208,8 +203,8 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     return filtered[::factor].copy()
 
 
-def load_params(path) -> tuple[BoucWenParams, dict]:
-    """Read a parameter JSON file; returns (params, initial_conditions).
+def load_params(path) -> BoucWenParams:
+    """Read a parameter JSON file: the coefficients and, where present, the initial state.
 
     The file must hold a JSON object (`dataset.parse_json_object`) with every PARAM_KEYS
     key, and each of PARAM_KEYS and INIT_KEYS present a number finite as a double
@@ -224,6 +219,4 @@ def load_params(path) -> tuple[BoucWenParams, dict]:
     missing = [k for k in PARAM_KEYS if k not in doc]
     if missing:
         raise ValueError(f"{where} lacks {', '.join(missing)}")
-    params = BoucWenParams(**{k: float(doc[k]) for k in PARAM_KEYS})
-    init = {k: float(doc.get(k, 0.0)) for k in INIT_KEYS}
-    return params, init
+    return BoucWenParams(**{k: float(doc[k]) for k in PARAM_KEYS + INIT_KEYS if k in doc})

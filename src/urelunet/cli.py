@@ -179,9 +179,7 @@ def _sim_samples(n_out: int) -> int:
     return (n_out + SETTLE_SAMPLES) * DECIMATION
 
 
-def _generate_record(
-    params, init, exc: dict, n_out: int, seed: int, stages: StageClock
-) -> TimeSeriesData:
+def _generate_record(params, exc: dict, n_out: int, seed: int, stages: StageClock) -> TimeSeriesData:
     """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`.
 
     Times its excitation, simulation and decimation on `stages`."""
@@ -190,7 +188,7 @@ def _generate_record(
             _sim_samples(n_out), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, exc["amplitude_rms"], seed=seed
         )
     with stages("simulation"):
-        sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ, **init)
+        sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ)
     with stages("decimation"):
         u_dec = boucwen.decimate(u_sim, DECIMATION)
         y_dec = boucwen.decimate(sim.y, DECIMATION)
@@ -202,7 +200,7 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
             raise ValueError(f"datagen.{key} must be >= 1, not {dg[key]}")
-    params, init = boucwen.load_params(dg["params_file"])
+    params = boucwen.load_params(dg["params_file"])
     seed = cfg["seed"]
     exc = dg["excitation"]
     n_train, n_val = dg["train_samples"], dg["validation_samples"]
@@ -219,8 +217,8 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
         "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
     }
     meta_path = str(paths["train"]) + ".meta.json"
-    train_rec = _generate_record(params, init, exc, n_train, seed, stages)
-    val_rec = _generate_record(params, init, exc, n_val, seed + 1, stages)
+    train_rec = _generate_record(params, exc, n_train, seed, stages)
+    val_rec = _generate_record(params, exc, n_val, seed + 1, stages)
     with stages("persist"):
         written = []
         try:
@@ -445,31 +443,36 @@ def main(argv: list[str] | None = None) -> int:
     p_reg.add_argument("--output", help="output JSON-lines path")
     args = parser.parse_args(argv)
 
-    stages, config_warnings = StageClock(), []
+    stages, caught = StageClock(), []
     try:
         try:
-            with warnings.catch_warnings(record=True) as config_warnings:
+            # a warning raised inside a stage is the stage's; any other, from the config
+            # or from a command's work outside the stages, is caught here
+            with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 cfg = load_config(args.config, args.overrides)
-            if args.command == "datagen":
-                return cmd_datagen(cfg, stages)
-            if args.command == "fit":
-                return cmd_fit(cfg, stages)
-            if args.command == "eval":
-                return cmd_eval(cfg)
-            if args.command == "simulate":
-                return cmd_simulate(cfg, args.output)
-            if args.command == "regions":
-                return cmd_regions(cfg, args.limit, args.output)
+                if args.command == "datagen":
+                    return cmd_datagen(cfg, stages)
+                if args.command == "fit":
+                    return cmd_fit(cfg, stages)
+                if args.command == "eval":
+                    return cmd_eval(cfg)
+                if args.command == "simulate":
+                    return cmd_simulate(cfg, args.output)
+                if args.command == "regions":
+                    return cmd_regions(cfg, args.limit, args.output)
         finally:
             # the warnings come before any error line
-            for w in config_warnings:
+            for w in caught:
                 print(f"warning={w.message}", file=sys.stderr)
             for w in stages.warnings:
                 print(f"warning=stage:{w['stage']} detail={w['message']}", file=sys.stderr)
-    except FileNotFoundError as exc:
-        where = f"stage:{stages.stage} missing_file=" if stages.stage else "missing_file path="
-        print(f"error={where}{exc.filename}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory, a denied permission, ...
+        missing = isinstance(exc, FileNotFoundError)
+        kind = "missing_file" if missing else "os_error"
+        where = f"stage:{stages.stage} {kind}=" if stages.stage else f"{kind} path="
+        reason = "" if missing else f" reason={exc.strerror or exc}"
+        print(f"error={where}{exc.filename}{reason}", file=sys.stderr)
         return 2
     except (ValueError, TypeError, RuntimeError, np.linalg.LinAlgError) as exc:
         where = f"stage:{stages.stage} detail=" if stages.stage else ""

@@ -51,8 +51,8 @@ def _activation_floor(n: int, q: int) -> np.ndarray:
     """Read-only n x q floor, -inf for knot 0 and 0 elsewhere.
 
     The max with it keeps the first neuron linear and ramps the rest. It
-    matches one row's n x q differences exactly and broadcasts over a block
-    of rows.
+    matches one row's n x q differences exactly, and with a trailing axis a
+    block's n x q x N differences.
     """
     floor = np.zeros((n, q))
     floor[:, 0] = -np.inf
@@ -68,28 +68,24 @@ def build_B(X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None) -> n
     two forms agree there; below the grid the linear neuron keeps the
     coordinate's linear term.
 
-    X is an N x n block; `forward` evaluates a single row on its own.
-
-    `out`, if given, is a Fortran-ordered N x (n*q) array (for example columns
-    of a Fortran-ordered matrix handed to LAPACK) that receives the same values
-    and is returned.
+    X is an N x n block; `forward` evaluates a single row on its own. The result
+    is a Fortran-ordered N x (n*q) array, allocated here, or `out` if given (for
+    example columns of a Fortran-ordered matrix handed to LAPACK).
     """
     X = np.asarray(X, dtype=float)
     beta = np.asarray(beta, dtype=float)
     n, q = beta.shape
     if X.ndim != 2 or X.shape[1] != n:
         raise ValueError(f"beta has {n} rows, X has shape {X.shape}")
-    floor = _activation_floor(n, q)
     N = X.shape[0]
     if out is None:
-        D = X[:, :, None] - beta
-        return np.maximum(D, floor, out=D).reshape(N, n * q)
-    if out.shape != (N, n * q) or not out.flags.f_contiguous:
+        out = np.empty((N, n * q), order="F")
+    elif out.shape != (N, n * q) or not out.flags.f_contiguous:
         raise ValueError(f"out must be a Fortran-ordered {N} x {n * q} array")
     # out^T is C-ordered, so each neuron's column is one contiguous run
     D = out.T.reshape(n, q, N)
     np.subtract(np.ascontiguousarray(X.T)[:, None, :], beta[:, :, None], out=D)
-    np.maximum(D, floor[:, :, None], out=D)
+    np.maximum(D, _activation_floor(n, q)[:, :, None], out=D)
     return out
 
 

@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import RegressionDataset, parse_json_object
+from .dataset import RegressionDataset
 
 # Hard cap on enumerated candidate terms. FROLS forms no candidate matrix, so
 # this bounds the term list and the K-length vectors FROLS keeps per candidate
@@ -64,23 +63,6 @@ class PolyNarxModel:
         if u.shape != (self.m,):
             raise ValueError(f"expected vector of length {self.m}, got shape {u.shape}")
         return float((monomials([t.exponents for t in self.terms], u) @ self.coeffs)[0])
-
-    def to_json(self) -> str:
-        doc = {
-            "m": self.m,
-            "terms": [list(t.exponents) for t in self.terms],
-            "coeffs": [float(c) for c in self.coeffs],
-        }
-        return json.dumps(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PolyNarxModel":
-        doc = parse_json_object(text, "polynomial model JSON")
-        return cls(
-            terms=tuple(PolyTerm(tuple(e)) for e in doc["terms"]),
-            coeffs=np.array(doc["coeffs"], dtype=float),
-            m=int(doc["m"]),
-        )
 
 
 def monomials(exponents, U: np.ndarray) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from urelunet.boucwen import (
+    BLOWUP_BOUND,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     BoucWenParams,
@@ -26,8 +27,9 @@ def desk_params(**over):
 
 
 def reference_simulate(p, u, fs):
-    """Newmark loop on numpy scalars: `simulate` as it was before it moved to Python
-    floats. `simulate` must reproduce its y, ydot and z bit for bit."""
+    """Newmark loop on numpy scalars from the initial state of `p`: `simulate` as it was
+    before it moved to Python floats. `simulate` must reproduce its y, ydot and z bit for
+    bit."""
     h = 1.0 / fs
     gn, bn = 0.5, 0.25
 
@@ -39,7 +41,7 @@ def reference_simulate(p, u, fs):
 
     L = len(u)
     Y, V, Z = np.empty(L), np.empty(L), np.empty(L)
-    y = v = z = 0.0
+    y, v, z = p.y0, p.v0, p.z0
     a = (u[0] - p.c_L * v - p.k_L * y - z) / p.m_L
     Y[0], V[0], Z[0] = y, v, z
     for t in range(1, L):
@@ -103,9 +105,7 @@ class TestParams:
 
         path = tmp_path / "p.json"
         path.write_text(json.dumps({**DESK, "y0": 1e-4, "v0": 0.0, "z0": 2.0}))
-        p, init = load_params(path)
-        assert p == desk_params()
-        assert init == {"y0": 1e-4, "v0": 0.0, "z0": 2.0}
+        assert load_params(path) == desk_params(y0=1e-4, v0=0.0, z0=2.0)
 
     @pytest.mark.parametrize("key", ["nu", "k_L", "z0"])
     @pytest.mark.parametrize(
@@ -222,6 +222,15 @@ class TestSimulate:
         with pytest.raises(IntegrationError):
             simulate(desk_params(), np.full(20000, 1e12), fs=15000.0)
 
+    def test_blowup_bound_raises(self):
+        # no stiffness and no hysteresis: a constant force drives the mass-damper off
+        # towards its terminal speed, and y passes BLOWUP_BOUND at step 450
+        p = desk_params(k_L=0.0, alpha=0.0)
+        u = np.full(1000, 1e5)
+        assert abs(simulate(p, u[:450], fs=1000.0).y[-1]) <= BLOWUP_BOUND
+        with pytest.raises(IntegrationError, match="simulation diverged at step 450"):
+            simulate(p, u, fs=1000.0)
+
     def test_power_overflow_raises_integration_error(self):
         # |z|**nu overflows a double on the first step; that must not escape as OverflowError
         p = desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0)
@@ -268,6 +277,13 @@ class TestExactArithmetic:
         t = np.arange(1500) / 15000.0
         u = np.concatenate([np.zeros(200), 80.0 * np.sin(2 * np.pi * 30.0 * t)])
         self.assert_matches_reference(desk_params(), u)
+
+    def test_start_from_the_initial_state(self):
+        u = 80.0 * np.sin(2 * np.pi * 30.0 * np.arange(1500) / 15000.0)
+        p = desk_params(y0=1e-4, v0=-0.02, z0=3.0)
+        out = simulate(p, u, 15000.0)
+        assert (out.y[0], out.ydot[0], out.z[0]) == (1e-4, -0.02, 3.0)
+        self.assert_matches_reference(p, u)
 
     def test_nu_two(self):
         p = desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0)

@@ -5,9 +5,13 @@ import io
 import itertools
 import json
 import math
+import os
 import resource
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ import pytest
 from urelunet import boucwen, cli, polyfit
 from urelunet.dataset import (
     RegressorSpec,
+    SimulationDiverged,
     TimeSeriesData,
     build_regressors,
     load_csv,
@@ -279,6 +284,11 @@ class TestConfig:
         rc, _, err = run_main(["--config", "/nonexistent/cfg.json", "fit"])
         assert rc == 2
         assert "missing_file" in err
+
+    def test_config_directory_exit_code(self, tmp_path):
+        rc, out, err = run_main(["--config", str(tmp_path), "fit"])
+        assert rc == 2 and out == ""
+        assert err == f"error=os_error path={tmp_path} reason=Is a directory\n"
 
 
 # (config, params or model file bytes, --set value) for a cut-off document, an integer
@@ -694,6 +704,11 @@ class TestFit:
         assert rc == 2
         assert "stage:load" in err
 
+    def test_train_directory_exit_code(self, tmp_path):
+        rc, out, err = run_main(["--set", f"paths.train={tmp_path}", "fit"])
+        assert rc == 2 and out == ""
+        assert err == f"error=stage:load os_error={tmp_path} reason=Is a directory\n"
+
     @pytest.mark.parametrize(
         "setting, rc_expected, line",
         [
@@ -701,10 +716,11 @@ class TestFit:
             ("poly.max_terms=0", 1, "error=stage:polynomial detail="),
             ("net.q=1", 1, "error=stage:training detail="),
             ("paths.model={tmp}/nodir/m.json", 2, "error=stage:persist missing_file="),
+            ("paths.model={tmp}", 2, "error=stage:persist os_error={tmp} reason=Is a directory"),
         ],
     )
     def test_error_names_its_stage(self, tmp_path, setting, rc_expected, line):
-        setting = setting.format(tmp=tmp_path)
+        setting, line = setting.format(tmp=tmp_path), line.format(tmp=tmp_path)
         rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", setting, "fit"])
         assert rc == rc_expected
         assert err.startswith(line) and err.count("\n") == 1
@@ -782,6 +798,69 @@ class TestEval:
         assert kv["affine_diverged"] == "true"
         assert int(kv["affine_divergence_index"]) > 0
         assert "affine_rmse_db" not in kv and "margin_db" not in kv
+
+    @staticmethod
+    def one_lag_eval_args(tmp_path, w):
+        """`eval` arguments for the one-lag network with weights `w` on the knots
+        [-1, 0], w0 + w1 (y(t-1) + 1) + w2 max(0, y(t-1)), freely run from y = 1 with no
+        input for 64 samples; its affine baseline fits a stable first-order record."""
+        X = np.array([[-1.0], [1.0]])
+        net = make_net(np.array([[0.0], [1.0]]), 2, np.array(w), X, RegressorSpec(0, 1))
+        model = tmp_path / "model.json"
+        model.write_text(net.to_json())
+        y = np.zeros(64)
+        y[0] = 1.0
+        validation = tmp_path / "validation.csv"
+        save_csv(validation, TimeSeriesData(u=np.zeros(64), y=y))
+        u = np.random.default_rng(5).normal(size=200)
+        y_tr = np.zeros(200)
+        for t in range(1, 200):
+            y_tr[t] = 0.5 * y_tr[t - 1] + u[t]
+        train = tmp_path / "train.csv"
+        save_csv(train, TimeSeriesData(u=u, y=y_tr))
+        return ["--set", f"paths.model={model}", "--set", f"paths.validation={validation}",
+                "--set", f"paths.train={train}", "eval"]
+
+    def test_diverging_free_run_reported_with_its_index(self, tmp_path):
+        # y(t) = 1e10 max(0, y(t-1)) passes the double range at step 31: a non-finite
+        # prediction, which the free run raises on
+        args = self.one_lag_eval_args(tmp_path, [0.0, 0.0, 1e10])
+        net = UReluNet.from_json((tmp_path / "model.json").read_text())
+        with np.errstate(over="ignore"), pytest.raises(SimulationDiverged) as diverged:
+            simulate_free_run(net, np.zeros(64), np.ones(1), RegressorSpec(0, 1))
+        rc, out, _ = run_main(args)
+        assert rc == 0
+        kv = parse_kv(out)
+        assert kv["diverged"] == "true"
+        assert int(kv["divergence_index"]) == diverged.value.index == 31
+        assert "rmse" not in kv and "margin_db" not in kv
+        assert kv["affine_diverged"] == "false"
+
+    def test_warning_outside_a_stage_printed_as_a_warning_line(self, tmp_path):
+        # numpy warns of the overflow in the free run's dot; as a process, so that the
+        # warning meets Python's own display rather than the test runner's capture
+        args = self.one_lag_eval_args(tmp_path, [0.0, 0.0, 1e10])
+        proc = subprocess.run(
+            [sys.executable, "-m", "urelunet.cli", *args], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert "diverged=true" in proc.stdout.splitlines()
+        assert all(line.startswith("warning=") for line in proc.stderr.splitlines()), proc.stderr
+
+    def test_summed_overflow_reported_as_divergence(self, tmp_path):
+        # a constant 1e154 squares to a finite 1e308, but two of them sum past the double
+        # range: the run diverges at the second sample after its one-sample seed
+        rc, out, _ = run_main(self.one_lag_eval_args(tmp_path, [1e154, 0.0, 0.0]))
+        assert rc == 0
+        kv = parse_kv(out)
+        assert kv["diverged"] == "true"
+        assert kv["divergence_index"] == "2"
+
+    def test_model_directory_exit_code(self, tmp_path):
+        rc, out, err = run_main(["--set", f"paths.model={tmp_path}", "eval"])
+        assert rc == 2 and out == ""
+        assert err == f"error=os_error path={tmp_path} reason=Is a directory\n"
 
     def test_non_finite_validation_value_exit_code(self, desk_pipeline, tmp_path):
         # a nan in the validation record is a bad input, not a diverged free run
@@ -879,10 +958,8 @@ class TestEval:
         # regressor below its training minimum; both diverge when the first
         # neuron of each dimension is a ramp instead of linear
         dg = cli.load_config(str(cli_config_path()), [])["datagen"]
-        params, init = boucwen.load_params(configs_dir() / "desk_boucwen.json")
-        rec = cli._generate_record(
-            params, init, dg["excitation"], dg["validation_samples"], seed, cli.StageClock()
-        )
+        params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
+        rec = cli._generate_record(params, dg["excitation"], dg["validation_samples"], seed, cli.StageClock())
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V
@@ -969,3 +1046,14 @@ class TestRegions:
         assert json.loads(lines[0]) == {"total_cells": q**n, "emitted": 2, "truncated": True}
         assert len(json.loads(lines[1])["cell"]) == n
         assert len(lines) == 3
+
+
+def test_cli_import_leaves_out_scipy_signal():
+    # only `boucwen.decimate` uses scipy.signal, and it imports it when it runs
+    code = "import sys, urelunet.cli; print('scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -227,6 +227,13 @@ class TestCsv:
         data = load_csv(p)
         np.testing.assert_array_equal(data.u, [1])
 
+    def test_blank_lines_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("u,y\n\n1,2\n  \n3,4\n\n")
+        data = load_csv(p)
+        np.testing.assert_array_equal(data.u, [1, 3])
+        np.testing.assert_array_equal(data.y, [2, 4])
+
     def test_leading_bom_is_not_a_header(self, tmp_path):
         # a byte-order mark before a numeric first row keeps that row; a header still goes
         p = tmp_path / "d.csv"

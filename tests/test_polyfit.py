@@ -331,13 +331,3 @@ class TestPolyEval:
         model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([1.0]), m=2)
         with pytest.raises(ValueError):
             model(np.array([1.0]))
-
-
-def test_json_round_trip():
-    rng = np.random.default_rng(7)
-    terms = enumerate_terms(3, 2)[:4]
-    model = PolyNarxModel(terms=tuple(terms), coeffs=rng.normal(size=4), m=3)
-    clone = PolyNarxModel.from_json(model.to_json())
-    assert clone.terms == model.terms
-    np.testing.assert_array_equal(clone.coeffs, model.coeffs)
-    assert clone.m == model.m
