@@ -407,11 +407,17 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
     # enumerate_regions yields exactly this many cells
     emitted = min(limit, total)
     out = output or "regions.jsonl"
-    with open(out, "w", encoding="utf-8") as fh:
-        header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
-        fh.write(json.dumps(header, sort_keys=True) + "\n")
-        for region in pwl.enumerate_regions(net, limit=limit):
-            fh.write(region.to_json() + "\n")
+    fh = open(out, "w", encoding="utf-8")
+    try:
+        with fh:
+            header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
+            for region in pwl.enumerate_regions(net, limit=limit):
+                fh.write(region.to_json() + "\n")
+    except BaseException:
+        # a header that counts more cells than the file holds would pass for a whole export
+        Path(out).unlink(missing_ok=True)
+        raise
     print(f"output={out}")
     print(f"total_cells={total}")
     print(f"emitted={emitted}")
@@ -439,7 +445,7 @@ def main(argv: list[str] | None = None) -> int:
     p_sim = sub.add_parser("simulate", help="write the free-run output as CSV")
     p_sim.add_argument("--output", help="output CSV path")
     p_reg = sub.add_parser("regions", help="export the affine regions as JSON lines")
-    p_reg.add_argument("--limit", type=int, default=1_000_000)
+    p_reg.add_argument("--limit", type=int, default=pwl.DEFAULT_LIMIT)
     p_reg.add_argument("--output", help="output JSON-lines path")
     args = parser.parse_args(argv)
 

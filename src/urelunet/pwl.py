@@ -5,13 +5,17 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import getitem
 from typing import Iterator
 
 import numpy as np
 
 from .network import UReluNet
+
+
+# the most cells one pass yields unless the caller sets its own limit
+DEFAULT_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -27,20 +31,31 @@ class PwlRegion:
     a: np.ndarray
     b: float
     c: np.ndarray
+    # the JSON text of the list items of cell, a and x_bounds, joined from the
+    # network's tables
+    fixed_json: tuple[str, str, str] = field(repr=False, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "cell": list(self.cell),
-                "x_bounds": [list(bd) for bd in self.x_bounds],
-                "affine_x": {"a": self.a.tolist(), "b": self.b},
-                "affine_u": {"c": self.c.tolist(), "b": self.b},
-            },
-            sort_keys=True,
+        """The text json.dumps(..., sort_keys=True) gives for the region's fields.
+
+        Only b and c are rendered here: b once, for both maps, and c entry by
+        entry. A finite float's repr is json's text; a repr holding an "n"
+        (inf, nan) takes json's spelling.
+        """
+        cell, a, bounds = self.fixed_json
+        b = repr(self.b)
+        c = ", ".join(map(repr, self.c.tolist()))
+        if "n" in b:
+            b = json.dumps(self.b)
+        if "n" in c:
+            c = json.dumps(self.c.tolist())[1:-1]
+        return (
+            f'{{"affine_u": {{"b": {b}, "c": [{c}]}}, "affine_x": {{"a": [{a}], "b": {b}}}, '
+            f'"cell": [{cell}], "x_bounds": [{bounds}]}}'
         )
 
 
-def enumerate_regions(net: UReluNet, limit: int = 1_000_000) -> Iterator[PwlRegion]:
+def enumerate_regions(net: UReluNet, limit: int = DEFAULT_LIMIT) -> Iterator[PwlRegion]:
     """Yield every bounded cell (indices 1..q per dimension) in lexicographic order.
 
     Stops after `limit` cells; use region_count to know the full total.
@@ -58,7 +73,8 @@ class _CellTables:
     slope[i][k] * x_i + offset[i][k] with the neurons j < k active:
     slope = sum_j w_ij and offset = -sum_j w_ij beta_ij. Entry 0 of each table
     is unused, so a cell index reads its entry directly. The entries are Python
-    floats, so a cell's map is a handful of list reads.
+    floats, so a cell's map is a handful of list reads. The slopes and bounds
+    are kept as JSON text too, so a region's export renders only its b and c.
     """
 
     def __init__(self, net: UReluNet):
@@ -77,6 +93,8 @@ class _CellTables:
             self.slope.append(slope)
             self.offset.append(offset)
             self.bounds.append([None] + list(zip(beta, beta[1:] + [x_max])))
+        self.slope_json = [[None] + [json.dumps(s) for s in slope[1:]] for slope in self.slope]
+        self.bounds_json = [[None] + [json.dumps(bd) for bd in bounds[1:]] for bounds in self.bounds]
 
 
 def _cell_map(tables: _CellTables, cell: tuple[int, ...]) -> PwlRegion:
@@ -86,7 +104,12 @@ def _cell_map(tables: _CellTables, cell: tuple[int, ...]) -> PwlRegion:
     for offset in map(getitem, tables.offset, cell):
         b += offset
     bounds = tuple(map(getitem, tables.bounds, cell))
-    return PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a)
+    fixed_json = (
+        ", ".join(map(str, cell)),
+        ", ".join(map(getitem, tables.slope_json, cell)),
+        ", ".join(map(getitem, tables.bounds_json, cell)),
+    )
+    return PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a, fixed_json=fixed_json)
 
 
 def region_count(net: UReluNet) -> int:

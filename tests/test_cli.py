@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import dataclasses
+import errno
 import io
 import itertools
 import json
@@ -29,7 +30,7 @@ from urelunet.dataset import (
     simulate_free_run,
 )
 from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count, transform
-from urelunet.pwl import cond_diagnostics
+from urelunet.pwl import PwlRegion, cond_diagnostics
 from urelunet.varpro import TrainReport
 
 from conftest import parse_kv
@@ -1017,6 +1018,27 @@ class TestRegions:
         rc, _, err = run_main(["--set", f"paths.model={model}", "regions", "--output", str(out)])
         assert rc == 1
         assert err == f"error=model file {model}: model field 'w' takes finite numbers, not nan\n"
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, desk_pipeline, tmp_path, monkeypatch):
+        # a full disk on the third cell: the header already counts all 512
+        to_json, calls = PwlRegion.to_json, []
+
+        def full_disk(region):
+            calls.append(region.cell)
+            if len(calls) == 3:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return to_json(region)
+
+        monkeypatch.setattr(PwlRegion, "to_json", full_disk)
+        out = tmp_path / "regions.jsonl"
+        rc, stdout, err = run_main(
+            ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", str(out)]
+        )
+        assert rc == 2
+        assert stdout == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error=")
+        assert len(calls) == 3
         assert not out.exists()
 
     def test_negative_limit_rejected(self, desk_pipeline, tmp_path):

@@ -1,4 +1,4 @@
-import math
+import json
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from urelunet import pwl
 from urelunet.network import UReluNet, make_net, forward, transform
-from urelunet.pwl import PwlRegion, cond_diagnostics, enumerate_regions, region_count
+from urelunet.pwl import cond_diagnostics, enumerate_regions, region_count
 
 
 def random_net(m, n, q, seed, N=200):
@@ -46,6 +46,19 @@ def summed_map(net, cell):
         b -= float(np.sum(terms))
         b_scale += float(np.sum(np.abs(terms)))
     return a, b, a_scale, b_scale
+
+
+def json_dumps_of_fields(reg):
+    """The reference text of a region's line: json.dumps of its public fields."""
+    return json.dumps(
+        {
+            "cell": list(reg.cell),
+            "x_bounds": [list(bd) for bd in reg.x_bounds],
+            "affine_x": {"a": reg.a.tolist(), "b": reg.b},
+            "affine_u": {"c": reg.c.tolist(), "b": reg.b},
+        },
+        sort_keys=True,
+    )
 
 
 class TestAffineInRegion:
@@ -131,6 +144,18 @@ class TestEnumeration:
             assert np.all(np.abs(reg.a - a) <= 1e-12 * a_scale)
             assert abs(reg.b - b) <= 1e-12 * b_scale
 
+    @given(
+        m=st.integers(1, 4),
+        n=st.integers(1, 3),
+        q=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_json_lines_equal_json_dumps(self, m, n, q, seed):
+        net, _ = random_net(m, n, q, seed, N=20)
+        for reg in enumerate_regions(net):
+            assert reg.to_json() == json_dumps_of_fields(reg)
+
     def test_limit_stops_before_later_cells(self, monkeypatch):
         net, _ = random_net(8, 6, 10, seed=14, N=50)
         built = []
@@ -151,19 +176,38 @@ class TestEnumeration:
 
 
 def test_region_json_bytes_pinned():
-    # the bytes of json.dumps(..., sort_keys=True) on the region's lists
-    reg = PwlRegion(
-        cell=(0, 3),
-        x_bounds=((-math.inf, -1.25), (0.1, 0.1 + 0.2)),
-        a=np.array([2.5, -1 / 3]),
-        b=-(0.1 + 0.2),
-        c=np.array([1 / 3, -2.0, 1e300]),
+    # Overflow: dimension 0's slopes are 1e308 and inf, so c = V a is +-inf; its
+    # first offset -1e308 * -10 is inf, and dimension 1's second offset -1e308 * 10
+    # is -inf, so b is inf on cells (k, 1) and nan on cells (k, 2).
+    big = UReluNet(
+        V=np.array([[2.0, 0.0], [-2.0, 0.0]]),
+        q=2,
+        beta=np.array([[-10.0, 0.0], [0.0, 10.0]]),
+        w=np.array([1e308, 1e308, 1e308, 0.0, 1e308]),
+        x_max=np.array([1.0, 20.0]),
     )
-    assert reg.to_json() == (
-        '{"affine_u": {"b": -0.30000000000000004, "c": [0.3333333333333333, -2.0, 1e+300]}, '
-        '"affine_x": {"a": [2.5, -0.3333333333333333], "b": -0.30000000000000004}, '
-        '"cell": [0, 3], "x_bounds": [[-Infinity, -1.25], [0.1, 0.30000000000000004]]}'
+    with np.errstate(over="ignore"):
+        regions = list(enumerate_regions(big))
+    lines = [r.to_json() for r in regions]
+    assert lines == [json_dumps_of_fields(r) for r in regions]
+    assert lines[0].startswith('{"affine_u": {"b": Infinity, "c": [Infinity, -Infinity]}')
+    assert lines[1].startswith('{"affine_u": {"b": NaN, "c": [Infinity, -Infinity]}')
+    assert '"affine_x": {"a": [Infinity, 0.0], "b": Infinity}' in lines[2]
+    # Signed zero: a slope is summed from 0.0, so a -0.0 weight gives the slope
+    # 0.0; the -0.0 knot keeps its sign in x_bounds.
+    zero = UReluNet(
+        V=np.array([[-1.0], [0.5]]),
+        q=3,
+        beta=np.array([[-1.0, -0.0, 1.0]]),
+        w=np.array([-0.0, -0.0, 2.0, -0.0]),
+        x_max=np.array([2.0]),
     )
+    regions = list(enumerate_regions(zero))
+    lines = [r.to_json() for r in regions]
+    assert lines == [json_dumps_of_fields(r) for r in regions]
+    assert '"a": [0.0]' in lines[0]
+    assert lines[0].endswith('"cell": [1], "x_bounds": [[-1.0, -0.0]]}')
+    assert lines[1].endswith('"cell": [2], "x_bounds": [[-0.0, 1.0]]}')
 
 
 class TestCondDiagnostics:
