@@ -7,7 +7,9 @@ import contextlib
 import copy
 import dataclasses
 import json
+import os
 import resource
+import stat
 import sys
 import time
 import warnings
@@ -408,6 +410,8 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
     emitted = min(limit, total)
     out = output or "regions.jsonl"
     fh = open(out, "w", encoding="utf-8")
+    # only a regular file is this command's to remove; a pipe or a device is not
+    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
     try:
         with fh:
             header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
@@ -416,7 +420,9 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
                 fh.write(region.to_json() + "\n")
     except BaseException:
         # a header that counts more cells than the file holds would pass for a whole export
-        Path(out).unlink(missing_ok=True)
+        if regular:
+            with contextlib.suppress(OSError):
+                Path(out).unlink()
         raise
     print(f"output={out}")
     print(f"total_cells={total}")

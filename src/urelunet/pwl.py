@@ -31,18 +31,31 @@ class PwlRegion:
     a: np.ndarray
     b: float
     c: np.ndarray
-    # the JSON text of the list items of cell, a and x_bounds, joined from the
-    # network's tables
-    fixed_json: tuple[str, str, str] = field(repr=False, compare=False)
+    # the JSON text of the list items of cell, a and x_bounds; only _cell_map sets
+    # it, from the network's tables. It is not an init field, so a region built by
+    # hand or by dataclasses.replace has None here and to_json renders its fields.
+    _fixed_json: tuple[str, str, str] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def to_json(self) -> str:
         """The text json.dumps(..., sort_keys=True) gives for the region's fields.
 
-        Only b and c are rendered here: b once, for both maps, and c entry by
-        entry. A finite float's repr is json's text; a repr holding an "n"
-        (inf, nan) takes json's spelling.
+        For a region from enumerate_regions only b and c are rendered here: b
+        once, for both maps, and c entry by entry. A finite float's repr is
+        json's text; a repr holding an "n" (inf, nan) takes json's spelling.
         """
-        cell, a, bounds = self.fixed_json
+        if self._fixed_json is None:
+            return json.dumps(
+                {
+                    "cell": list(self.cell),
+                    "x_bounds": [list(bd) for bd in self.x_bounds],
+                    "affine_x": {"a": self.a.tolist(), "b": self.b},
+                    "affine_u": {"c": self.c.tolist(), "b": self.b},
+                },
+                sort_keys=True,
+            )
+        cell, a, bounds = self._fixed_json
         b = repr(self.b)
         c = ", ".join(map(repr, self.c.tolist()))
         if "n" in b:
@@ -104,12 +117,13 @@ def _cell_map(tables: _CellTables, cell: tuple[int, ...]) -> PwlRegion:
     for offset in map(getitem, tables.offset, cell):
         b += offset
     bounds = tuple(map(getitem, tables.bounds, cell))
-    fixed_json = (
+    region = PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a)
+    object.__setattr__(region, "_fixed_json", (
         ", ".join(map(str, cell)),
         ", ".join(map(getitem, tables.slope_json, cell)),
         ", ".join(map(getitem, tables.bounds_json, cell)),
-    )
-    return PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a, fixed_json=fixed_json)
+    ))
+    return region
 
 
 def region_count(net: UReluNet) -> int:

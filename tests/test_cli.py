@@ -8,6 +8,7 @@ import json
 import math
 import os
 import resource
+import stat
 import subprocess
 import sys
 import time
@@ -1020,8 +1021,9 @@ class TestRegions:
         assert err == f"error=model file {model}: model field 'w' takes finite numbers, not nan\n"
         assert not out.exists()
 
-    def test_failed_write_leaves_no_file(self, desk_pipeline, tmp_path, monkeypatch):
-        # a full disk on the third cell: the header already counts all 512
+    @staticmethod
+    def full_disk_on_third_cell(monkeypatch):
+        """Make the third cell's to_json raise ENOSPC; returns the cells it was called on."""
         to_json, calls = PwlRegion.to_json, []
 
         def full_disk(region):
@@ -1031,6 +1033,11 @@ class TestRegions:
             return to_json(region)
 
         monkeypatch.setattr(PwlRegion, "to_json", full_disk)
+        return calls
+
+    def test_failed_write_leaves_no_file(self, desk_pipeline, tmp_path, monkeypatch):
+        # a full disk on the third cell: the header already counts all 512
+        calls = self.full_disk_on_third_cell(monkeypatch)
         out = tmp_path / "regions.jsonl"
         rc, stdout, err = run_main(
             ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", str(out)]
@@ -1040,6 +1047,37 @@ class TestRegions:
         assert len(err.splitlines()) == 1 and err.startswith("error=")
         assert len(calls) == 3
         assert not out.exists()
+
+    def test_failed_write_keeps_a_fifo_output(self, desk_pipeline, tmp_path, monkeypatch):
+        # a pipe or a device named by --output is not the command's to remove
+        self.full_disk_on_third_cell(monkeypatch)
+        out = tmp_path / "regions.fifo"
+        os.mkfifo(out)
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, _, err = run_main(
+                ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", str(out)]
+            )
+        finally:
+            os.close(reader)
+        assert rc == 2
+        assert err == f"error=os_error path=None reason={os.strerror(errno.ENOSPC)}\n"
+        assert stat.S_ISFIFO(os.stat(out).st_mode)
+
+    def test_failed_removal_keeps_the_write_error(self, desk_pipeline, tmp_path, monkeypatch):
+        # the error line names the write that failed, not the removal after it
+        self.full_disk_on_third_cell(monkeypatch)
+
+        def denied(path, missing_ok=False):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+
+        monkeypatch.setattr(Path, "unlink", denied)
+        out = tmp_path / "regions.jsonl"
+        rc, _, err = run_main(
+            ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", str(out)]
+        )
+        assert rc == 2
+        assert err == f"error=os_error path=None reason={os.strerror(errno.ENOSPC)}\n"
 
     def test_negative_limit_rejected(self, desk_pipeline, tmp_path):
         out = tmp_path / "regions.jsonl"

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 
 from urelunet import pwl
 from urelunet.network import UReluNet, make_net, forward, transform
-from urelunet.pwl import cond_diagnostics, enumerate_regions, region_count
+from urelunet.pwl import PwlRegion, cond_diagnostics, enumerate_regions, region_count
 
 
 def random_net(m, n, q, seed, N=200):
@@ -208,6 +210,23 @@ def test_region_json_bytes_pinned():
     assert '"a": [0.0]' in lines[0]
     assert lines[0].endswith('"cell": [1], "x_bounds": [[-1.0, -0.0]]}')
     assert lines[1].endswith('"cell": [2], "x_bounds": [[-0.0, 1.0]]}')
+
+
+def test_hand_built_and_replaced_regions_render_their_fields():
+    # only enumerate_regions attaches table text; any other region renders its own fields
+    reg = PwlRegion(
+        cell=(0, 3),
+        x_bounds=((-math.inf, -1.25), (0.1, 0.1 + 0.2)),
+        a=np.array([2.5, -1 / 3]),
+        b=-(0.1 + 0.2),
+        c=np.array([1 / 3, -2.0, 1e300]),
+    )
+    assert reg.to_json() == json_dumps_of_fields(reg)
+    net, _ = random_net(2, 2, 3, seed=5, N=20)
+    first = next(enumerate_regions(net))
+    moved = dataclasses.replace(first, a=-first.a, x_bounds=((0.0, 1.0), (2.0, 3.0)))
+    assert moved.to_json() == json_dumps_of_fields(moved)
+    assert moved.to_json() != first.to_json()
 
 
 class TestCondDiagnostics:
