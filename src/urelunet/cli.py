@@ -7,9 +7,7 @@ import contextlib
 import copy
 import dataclasses
 import json
-import os
 import resource
-import stat
 import sys
 import time
 import warnings
@@ -24,7 +22,9 @@ from .dataset import (
     build_regressors,
     is_finite_number,
     load_csv,
+    open_output,
     parse_json_object,
+    remove_output,
     rmse,
     rmse_db,
     save_csv,
@@ -227,12 +227,13 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
             for path, rec in ((paths["train"], train_rec), (paths["validation"], val_rec)):
                 save_csv(path, rec)
                 written.append(path)
-            with open(meta_path, "w", encoding="utf-8") as fh:
+            with open_output(meta_path) as fh:
                 json.dump(meta, fh, sort_keys=True, indent=2)
         except BaseException:
-            # a partial record set would pass for a whole one
+            # a partial record set would pass for a whole one; the write that failed
+            # removed its own file
             for path in written:
-                Path(path).unlink(missing_ok=True)
+                remove_output(path)
             raise
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
@@ -409,21 +410,13 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
     # enumerate_regions yields exactly this many cells
     emitted = min(limit, total)
     out = output or "regions.jsonl"
-    fh = open(out, "w", encoding="utf-8")
-    # only a regular file is this command's to remove; a pipe or a device is not
-    regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-    try:
-        with fh:
-            header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for region in pwl.enumerate_regions(net, limit=limit):
-                fh.write(region.to_json() + "\n")
-    except BaseException:
-        # a header that counts more cells than the file holds would pass for a whole export
-        if regular:
-            with contextlib.suppress(OSError):
-                Path(out).unlink()
-        raise
+    # a header that counts more cells than the file holds would pass for a whole export,
+    # so a failed write leaves no file
+    with open_output(out) as fh:
+        header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
+        fh.write(json.dumps(header, sort_keys=True) + "\n")
+        for region in pwl.enumerate_regions(net, limit=limit):
+            fh.write(region.to_json() + "\n")
     print(f"output={out}")
     print(f"total_cells={total}")
     print(f"emitted={emitted}")

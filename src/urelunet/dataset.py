@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -239,8 +243,41 @@ def load_csv(path) -> TimeSeriesData:
     return TimeSeriesData(u=u, y=y)
 
 
+def remove_output(path, opened: os.stat_result | None = None) -> None:
+    """Remove what a failed write left at `path` if `path` itself is a regular file and,
+    given `opened` (the `os.fstat` of the descriptor the writer opened), still that file:
+    a partial file would pass for a whole one, but a symlink, a pipe or a device is not
+    the writer's to remove. An OSError is suppressed, so that the write's error stands."""
+    with contextlib.suppress(OSError):
+        st = os.lstat(path)
+        if not stat.S_ISREG(st.st_mode):
+            return
+        if opened is not None and (st.st_dev, st.st_ino) != (opened.st_dev, opened.st_ino):
+            return
+        Path(path).unlink()
+
+
+@contextlib.contextmanager
+def open_output(path):
+    """`path` opened for writing UTF-8 text, for the body of a `with`. If the body or the
+    close fails, `remove_output` is given the file that was opened, and an OSError that
+    names no file (a full disk) is given `path`."""
+    fh = open(path, "w", encoding="utf-8")
+    opened = None
+    try:
+        with fh:
+            opened = os.fstat(fh.fileno())
+            yield fh
+    except BaseException as exc:
+        remove_output(path, opened)
+        if isinstance(exc, OSError) and exc.filename is None:
+            exc.filename = str(path)
+        raise
+
+
 def save_csv(path, data: TimeSeriesData) -> None:
-    """Write a (u, y) series as headerless CSV with full float precision."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write a (u, y) series as headerless CSV with full float precision; a failed
+    write leaves no file (`open_output`)."""
+    with open_output(path) as fh:
         for ui, yi in zip(data.u, data.y):
             fh.write(f"{float(ui)!r},{float(yi)!r}\n")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from urelunet import boucwen, cli
 from urelunet.boucwen import (
     BLOWUP_BOUND,
     NEWTON_MAX_ITER,
@@ -390,3 +391,42 @@ class TestDecimate:
             decimate(np.zeros(100), 0)
         with pytest.raises(ValueError):
             decimate(np.zeros(10), 2)
+
+
+class TestDecimateOracle:
+    """`decimate` must give the bits of scipy's Butterworth filter-filter, which made the
+    records before it: every record, and so every fitted model, depends on them. No
+    command imports scipy.signal; these tests keep it as the oracle."""
+
+    @pytest.mark.parametrize("n", [16, 1000, 23040, 84480])
+    def test_matches_scipy_filtfilt(self, n):
+        # 16 is the shortest series (padlen + 1); 23,040 and 84,480 are the lengths of
+        # the desk validation and training records before decimation
+        from scipy import signal
+
+        x = np.random.default_rng(n).normal(scale=100.0, size=n)
+        for factor in range(2, 41):
+            sos = signal.butter(4, 0.8 / factor, output="sos")
+            expected = signal.sosfiltfilt(sos, x)[::factor]
+            assert np.array_equal(decimate(x, factor), expected), factor
+
+    def test_design_matches_scipy(self):
+        from scipy import signal
+
+        for factor in range(2, 201):
+            sos = boucwen._butter4_sos(0.8 / factor)
+            assert np.array_equal(sos, signal.butter(4, 0.8 / factor, output="sos")), factor
+            assert np.array_equal(boucwen._sosfilt_zi(sos), signal.sosfilt_zi(sos)), factor
+
+    def test_record_matches_scipy_pipeline(self, monkeypatch):
+        from scipy import signal
+
+        def scipy_decimate(x, factor):
+            return signal.sosfiltfilt(signal.butter(4, 0.8 / factor, output="sos"), x)[::factor]
+
+        exc = {"amplitude_rms": 120.0}
+        record = cli._generate_record(desk_params(), exc, 256, 2, cli.StageClock())
+        monkeypatch.setattr(boucwen, "decimate", scipy_decimate)
+        expected = cli._generate_record(desk_params(), exc, 256, 2, cli.StageClock())
+        assert np.array_equal(record.u, expected.u)
+        assert np.array_equal(record.y, expected.y)

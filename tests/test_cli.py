@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urelunet import boucwen, cli, polyfit
+from urelunet import boucwen, cli, dataset, polyfit
 from urelunet.dataset import (
     RegressorSpec,
     SimulationDiverged,
@@ -43,6 +43,25 @@ def run_main(argv):
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, buf.getvalue(), err.getvalue()
+
+
+def full_disk_on_write(monkeypatch, path, n):
+    """Make the n-th write to the file `path` that `dataset.open_output` opens raise ENOSPC."""
+    def opener(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        if Path(file) == Path(path):
+            write, calls = fh.write, itertools.count(1)
+
+            def full_disk(text):
+                if next(calls) == n:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return write(text)
+
+            fh.write = full_disk
+        return fh
+
+    # shadows the builtin for the dataset module alone
+    monkeypatch.setattr(dataset, "open", opener, raising=False)
 
 
 # the start of from_json's message for a regressor_spec it rejects, and one of its reasons
@@ -455,6 +474,48 @@ class TestDatagen:
         assert err == f"error=stage:persist missing_file={val}\n"
         assert out == ""
         # neither the training record nor its meta sidecar is left behind
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_a_fifo_record(self, tmp_path):
+        # the training record went to a pipe: the failed validation write does not remove it
+        train, val = tmp_path / "t.fifo", tmp_path / "nodir" / "v.csv"
+        os.mkfifo(train)
+        reader = os.open(train, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, _, err = run_main(
+                small_datagen_args(tmp_path)
+                + ["--set", f"paths.train={train}", "--set", f"paths.validation={val}", "datagen"]
+            )
+        finally:
+            os.close(reader)
+        assert rc == 2
+        assert err == f"error=stage:persist missing_file={val}\n"
+        assert stat.S_ISFIFO(os.stat(train).st_mode)
+
+    def test_failed_write_keeps_a_symlinked_record(self, tmp_path):
+        # the training record went through a symlink: the failed validation write
+        # leaves the link, and the file it points to, in place
+        target, train, val = tmp_path / "target.csv", tmp_path / "t.csv", tmp_path / "nodir" / "v.csv"
+        target.touch()
+        train.symlink_to(target)
+        rc, _, err = run_main(
+            small_datagen_args(tmp_path)
+            + ["--set", f"paths.train={train}", "--set", f"paths.validation={val}", "datagen"]
+        )
+        assert rc == 2
+        assert err == f"error=stage:persist missing_file={val}\n"
+        assert train.is_symlink() and target.is_file()
+
+    @pytest.mark.parametrize("name", ["v.csv", "t.csv.meta.json"])
+    def test_full_disk_leaves_no_record(self, tmp_path, monkeypatch, name):
+        # the 10th write of the validation record or of the meta sidecar fails: the
+        # partial file goes, and so do the files written before it
+        failing = tmp_path / name
+        full_disk_on_write(monkeypatch, failing, 10)
+        rc, out, err = run_main(small_datagen_args(tmp_path) + ["datagen"])
+        assert rc == 2
+        assert err == f"error=stage:persist os_error={failing} reason={os.strerror(errno.ENOSPC)}\n"
+        assert out == ""
         assert list(tmp_path.iterdir()) == []
 
     def test_wrong_type_value_exit_code(self, tmp_path):
@@ -985,6 +1046,49 @@ class TestSimulate:
         assert not np.array_equal(sim.y, val.y)
         assert np.corrcoef(sim.y, val.y)[0, 1] > 0.9
 
+    @staticmethod
+    def simulate_to(desk_pipeline, out):
+        """`simulate --output out` of the desk model; returns (exit code, stdout, stderr)."""
+        return run_main(
+            ["--config", str(cli_config_path()), "--set", f"paths.model={desk_pipeline['model']}",
+             "--set", f"paths.validation={desk_pipeline['validation_csv']}", "simulate", "--output", str(out)]
+        )
+
+    def test_full_disk_leaves_no_file(self, desk_pipeline, tmp_path, monkeypatch):
+        # the 100th row fails: the 99 rows before it would pass for a short free run
+        out = tmp_path / "sim.csv"
+        full_disk_on_write(monkeypatch, out, 100)
+        rc, stdout, err = self.simulate_to(desk_pipeline, out)
+        assert rc == 2
+        assert stdout == ""
+        assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
+        assert not out.exists()
+
+    def test_full_disk_keeps_a_symlinked_output(self, desk_pipeline, tmp_path, monkeypatch):
+        # --output names a link (as /dev/stdout is one): the link is not the command's to remove
+        target, out = tmp_path / "sim.csv", tmp_path / "link.csv"
+        target.touch()
+        out.symlink_to(target)
+        full_disk_on_write(monkeypatch, out, 100)
+        rc, _, err = self.simulate_to(desk_pipeline, out)
+        assert rc == 2
+        assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
+        assert out.is_symlink() and target.is_file()
+
+    def test_full_disk_keeps_a_fifo_output(self, desk_pipeline, tmp_path, monkeypatch):
+        # a pipe named by --output is not the command's to remove
+        out = tmp_path / "sim.fifo"
+        os.mkfifo(out)
+        full_disk_on_write(monkeypatch, out, 100)
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            rc, _, err = self.simulate_to(desk_pipeline, out)
+        finally:
+            os.close(reader)
+        assert rc == 2
+        assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
+        assert stat.S_ISFIFO(os.stat(out).st_mode)
+
 
 class TestRegions:
     def test_export_complete(self, desk_pipeline, tmp_path):
@@ -1061,7 +1165,7 @@ class TestRegions:
         finally:
             os.close(reader)
         assert rc == 2
-        assert err == f"error=os_error path=None reason={os.strerror(errno.ENOSPC)}\n"
+        assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
         assert stat.S_ISFIFO(os.stat(out).st_mode)
 
     def test_failed_removal_keeps_the_write_error(self, desk_pipeline, tmp_path, monkeypatch):
@@ -1077,7 +1181,7 @@ class TestRegions:
             ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", str(out)]
         )
         assert rc == 2
-        assert err == f"error=os_error path=None reason={os.strerror(errno.ENOSPC)}\n"
+        assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
 
     def test_negative_limit_rejected(self, desk_pipeline, tmp_path):
         out = tmp_path / "regions.jsonl"
@@ -1108,12 +1212,19 @@ class TestRegions:
         assert len(lines) == 3
 
 
-def test_cli_import_leaves_out_scipy_signal():
-    # only `boucwen.decimate` uses scipy.signal, and it imports it when it runs
+def test_cli_import_leaves_out_scipy_signal(tmp_path):
+    # no command uses scipy.signal: `boucwen.decimate` is a filter of its own
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     code = "import sys, urelunet.cli; print('scipy.signal' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}, timeout=120,
-    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+    # nor does a datagen, which decimates both records
+    code = "import sys, urelunet.cli; rc = urelunet.cli.main(sys.argv[1:]); print(rc, 'scipy.signal' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *small_datagen_args(tmp_path), "datagen"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
+    assert (tmp_path / "v.csv").exists()

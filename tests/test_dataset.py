@@ -1,4 +1,6 @@
+import errno
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from urelunet.dataset import (
     TimeSeriesData,
     build_regressors,
     load_csv,
+    open_output,
     rmse,
     rmse_db,
     save_csv,
@@ -271,3 +274,26 @@ class TestCsv:
         reloaded = load_csv(p1)
         np.testing.assert_array_equal(reloaded.u, data.u)
         np.testing.assert_array_equal(reloaded.y, data.y)
+
+
+def test_failed_output_replaced_after_open_is_kept(tmp_path):
+    # the path names another file by the time the write fails: that file is not the
+    # writer's, so it stays
+    out, other = tmp_path / "out.csv", tmp_path / "other.csv"
+    other.write_text("kept\n")
+    with pytest.raises(RuntimeError):
+        with open_output(out) as fh:
+            fh.write("partial\n")
+            other.replace(out)
+            raise RuntimeError
+    assert out.read_text() == "kept\n"
+
+
+def test_failed_output_is_removed(tmp_path):
+    out = tmp_path / "out.csv"
+    with pytest.raises(OSError) as info:
+        with open_output(out) as fh:
+            fh.write("partial\n")
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    assert info.value.filename == str(out)
+    assert not out.exists()
