@@ -285,7 +285,9 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
     with stages("persist"):
         # computed before any file is written, so a record they fail on leaves no model
         cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
-        Path(paths["model"]).write_text(net.to_json() + "\n", encoding="utf-8")
+        # a failed write leaves no partial file and names its path (`open_output`)
+        with open_output(paths["model"]) as fh:
+            fh.write(net.to_json() + "\n")
         cpd_report = {
             "status": factors.status,
             "iterations": factors.iterations,
@@ -304,7 +306,13 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
             "stage_peak_rss_mb": stages.peak_rss_mb,
             "warnings": stages.warnings,
         }
-        Path(paths["report"]).write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+        try:
+            with open_output(paths["report"]) as fh:
+                fh.write(json.dumps(doc, sort_keys=True) + "\n")
+        except BaseException:
+            # a model without its report would pass for a whole fit
+            remove_output(paths["model"])
+            raise
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")

@@ -8,7 +8,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import block_diag, lapack
+from numpy.linalg import lapack_lite
 
 from .dataset import RegressionDataset, rmse_db
 from .network import UReluNet, bias_grid, build_B, knot_fractions, make_net, transform
@@ -36,12 +36,35 @@ class TrainReport:
     basis_cond: float  # its 2-norm condition number, inf when singular
 
 
-def _lapack(routine: str, *args, **kwargs):
-    """Call scipy.linalg.lapack.<routine>; raise on a nonzero info, its last output."""
-    *out, info = getattr(lapack, routine)(*args, **kwargs)
+def _lapack(routine: str, a: np.ndarray, tau: np.ndarray) -> None:
+    """Run numpy's own LAPACK `routine`, dgeqrf or dorgqr, in place on the
+    Fortran-ordered matrix `a` and its reflector factors `tau`.
+
+    The routine's leading arguments come from the arrays it is given, never
+    from the caller, since LAPACK trusts them: (m, n) = a.shape for dgeqrf,
+    and k = len(tau) too for dorgqr. numpy.linalg.lapack_lite takes
+    C-contiguous arrays only, so `a` goes as its transpose a.T, the same
+    memory, with lda = m.
+    """
+    dims = a.shape if routine == "dgeqrf" else (*a.shape, len(tau))
+    lwork = _lwork(routine, *dims)
+    _checked(routine, *dims, a.T, a.shape[0], tau, np.empty(lwork), lwork)
+
+
+@functools.cache
+def _lwork(routine: str, *dims: int) -> int:
+    """The optimal workspace length of `routine` at `dims`, from LAPACK's lwork=-1 query,
+    which reads no matrix: one-element stand-ins pass for the arrays."""
+    work = np.empty(1)
+    _checked(routine, *dims, work, max(1, dims[0]), work, work, -1)
+    return max(1, int(work[0]))
+
+
+def _checked(routine: str, *args) -> None:
+    """numpy.linalg.lapack_lite.<routine>(*args, info); raise on a nonzero info."""
+    info = getattr(lapack_lite, routine)(*args, 0)["info"]
     if info != 0:
         raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
-    return out
 
 
 def _qr_buffer(y: np.ndarray, width: int) -> np.ndarray:
@@ -61,16 +84,17 @@ class _Projection:
     with the same singular values. The SVD R11 = Ut S Vt^T keeps the values
     above PINV_RCOND times the largest (the set K), as a pseudo-inverse of
     [1, B] would. Then w = Vt_K S_K^-1 Ut_K^T c, and the residual y - [1, B] w
-    is Q [c - Ut_K Ut_K^T c; rho; 0], applied by dormqr without forming Q. This
-    is the minimum-norm solution on every path, rank-deficient or not. Q1 is
-    formed on first use only; Q1 Ut_K is an orthonormal basis of the range of
-    [1, B], so [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T and
-    [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
+    is Q [c - Ut_K Ut_K^T c; rho; 0], which `_apply_q` computes from the
+    reflectors without forming Q. This is the minimum-norm solution on every
+    path, rank-deficient or not. Q1 is formed by dorgqr on first use only;
+    Q1 Ut_K is an orthonormal basis of the range of [1, B], so
+    [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T and [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
     """
 
     def __init__(self, A: np.ndarray):
         N, k = A.shape[0], A.shape[1] - 1
-        self.qr, self.tau, _ = _lapack("dgeqrf", A, overwrite_a=True)
+        self.qr, self.tau = A, np.empty(min(N, k + 1))
+        _lapack("dgeqrf", A, self.tau)
         p = min(N, k)
         c = self.qr[:p, k]
         ut, sv, vt = np.linalg.svd(np.triu(self.qr[:p, :k]), full_matrices=False)
@@ -81,19 +105,28 @@ class _Projection:
         self.vs = vt[: self.rank].T / sv[: self.rank]  # Vt_K S_K^-1, k x K
         coef = self.ut.T @ c
         self.w = self.vs @ coef
-        z = np.zeros((N, 1), order="F")
-        z[:p, 0] = c - self.ut @ coef
+        z = np.zeros(N)
+        z[:p] = c - self.ut @ coef
         if N > k:
-            z[k, 0] = self.qr[k, k]
-        # one right-hand side needs only the minimal workspace, passed positionally
-        qz, _ = _lapack("dormqr", "L", "N", self.qr[:, : len(self.tau)], self.tau, z, 1, overwrite_c=True)
-        self.r = qz[:, 0]
+            z[k] = self.qr[k, k]
+        self.r = self._apply_q(z)
+
+    def _apply_q(self, z: np.ndarray) -> np.ndarray:
+        """Q z, in place: the reflectors H_i = I - tau_i v_i v_i^T, with
+        v_i = [0, ..., 0, 1, qr[i+1:, i]], applied from the last to the first."""
+        for i in reversed(range(len(self.tau))):
+            v = self.qr[i + 1 :, i]
+            s = self.tau[i] * (z[i] + v @ z[i + 1 :])
+            z[i] -= s
+            z[i + 1 :] -= s * v
+        return z
 
     @functools.cached_property
     def Q1(self) -> np.ndarray:
         """The first min(N, k) columns of Q, N x min(N, k)."""
         p = self.ut.shape[0]
-        q1, _ = _lapack("dorgqr", self.qr[:, :p], self.tau[:p])
+        q1 = np.array(self.qr[:, :p], order="F")
+        _lapack("dorgqr", q1, self.tau[:p])
         return q1
 
 
@@ -114,6 +147,14 @@ def solve_weights(B: np.ndarray, y: np.ndarray):
     A[:, 1:-1] = B
     proj = _Projection(A)
     return proj.w, proj.rank
+
+
+def _block_diag(blocks: np.ndarray) -> np.ndarray:
+    """The block-diagonal matrix of the n equal blocks[t], each a x b: (n*a) x (n*b)."""
+    n, a, b = blocks.shape
+    out = np.zeros((n, a, n, b))
+    out[np.arange(n), :, np.arange(n), :] = blocks
+    return out.reshape(n * a, n * b)
 
 
 def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
@@ -216,15 +257,15 @@ def vp_jacobian(
 
     # [a_t, b_t] for every dimension from one GEMM, then G = (dB/dv) w, shape N x (n*m)
     w = proj.w[1:].reshape(n, q)
-    ab = mask @ block_diag(*np.stack([w, w * knot_fractions(q)], axis=2))
+    ab = mask @ _block_diag(np.stack([w, w * knot_fractions(q)], axis=2))
     G = np.einsum("kt,ks->kts", ab[:, 0::2], U).reshape(N, n * m)
-    G -= ab @ block_diag(*np.stack([Umin.T, dU.T], axis=1))
+    G -= ab @ _block_diag(np.stack([Umin.T, dU.T], axis=1))
 
     # C[s, t, j] = (dB/dv_st)^T r in column (t, j), block-diagonal as (n*q) x (n*m)
     r = proj.r
     C = ((U * r[:, None]).T @ mask).reshape(m, n, q)
     C -= _knot_sensitivities(Umin, dU, q) * (r @ mask).reshape(n, q)
-    C_blk = block_diag(*C.transpose(1, 2, 0))
+    C_blk = _block_diag(C.transpose(1, 2, 0))
 
     # with W = Q1 Ut_K: J = W (W^T G - S_K^-1 Vt_K^T[:, 1:] C_blk) - G
     Q1, ut = proj.Q1, proj.ut

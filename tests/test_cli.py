@@ -760,6 +760,25 @@ class TestFit:
         assert not (tmp_path / "model.json").exists()
         assert not (tmp_path / "report.json").exists()
 
+    @pytest.mark.parametrize("name", ["model.json", "report.json"])
+    def test_full_disk_leaves_no_model_or_report(self, tmp_path, monkeypatch, name):
+        # the write of the model or of the report fails: the partial file goes, and a
+        # failed report takes the model written before it along
+        args = small_fit_args(tmp_path)
+        failing = tmp_path / name
+        full_disk_on_write(monkeypatch, failing, 1)
+        rc, out, err = run_main(args + ["fit"])
+        assert rc == 2
+        assert err == f"error=stage:persist os_error={failing} reason={os.strerror(errno.ENOSPC)}\n"
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
+    def test_unwritable_report_leaves_no_model(self, tmp_path):
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", f"paths.report={tmp_path}", "fit"])
+        assert rc == 2 and out == ""
+        assert err == f"error=stage:persist os_error={tmp_path} reason=Is a directory\n"
+        assert not (tmp_path / "model.json").exists()
+
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
             ["--set", f"paths.train={tmp_path / 'absent.csv'}", "fit"]
@@ -1213,18 +1232,32 @@ class TestRegions:
 
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
-    # no command uses scipy.signal: `boucwen.decimate` is a filter of its own
+    # no command loads any part of scipy: `boucwen.decimate` is a filter of its own and
+    # `varpro` factors with numpy's own LAPACK
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    code = "import sys, urelunet.cli; print('scipy.signal' in sys.modules)"
+    loaded = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+    code = f"import sys, urelunet.cli; print({loaded})"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
-    # nor does a datagen, which decimates both records
-    code = "import sys, urelunet.cli; rc = urelunet.cli.main(sys.argv[1:]); print(rc, 'scipy.signal' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *small_datagen_args(tmp_path), "datagen"],
-        capture_output=True, text=True, env=env, timeout=120,
+    assert proc.stdout == "[]\n"
+    # nor do datagen, fit, eval and regions, run in one process on small records
+    settings = {
+        "paths.model": tmp_path / "m.json",
+        "paths.report": tmp_path / "r.json",
+        "regressors.n_u": 2,
+        "regressors.n_y": 1,
+        "init.n": 2,
+        "net.q": 3,
+        "train.max_iter": 5,
+    }
+    args = small_datagen_args(tmp_path) + [a for k, v in settings.items() for a in ("--set", f"{k}={v}")]
+    commands = [["datagen"], ["fit"], ["eval"], ["regions", "--output", str(tmp_path / "regions.jsonl")]]
+    code = (
+        "import sys, urelunet.cli; "
+        f"rcs = [urelunet.cli.main(sys.argv[1:] + c) for c in {commands!r}]; "
+        f"print(rcs, {loaded})"
     )
+    proc = subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "0 False"
-    assert (tmp_path / "v.csv").exists()
+    assert proc.stdout.splitlines()[-1] == "[0, 0, 0, 0] []"
+    assert (tmp_path / "v.csv").exists() and (tmp_path / "regions.jsonl").exists()

@@ -91,6 +91,85 @@ class TestSolveWeights:
             solve_weights(np.ones((4, 2)), np.ones(5))
 
 
+def scipy_projection(A):
+    """The factors, Q1 and residual of `varpro._Projection(A)` through scipy.linalg.lapack's
+    dgeqrf, dorgqr and dormqr, as `_Projection` computed them before it used numpy's LAPACK."""
+    from scipy.linalg import lapack
+
+    N, k = A.shape[0], A.shape[1] - 1
+    qr, tau, _, info = lapack.dgeqrf(A)
+    assert info == 0
+    p = min(N, k)
+    q1, _, info = lapack.dorgqr(qr[:, :p], tau[:p])
+    assert info == 0
+    ut, sv, _ = np.linalg.svd(np.triu(qr[:p, :k]), full_matrices=False)
+    ut = ut[:, : int(np.count_nonzero(sv > varpro.PINV_RCOND * sv[0]))]
+    z = np.zeros((N, 1), order="F")
+    z[:p, 0] = qr[:p, k] - ut @ (ut.T @ qr[:p, k])
+    if N > k:
+        z[k, 0] = qr[k, k]
+    qz, _, info = lapack.dormqr("L", "N", qr[:, : len(tau)], tau, z, 1)
+    assert info == 0
+    return qr, tau, q1, qz[:, 0]
+
+
+class TestScipyLapackOracle:
+    """`_Projection` runs numpy's own dgeqrf and dorgqr and applies Q to the residual
+    itself; scipy's LAPACK wrappers are the oracle. numpy and scipy may bundle different
+    OpenBLAS builds, so the match is to rounding, not to the bit. The rank-deficient case
+    has a zero column, whose reflector is the identity in any build; a duplicated column
+    would leave a reflector that rounding alone determines."""
+
+    @pytest.mark.parametrize(
+        "N, k, zero_column",
+        [
+            (200, 9, False),  # full rank
+            (200, 9, True),  # rank-deficient
+            (300, 140, False),  # wider than dgeqrf's unblocked crossover of 128 columns
+            (10, 9, False),  # N = k + 1: rho is the last diagonal entry
+            (9, 9, False),  # N <= k: [1, B] spans every residual
+            (5, 9, False),
+        ],
+    )
+    def test_factors_q1_and_residual(self, N, k, zero_column):
+        rng = np.random.default_rng(N + k)
+        A = np.asfortranarray(rng.normal(size=(N, k + 1)))
+        A[:, 0] = 1.0
+        if zero_column:
+            A[:, 3] = 0.0
+        qr, tau, q1, r = scipy_projection(A)
+        proj = varpro._Projection(A.copy(order="F"))
+        if zero_column:
+            assert tau[3] == 0.0 and proj.rank == k - 1
+
+        def close(actual, desired):
+            np.testing.assert_allclose(actual, desired, rtol=0, atol=1e-12 * max(np.abs(desired).max(), 1.0))
+
+        close(proj.qr, qr)
+        close(proj.tau, tau)
+        close(proj.Q1, q1)
+        close(proj.r, r)
+        # the residual also stays orthogonal to the columns of A it was projected off
+        assert np.abs(A[:, :k].T @ proj.r).max() <= 1e-10 * np.abs(A).max() * max(np.abs(A[:, k]).max(), 1.0)
+
+    def test_q_applied_to_a_vector_is_dormqr(self):
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(3)
+        A = np.asfortranarray(rng.normal(size=(150, 12)))
+        proj = varpro._Projection(A.copy(order="F"))
+        z = rng.normal(size=150)
+        expected, _, info = lapack.dormqr("L", "N", proj.qr, proj.tau, np.asfortranarray(z[:, None]), 1)
+        assert info == 0
+        np.testing.assert_allclose(proj._apply_q(z.copy()), expected[:, 0], rtol=0, atol=1e-13 * np.abs(z).max())
+
+    def test_block_diag_is_scipy_block_diag(self):
+        from scipy.linalg import block_diag
+
+        blocks = np.random.default_rng(4).normal(size=(3, 4, 2))
+        np.testing.assert_array_equal(varpro._block_diag(blocks), block_diag(*blocks))
+
+
 class TestBasisDerivative:
     def _fd_column(self, V, ds, q, s, t, step=1e-7):
         Vp, Vm = V.copy(), V.copy()
@@ -394,13 +473,14 @@ class TestTrialStateReuse:
         V, ds = safe_instance(N=120, m=4, n=2, q=4, seed=40)
         jacobians = self._trace(monkeypatch, "vp_jacobian")
         formed = []
-        original = varpro.lapack.dorgqr
+        original = varpro._lapack
 
-        def counted(*args, **kwargs):
-            formed.append(args[0].shape)
-            return original(*args, **kwargs)
+        def counted(routine, a, *args):
+            if routine == "dorgqr":
+                formed.append(a.shape)
+            return original(routine, a, *args)
 
-        monkeypatch.setattr(varpro.lapack, "dorgqr", counted)
+        monkeypatch.setattr(varpro, "_lapack", counted)
         _, report = train(V, ds, 4, max_iter=12)
         assert report.rejected >= 1
         # Q is formed once per Jacobian, at the start or at an accepted point
