@@ -7,6 +7,7 @@ import contextlib
 import copy
 import dataclasses
 import json
+import os
 import resource
 import sys
 import time
@@ -176,6 +177,26 @@ class StageClock:
                 self.warnings += [{"stage": stage, "message": str(w.message)} for w in caught]
 
 
+def _check_outputs(inputs: dict[str, str], outputs: dict[str, str]) -> None:
+    """Raise ValueError if an output names one of `inputs` or an earlier output; each maps
+    a name, such as "paths.train", to a path. Where both paths exist they match if they are
+    the same file (`os.path.samefile`), otherwise if they resolve to the same path. An
+    existing output that is not a regular file, such as /dev/null or a pipe behind
+    /dev/stdout, replaces no file and matches nothing."""
+    seen = list(inputs.items())
+    for name, path in outputs.items():
+        if os.path.exists(path) and not os.path.isfile(path):
+            continue
+        for other, known in seen:
+            if os.path.exists(path) and os.path.exists(known):
+                same = os.path.samefile(path, known)
+            else:
+                same = Path(path).resolve() == Path(known).resolve()
+            if same:
+                raise ValueError(f"{name} {path} is the same file as {other} {known}")
+        seen.append((name, path))
+
+
 def _sim_samples(n_out: int) -> int:
     """Samples simulated at SIM_RATE_HZ for a record of `n_out` decimated samples."""
     return (n_out + SETTLE_SAMPLES) * DECIMATION
@@ -202,11 +223,16 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
             raise ValueError(f"datagen.{key} must be >= 1, not {dg[key]}")
+    paths = cfg["paths"]
+    meta_path = str(paths["train"]) + ".meta.json"
+    _check_outputs(
+        {"datagen.params_file": dg["params_file"]},
+        {"paths.train": paths["train"], "paths.validation": paths["validation"], "metadata": meta_path},
+    )
     params = boucwen.load_params(dg["params_file"])
     seed = cfg["seed"]
     exc = dg["excitation"]
     n_train, n_val = dg["train_samples"], dg["validation_samples"]
-    paths = cfg["paths"]
     meta = {
         "seed": seed,
         "validation_seed": seed + 1,
@@ -218,7 +244,6 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
         "params_file": str(dg["params_file"]),
         "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
     }
-    meta_path = str(paths["train"]) + ".meta.json"
     train_rec = _generate_record(params, exc, n_train, seed, stages)
     val_rec = _generate_record(params, exc, n_val, seed + 1, stages)
     with stages("persist"):
@@ -279,6 +304,9 @@ def identify(data: TimeSeriesData, cfg: dict, stages: StageClock):
 
 def cmd_fit(cfg: dict, stages: StageClock) -> int:
     paths = cfg["paths"]
+    _check_outputs(
+        {"paths.train": paths["train"]}, {"paths.model": paths["model"], "paths.report": paths["report"]}
+    )
     with stages("load"):
         data = load_csv(paths["train"])
     ds, poly, factors, net, report = identify(data, cfg, stages)
@@ -401,9 +429,13 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict, output: str | None) -> int:
+    out = output or "simulated.csv"
+    paths = cfg["paths"]
+    _check_outputs(
+        {"paths.model": paths["model"], "paths.validation": paths["validation"]}, {"--output": out}
+    )
     net, data, spec = _free_run_inputs(cfg)
     y_s = simulate_free_run(net, data.u, data.y[: spec.max_lag], spec)
-    out = output or "simulated.csv"
     save_csv(out, TimeSeriesData(u=data.u, y=y_s))
     print(f"output={out} rows={len(y_s)}")
     return 0
@@ -413,11 +445,12 @@ def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
     if limit < 0:
         raise ValueError(f"--limit must be >= 0, not {limit}")
     paths = cfg["paths"]
+    out = output or "regions.jsonl"
+    _check_outputs({"paths.model": paths["model"]}, {"--output": out})
     net = _load_model(paths["model"])
     total = pwl.region_count(net)
     # enumerate_regions yields exactly this many cells
     emitted = min(limit, total)
-    out = output or "regions.jsonl"
     # a header that counts more cells than the file holds would pass for a whole export,
     # so a failed write leaves no file
     with open_output(out) as fh:

@@ -14,19 +14,28 @@ from .polyfit import PolyNarxModel
 
 @dataclass(frozen=True)
 class CpdFactors:
-    """Three-factor decomposition T[i,j,k] = sum_l A[i,l] B[j,l] C[k,l]."""
+    """Three-factor decomposition T[i,j,k] = sum_l A[i,l] B[j,l] C[k,l] of rank r = A.shape[1].
+
+    `error_history` holds the relative error after each ALS sweep, so its length is the
+    sweep count (`iterations`); it is empty for a zero tensor, which needs no sweep."""
 
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray
-    r: int
     rel_error: float = field(default=np.nan, compare=False)
-    iterations: int = field(default=0, compare=False)
     error_history: tuple[float, ...] = field(default=(), compare=False)
     # "converged" when the `tol` test on the error or its change stopped ALS, else "max_iter"
     status: str = field(default="max_iter", compare=False)
     # the final error of each restart `cpd_als` attempted, None where it was singular
     restart_errors: tuple[float | None, ...] = field(default=(), compare=False)
+
+    @property
+    def r(self) -> int:
+        return self.A.shape[1]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.error_history)
 
 
 def cpd_als(
@@ -77,9 +86,7 @@ def cpd_als(
         A = rng.standard_normal((m, r))
         A /= np.linalg.norm(A, axis=0)
         C = np.zeros((N, r))
-        return CpdFactors(
-            A=A, B=A.copy(), C=C, r=r, rel_error=0.0, status="converged", restart_errors=(0.0,)
-        )
+        return CpdFactors(A=A, B=A.copy(), C=C, rel_error=0.0, status="converged", restart_errors=(0.0,))
 
     G, Q = _compress_mode3(data) if basis is None else (data, basis)
     best: CpdFactors | None = None
@@ -145,16 +152,7 @@ def _als_run(G, Q, r, max_iter, tol, rng, normT2) -> CpdFactors:
         if err <= tol or len(history) > 1 and abs(history[-2] - err) <= tol * max(err, 1e-300):
             status = "converged"
             break
-    return CpdFactors(
-        A=A,
-        B=B,
-        C=Q @ C,
-        r=r,
-        rel_error=history[-1],
-        iterations=len(history),
-        error_history=tuple(history),
-        status=status,
-    )
+    return CpdFactors(A=A, B=B, C=Q @ C, rel_error=history[-1], error_history=tuple(history), status=status)
 
 
 def _solve_mode(M, gram):

@@ -65,35 +65,31 @@ class PolyNarxModel:
         return float((monomials([t.exponents for t in self.terms], u) @ self.coeffs)[0])
 
 
+def _exponent_matrix(exponents, m: int) -> np.ndarray:
+    """`exponents` (one length-m exponent vector or K of them) as a K x m int array;
+    raises ValueError for another variable count or a negative exponent."""
+    E = np.atleast_2d(np.asarray(exponents, dtype=int))
+    if E.ndim != 2 or E.shape[1] != m:
+        raise ValueError(f"U has {m} columns, the terms have {E.shape[-1]} variables")
+    if E.min(initial=0) < 0:
+        raise ValueError("exponents must be non-negative")
+    return E
+
+
 def monomials(exponents, U: np.ndarray) -> np.ndarray:
     """Evaluate monomials on the rows of U (or a single vector); returns N x K.
 
-    `exponents` is one length-m exponent vector or K of them. Column k is the
-    product, in variable order, of U[:, j] ** e over the nonzero exponents of
-    term k, starting from ones. Each distinct power is computed once, and each
-    column is built in one contiguous buffer and stored once.
+    `exponents` is one length-m exponent vector or K of them. Column k starts
+    from ones and is multiplied, in variable order, by U[:, j] ** e over the
+    nonzero exponents e of term k.
     """
     U = np.atleast_2d(np.asarray(U, dtype=float))
-    E = np.atleast_2d(np.asarray(exponents, dtype=int))
-    if E.ndim != 2 or E.shape[1] != U.shape[1]:
-        raise ValueError(f"U has {U.shape[1]} columns, the terms have {E.shape[-1]} variables")
-    if E.min(initial=0) < 0:
-        raise ValueError("exponents must be non-negative")
-    # powers[j, e - 1] = U[:, j] ** e, in one block: contiguous rows to
-    # multiply by, and one allocation that is returned whole when freed
-    top = E.max(axis=0, initial=0).tolist()
-    powers = np.empty((U.shape[1], max(top, default=0), U.shape[0]))
-    for j, d in enumerate(top):
-        for e in range(1, d + 1):
-            powers[j, e - 1] = U[:, j] ** e
-    out = np.empty((U.shape[0], E.shape[0]))
-    col = np.empty(U.shape[0])
+    E = _exponent_matrix(exponents, U.shape[1])
+    out = np.ones((U.shape[0], E.shape[0]))
     for k, exps in enumerate(E.tolist()):
-        col.fill(1.0)
         for j, e in enumerate(exps):
             if e:
-                col *= powers[j, e - 1]
-        out[:, k] = col
+                out[:, k] *= U[:, j] ** e
     return out
 
 
@@ -132,11 +128,7 @@ def moment_index(exponents, m: int) -> np.ndarray:
     (v*U)^T (U (.) U), where (.) is the row-wise Khatri-Rao product over the
     variable pairs j <= k.
     """
-    E = np.atleast_2d(np.asarray(exponents, dtype=int))
-    if E.ndim != 2 or E.shape[1] != m:
-        raise ValueError(f"U has {m} columns, the terms have {E.shape[-1]} variables")
-    if E.min(initial=0) < 0:
-        raise ValueError("exponents must be non-negative")
+    E = _exponent_matrix(exponents, m)
     degree = E.sum(axis=1)
     above = np.flatnonzero(degree > 3)
     if above.size:

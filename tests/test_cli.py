@@ -476,6 +476,18 @@ class TestDatagen:
         # neither the training record nor its meta sidecar is left behind
         assert list(tmp_path.iterdir()) == []
 
+    def test_validation_record_on_the_training_record_rejected(self, tmp_path):
+        train = tmp_path / "t.csv"
+        train.write_text("kept\n")
+        rc, out, err = run_main(
+            small_datagen_args(tmp_path) + ["--set", f"paths.validation={train}", "datagen"]
+        )
+        assert rc == 1
+        assert err == f"error=paths.validation {train} is the same file as paths.train {train}\n"
+        assert out == ""
+        assert train.read_text() == "kept\n"
+        assert list(tmp_path.iterdir()) == [train]
+
     def test_failed_write_keeps_a_fifo_record(self, tmp_path):
         # the training record went to a pipe: the failed validation write does not remove it
         train, val = tmp_path / "t.fifo", tmp_path / "nodir" / "v.csv"
@@ -778,6 +790,31 @@ class TestFit:
         assert rc == 2 and out == ""
         assert err == f"error=stage:persist os_error={tmp_path} reason=Is a directory\n"
         assert not (tmp_path / "model.json").exists()
+
+    @pytest.mark.parametrize("key", ["model", "report"])
+    def test_output_on_the_training_record_rejected(self, tmp_path, key):
+        train = tmp_path / "train.csv"
+        args = small_fit_args(tmp_path) + ["--set", f"paths.{key}={train}", "fit"]
+        kept = train.read_bytes()
+        rc, out, err = run_main(args)
+        assert rc == 1
+        assert err == f"error=paths.{key} {train} is the same file as paths.train {train}\n"
+        assert out == ""
+        assert train.read_bytes() == kept
+        assert list(tmp_path.iterdir()) == [train]
+
+    def test_report_on_the_model_rejected(self, tmp_path):
+        model = tmp_path / "model.json"
+        rc, _, err = run_main(small_fit_args(tmp_path) + ["--set", f"paths.report={model}", "fit"])
+        assert rc == 1
+        assert err == f"error=paths.report {model} is the same file as paths.model {model}\n"
+        assert not model.exists()
+
+    def test_outputs_to_dev_null_accepted(self, tmp_path):
+        settings = [f"paths.model={os.devnull}", f"paths.report={os.devnull}"]
+        rc, out, _ = run_main(small_fit_args(tmp_path) + [a for s in settings for a in ("--set", s)] + ["fit"])
+        assert rc == 0
+        assert parse_kv(out)["model"] == os.devnull
 
     def test_missing_train_file_exit_code(self, tmp_path):
         rc, _, err = run_main(
@@ -1094,6 +1131,21 @@ class TestSimulate:
         assert err == f"error=os_error path={out} reason={os.strerror(errno.ENOSPC)}\n"
         assert out.is_symlink() and target.is_file()
 
+    def test_output_on_a_hard_link_to_the_validation_record_rejected(self, desk_pipeline, tmp_path):
+        # a second name of the same file, which only os.path.samefile matches
+        val, link = tmp_path / "validation.csv", tmp_path / "link.csv"
+        val.write_bytes(desk_pipeline["validation_csv"].read_bytes())
+        os.link(val, link)
+        kept = val.read_bytes()
+        rc, out, err = run_main(
+            ["--config", str(cli_config_path()), "--set", f"paths.model={desk_pipeline['model']}",
+             "--set", f"paths.validation={val}", "simulate", "--output", str(link)]
+        )
+        assert rc == 1
+        assert err == f"error=--output {link} is the same file as paths.validation {val}\n"
+        assert out == ""
+        assert val.read_bytes() == kept
+
     def test_full_disk_keeps_a_fifo_output(self, desk_pipeline, tmp_path, monkeypatch):
         # a pipe named by --output is not the command's to remove
         out = tmp_path / "sim.fifo"
@@ -1212,6 +1264,16 @@ class TestRegions:
         assert stdout == ""
         assert err == "error=--limit must be >= 0, not -3\n"
         assert not out.exists()
+
+    def test_output_on_the_model_rejected(self, desk_pipeline, tmp_path):
+        model = tmp_path / "model.json"
+        model.write_bytes(desk_pipeline["model"].read_bytes())
+        kept = model.read_bytes()
+        rc, stdout, err = run_main(["--set", f"paths.model={model}", "regions", "--output", str(model)])
+        assert rc == 1
+        assert stdout == ""
+        assert err == f"error=--output {model} is the same file as paths.model {model}\n"
+        assert model.read_bytes() == kept
 
     def test_long_header_kept_on_its_own_line(self, tmp_path):
         # total_cells = 10**30 makes the header longer than 80 characters

@@ -101,6 +101,7 @@ class TestCpdAls:
         tensor = HessianTensor(data=np.zeros((4, 4, 6)))
         fac = cpd_als(tensor, r=1, seed=0)
         assert fac.rel_error == 0.0 and fac.status == "converged"
+        assert fac.iterations == 0 and fac.r == 1
         assert np.all(fac.C == 0)
 
     def test_rank1_symmetric(self):
@@ -174,7 +175,7 @@ class TestSymmetrize:
     def test_identity_when_equal(self):
         rng = np.random.default_rng(6)
         A = rng.normal(size=(5, 2))
-        fac = CpdFactors(A=A, B=A.copy(), C=rng.normal(size=(7, 2)), r=2)
+        fac = CpdFactors(A=A, B=A.copy(), C=rng.normal(size=(7, 2)))
         V0 = symmetrize_to_V(fac)
         expected = A / np.linalg.norm(A, axis=0)
         np.testing.assert_allclose(np.abs(V0), np.abs(expected), atol=1e-12)
@@ -182,7 +183,7 @@ class TestSymmetrize:
     def test_sign_flip_aligned(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(5, 2))
-        fac = CpdFactors(A=A, B=-A, C=rng.normal(size=(7, 2)), r=2)
+        fac = CpdFactors(A=A, B=-A, C=rng.normal(size=(7, 2)))
         V0 = symmetrize_to_V(fac)
         expected = A / np.linalg.norm(A, axis=0)
         np.testing.assert_allclose(np.abs(V0), np.abs(expected), atol=1e-12)
@@ -190,8 +191,8 @@ class TestSymmetrize:
     def test_idempotent_up_to_normalization(self):
         rng = np.random.default_rng(8)
         A = rng.normal(size=(6, 3))
-        once = symmetrize_to_V(CpdFactors(A=A, B=A, C=np.ones((4, 3)), r=3))
-        twice = symmetrize_to_V(CpdFactors(A=once, B=once, C=np.ones((4, 3)), r=3))
+        once = symmetrize_to_V(CpdFactors(A=A, B=A, C=np.ones((4, 3))))
+        twice = symmetrize_to_V(CpdFactors(A=once, B=once, C=np.ones((4, 3))))
         np.testing.assert_allclose(twice, once, atol=1e-12)
 
     def test_recovers_column_space(self):
@@ -207,7 +208,7 @@ class TestSymmetrize:
     def test_orthogonal_pair_warns(self):
         A = np.array([[1.0], [0.0]])
         B = np.array([[0.0], [1.0]])
-        fac = CpdFactors(A=A, B=B, C=np.ones((3, 1)), r=1)
+        fac = CpdFactors(A=A, B=B, C=np.ones((3, 1)))
         with pytest.warns(UserWarning, match="symmetry"):
             symmetrize_to_V(fac)
 
