@@ -197,6 +197,28 @@ def _check_outputs(inputs: dict[str, str], outputs: dict[str, str]) -> None:
         seen.append((name, path))
 
 
+def _meta_path(train: str) -> str:
+    return str(train) + ".meta.json"
+
+
+def _files(cfg: dict, args: argparse.Namespace) -> tuple[dict[str, str], dict[str, str]]:
+    """The (inputs, outputs) of the command that `args` runs, each a map from the name that
+    its errors give a file to the file's path; --config is an input of every command."""
+    reads, writes = {
+        "datagen": (["datagen.params_file"], ["paths.train", "paths.validation", "metadata"]),
+        "fit": (["paths.train"], ["paths.model", "paths.report"]),
+        "eval": (["paths.model", "paths.validation", "paths.train"], []),
+        "simulate": (["paths.model", "paths.validation"], ["--output"]),
+        "regions": (["paths.model"], ["--output"]),
+    }[args.command]
+    named = {f"paths.{key}": path for key, path in cfg["paths"].items()}
+    named["datagen.params_file"] = cfg["datagen"]["params_file"]
+    named["metadata"] = _meta_path(cfg["paths"]["train"])
+    named["--config"], named["--output"] = args.config, getattr(args, "output", None)
+    inputs = {name: named[name] for name in ["--config", *reads] if named[name] is not None}
+    return inputs, {name: named[name] for name in writes}
+
+
 def _sim_samples(n_out: int) -> int:
     """Samples simulated at SIM_RATE_HZ for a record of `n_out` decimated samples."""
     return (n_out + SETTLE_SAMPLES) * DECIMATION
@@ -224,11 +246,7 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
         if dg[key] < 1:
             raise ValueError(f"datagen.{key} must be >= 1, not {dg[key]}")
     paths = cfg["paths"]
-    meta_path = str(paths["train"]) + ".meta.json"
-    _check_outputs(
-        {"datagen.params_file": dg["params_file"]},
-        {"paths.train": paths["train"], "paths.validation": paths["validation"], "metadata": meta_path},
-    )
+    meta_path = _meta_path(paths["train"])
     params = boucwen.load_params(dg["params_file"])
     seed = cfg["seed"]
     exc = dg["excitation"]
@@ -304,18 +322,12 @@ def identify(data: TimeSeriesData, cfg: dict, stages: StageClock):
 
 def cmd_fit(cfg: dict, stages: StageClock) -> int:
     paths = cfg["paths"]
-    _check_outputs(
-        {"paths.train": paths["train"]}, {"paths.model": paths["model"], "paths.report": paths["report"]}
-    )
     with stages("load"):
         data = load_csv(paths["train"])
     ds, poly, factors, net, report = identify(data, cfg, stages)
     with stages("persist"):
         # computed before any file is written, so a record they fail on leaves no model
         cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
-        # a failed write leaves no partial file and names its path (`open_output`)
-        with open_output(paths["model"]) as fh:
-            fh.write(net.to_json() + "\n")
         cpd_report = {
             "status": factors.status,
             "iterations": factors.iterations,
@@ -334,13 +346,13 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
             "stage_peak_rss_mb": stages.peak_rss_mb,
             "warnings": stages.warnings,
         }
-        try:
+        # a failed write leaves no partial file and names its path (`open_output`); a model
+        # without its report would pass for a whole fit, so a failed report removes it too
+        with open_output(paths["model"]) as model_fh:
+            model_fh.write(net.to_json() + "\n")
+            model_fh.flush()  # a model that cannot be written fails before the report opens
             with open_output(paths["report"]) as fh:
                 fh.write(json.dumps(doc, sort_keys=True) + "\n")
-        except BaseException:
-            # a model without its report would pass for a whole fit
-            remove_output(paths["model"])
-            raise
     print(f"model={paths['model']}")
     print(f"selected_terms={len(poly.terms)}")
     print(f"frols_esr={_frols_esr(poly.err_values)}")
@@ -428,37 +440,29 @@ def cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def cmd_simulate(cfg: dict, output: str | None) -> int:
-    out = output or "simulated.csv"
-    paths = cfg["paths"]
-    _check_outputs(
-        {"paths.model": paths["model"], "paths.validation": paths["validation"]}, {"--output": out}
-    )
+def cmd_simulate(cfg: dict, output: str) -> int:
     net, data, spec = _free_run_inputs(cfg)
     y_s = simulate_free_run(net, data.u, data.y[: spec.max_lag], spec)
-    save_csv(out, TimeSeriesData(u=data.u, y=y_s))
-    print(f"output={out} rows={len(y_s)}")
+    save_csv(output, TimeSeriesData(u=data.u, y=y_s))
+    print(f"output={output} rows={len(y_s)}")
     return 0
 
 
-def cmd_regions(cfg: dict, limit: int, output: str | None) -> int:
+def cmd_regions(cfg: dict, limit: int, output: str) -> int:
     if limit < 0:
         raise ValueError(f"--limit must be >= 0, not {limit}")
-    paths = cfg["paths"]
-    out = output or "regions.jsonl"
-    _check_outputs({"paths.model": paths["model"]}, {"--output": out})
-    net = _load_model(paths["model"])
+    net = _load_model(cfg["paths"]["model"])
     total = pwl.region_count(net)
     # enumerate_regions yields exactly this many cells
     emitted = min(limit, total)
     # a header that counts more cells than the file holds would pass for a whole export,
     # so a failed write leaves no file
-    with open_output(out) as fh:
+    with open_output(output) as fh:
         header = {"total_cells": total, "emitted": emitted, "truncated": emitted < total}
         fh.write(json.dumps(header, sort_keys=True) + "\n")
         for region in pwl.enumerate_regions(net, limit=limit):
             fh.write(region.to_json() + "\n")
-    print(f"output={out}")
+    print(f"output={output}")
     print(f"total_cells={total}")
     print(f"emitted={emitted}")
     print(f"truncated={str(emitted < total).lower()}")
@@ -483,10 +487,10 @@ def main(argv: list[str] | None = None) -> int:
     sub.add_parser("fit", help="run the full identification pipeline")
     sub.add_parser("eval", help="free-run evaluation on the validation record")
     p_sim = sub.add_parser("simulate", help="write the free-run output as CSV")
-    p_sim.add_argument("--output", help="output CSV path")
+    p_sim.add_argument("--output", default="simulated.csv", help="output CSV path")
     p_reg = sub.add_parser("regions", help="export the affine regions as JSON lines")
     p_reg.add_argument("--limit", type=int, default=pwl.DEFAULT_LIMIT)
-    p_reg.add_argument("--output", help="output JSON-lines path")
+    p_reg.add_argument("--output", default="regions.jsonl", help="output JSON-lines path")
     args = parser.parse_args(argv)
 
     stages, caught = StageClock(), []
@@ -497,6 +501,7 @@ def main(argv: list[str] | None = None) -> int:
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 cfg = load_config(args.config, args.overrides)
+                _check_outputs(*_files(cfg, args))  # before the command's own checks
                 if args.command == "datagen":
                     return cmd_datagen(cfg, stages)
                 if args.command == "fit":

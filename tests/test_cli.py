@@ -785,6 +785,27 @@ class TestFit:
         assert out == ""
         assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
 
+    def test_model_failing_at_its_flush_leaves_no_report(self, tmp_path, monkeypatch):
+        # a full disk that shows only when the model's buffer is flushed: the report,
+        # which is written inside the model's write, is never opened
+        model = tmp_path / "model.json"
+
+        def opener(file, *args, **kwargs):
+            fh = open(file, *args, **kwargs)
+            if Path(file) == model:
+                def full_disk():
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+                fh.flush = full_disk
+            return fh
+
+        monkeypatch.setattr(dataset, "open", opener, raising=False)
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])
+        assert rc == 2
+        assert err == f"error=stage:persist os_error={model} reason={os.strerror(errno.ENOSPC)}\n"
+        assert out == ""
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["train.csv"]
+
     def test_unwritable_report_leaves_no_model(self, tmp_path):
         rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", f"paths.report={tmp_path}", "fit"])
         assert rc == 2 and out == ""
@@ -1146,6 +1167,17 @@ class TestSimulate:
         assert out == ""
         assert val.read_bytes() == kept
 
+    def test_output_defaults_to_simulated_csv(self, desk_pipeline, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, stdout, _ = run_main(
+            ["--config", str(cli_config_path()), "--set", f"paths.model={desk_pipeline['model']}",
+             "--set", f"paths.validation={desk_pipeline['validation_csv']}", "simulate"]
+        )
+        assert rc == 0
+        assert stdout == "output=simulated.csv rows=1024\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["simulated.csv"]
+        assert len(load_csv(tmp_path / "simulated.csv")) == 1024
+
     def test_full_disk_keeps_a_fifo_output(self, desk_pipeline, tmp_path, monkeypatch):
         # a pipe named by --output is not the command's to remove
         out = tmp_path / "sim.fifo"
@@ -1275,6 +1307,26 @@ class TestRegions:
         assert err == f"error=--output {model} is the same file as paths.model {model}\n"
         assert model.read_bytes() == kept
 
+    def test_output_defaults_to_regions_jsonl(self, desk_pipeline, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        rc, stdout, _ = run_main(["--set", f"paths.model={desk_pipeline['model']}", "regions"])
+        assert rc == 0
+        assert parse_kv(stdout)["output"] == "regions.jsonl"
+        assert [p.name for p in tmp_path.iterdir()] == ["regions.jsonl"]
+        assert len((tmp_path / "regions.jsonl").read_text().splitlines()) == 1 + 8**3
+
+    def test_default_output_on_the_model_rejected(self, desk_pipeline, tmp_path, monkeypatch):
+        # the default --output is checked like a given one
+        monkeypatch.chdir(tmp_path)
+        model = tmp_path / "regions.jsonl"
+        model.write_bytes(desk_pipeline["model"].read_bytes())
+        kept = model.read_bytes()
+        rc, stdout, err = run_main(["--set", "paths.model=regions.jsonl", "regions"])
+        assert rc == 1
+        assert stdout == ""
+        assert err == "error=--output regions.jsonl is the same file as paths.model regions.jsonl\n"
+        assert model.read_bytes() == kept
+
     def test_long_header_kept_on_its_own_line(self, tmp_path):
         # total_cells = 10**30 makes the header longer than 80 characters
         rng = np.random.default_rng(22)
@@ -1291,6 +1343,48 @@ class TestRegions:
         assert json.loads(lines[0]) == {"total_cells": q**n, "emitted": 2, "truncated": True}
         assert len(json.loads(lines[1])["cell"]) == n
         assert len(lines) == 3
+
+
+@pytest.mark.parametrize(
+    "command, key, hard_link",
+    [
+        ("datagen", "paths.train", False),
+        ("datagen", "paths.validation", False),
+        ("fit", "paths.model", False),
+        ("fit", "paths.report", False),
+        ("simulate", "--output", False),
+        ("regions", "--output", False),
+        # a second name of the config, which only os.path.samefile matches
+        ("regions", "--output", True),
+    ],
+)
+def test_output_on_the_config_file_rejected(desk_pipeline, tmp_path, command, key, hard_link):
+    # the --config file is an input of every command: an output named onto it exits 1,
+    # leaves the config as it was and writes no file
+    config = tmp_path / "c.json"
+    config.write_bytes(cli_config_path().read_bytes())
+    out = config
+    if hard_link:
+        out = tmp_path / "link.json"
+        os.link(config, out)
+    args = {
+        "datagen": small_datagen_args(tmp_path),
+        "fit": small_fit_args(tmp_path),
+        "simulate": ["--set", f"paths.model={desk_pipeline['model']}",
+                     "--set", f"paths.validation={desk_pipeline['validation_csv']}"],
+        "regions": ["--set", f"paths.model={desk_pipeline['model']}"],
+    }[command]
+    if key == "--output":
+        args += [command, "--output", str(out)]
+    else:
+        args += ["--set", f"{key}={out}", command]
+    kept, files = config.read_bytes(), sorted(tmp_path.iterdir())
+    rc, stdout, err = run_main(["--config", str(config)] + args)
+    assert rc == 1
+    assert stdout == ""
+    assert err == f"error={key} {out} is the same file as --config {config}\n"
+    assert config.read_bytes() == kept
+    assert sorted(tmp_path.iterdir()) == files
 
 
 def test_cli_import_leaves_out_scipy_signal(tmp_path):
