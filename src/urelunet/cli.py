@@ -384,11 +384,16 @@ def _load_model(path: str) -> UReluNet:
 
 
 def _free_run_inputs(cfg: dict):
-    """The model, the validation record and the regressor spec (the model's, else the
-    config's) of a free run, as `eval` and `simulate` use them."""
+    """The model, the validation record and the record's regressors (on the model's spec,
+    else the config's) of a free run, as `eval` and `simulate` use them. `build_regressors`
+    checks that the record reaches past its seed window, as it does for `fit`."""
     net = _load_model(cfg["paths"]["model"])
     data = load_csv(cfg["paths"]["validation"])
-    return net, data, net.regressor_spec or _spec(cfg)
+    try:
+        ds = build_regressors(data, net.regressor_spec or _spec(cfg))
+    except ValueError as exc:
+        raise ValueError(f"validation record {cfg['paths']['validation']}: {exc}") from None
+    return net, data, ds
 
 
 def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
@@ -411,25 +416,23 @@ def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
 
 
 def cmd_eval(cfg: dict) -> int:
-    net, data, spec = _free_run_inputs(cfg)
+    net, data, ds = _free_run_inputs(cfg)
     # the affine baseline [1, U] w, least squares on the training record's regressors
-    train_ds = build_regressors(load_csv(cfg["paths"]["train"]), spec)
+    train_ds = build_regressors(load_csv(cfg["paths"]["train"]), ds.spec)
     w, _ = solve_weights(train_ds.U, train_ds.y)
-    value, div_index = _score_free_run(net, data, spec)
-    ds = build_regressors(data, spec)
+    value, div_index = _score_free_run(net, data, ds.spec)
     cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
     if value is None:
         print("diverged=true")
         print(f"divergence_index={div_index}")
     else:
-        n_s = len(data) - spec.max_lag
         print("diverged=false")
-        print(f"n_s={n_s}")
+        print(f"n_s={ds.n_samples}")
         print(f"rmse={value:.6e}")
         print(f"rmse_db={rmse_db(value):.4f}")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
-    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, spec)
+    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, ds.spec)
     print(f"affine_diverged={str(affine is None).lower()}")
     if affine is None:
         print(f"affine_divergence_index={aff_index}")
@@ -441,8 +444,8 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_simulate(cfg: dict, output: str) -> int:
-    net, data, spec = _free_run_inputs(cfg)
-    y_s = simulate_free_run(net, data.u, data.y[: spec.max_lag], spec)
+    net, data, ds = _free_run_inputs(cfg)
+    y_s = simulate_free_run(net, data.u, data.y[: ds.spec.max_lag], ds.spec)
     save_csv(output, TimeSeriesData(u=data.u, y=y_s))
     print(f"output={output} rows={len(y_s)}")
     return 0

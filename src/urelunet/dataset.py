@@ -146,9 +146,9 @@ def simulate_free_run(
     L = len(u)
     if len(seed) > L:
         raise ValueError("y_init longer than the input series")
+    t0 = len(seed)  # >= max_lag, so every lag of the first step is in the record
     y_s = np.empty(L)
-    y_s[: len(seed)] = seed
-    t0 = max(spec.n_u, len(seed))
+    y_s[:t0] = seed
     phi = np.empty(spec.m)
     phi_u = phi[: spec.n_u + 1]
     phi_y = phi[spec.n_u + 1 :]

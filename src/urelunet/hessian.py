@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyfit import PolyNarxModel, monomials
+from .polyfit import PolyNarxModel, cubic_exponents, monomials
 
 
 @dataclass(frozen=True)
@@ -63,17 +63,12 @@ def hessian_core(model: PolyNarxModel, points: np.ndarray) -> tuple[HessianTenso
     Phi = Q R, the stack is G x_3 Q for the core G = Hhat x_3 R. Returns G
     (m x m x min(N, m+1)) and the N x min(N, m+1) basis Q, whose columns are
     orthonormal; the cost is one Hessian stack on m+1 points and one QR of Phi.
+    A term above degree 3 raises the ValueError of `polyfit.cubic_exponents`.
     """
     P = np.atleast_2d(np.asarray(points, dtype=float))
     if P.shape[1] != model.m:
         raise ValueError(f"points must have {model.m} columns, got {P.shape[1]}")
-    for t, term in enumerate(model.terms):
-        degree = sum(term.exponents)
-        if degree > 3:
-            raise ValueError(
-                f"term {t} {term.exponents} has degree {degree}; "
-                "the Hessian core covers degree <= 3 only"
-            )
+    cubic_exponents([term.exponents for term in model.terms], model.m)
     N, m = P.shape
     H = stack_hessians(model, np.vstack([np.zeros(m), np.eye(m)])).data
     Hhat = np.concatenate([H[:, :, :1], H[:, :, 1:] - H[:, :, :1]], axis=2)

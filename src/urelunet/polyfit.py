@@ -57,13 +57,6 @@ class PolyNarxModel:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "coeffs", coeffs)
 
-    def __call__(self, u: np.ndarray) -> float:
-        """Evaluate the model at a single m-vector."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.m,):
-            raise ValueError(f"expected vector of length {self.m}, got shape {u.shape}")
-        return float((monomials([t.exponents for t in self.terms], u) @ self.coeffs)[0])
-
 
 def _exponent_matrix(exponents, m: int) -> np.ndarray:
     """`exponents` (one length-m exponent vector or K of them) as a K x m int array;
@@ -73,6 +66,21 @@ def _exponent_matrix(exponents, m: int) -> np.ndarray:
         raise ValueError(f"U has {m} columns, the terms have {E.shape[-1]} variables")
     if E.min(initial=0) < 0:
         raise ValueError("exponents must be non-negative")
+    return E
+
+
+def cubic_exponents(exponents, m: int) -> np.ndarray:
+    """`_exponent_matrix(exponents, m)`, checked to hold no term above degree 3: the one
+    check of the rule that FROLS (`moment_index`) and `hessian.hessian_core` both keep."""
+    E = _exponent_matrix(exponents, m)
+    degree = E.sum(axis=1)
+    above = np.flatnonzero(degree > 3)
+    if above.size:
+        t = int(above[0])
+        raise ValueError(
+            f"term {t} {tuple(E[t].tolist())} has degree {degree[t]}; "
+            "the moment gathers and the Hessian core cover degree <= 3 only"
+        )
     return E
 
 
@@ -122,21 +130,14 @@ def moment_index(exponents, m: int) -> np.ndarray:
     """Position of each monomial's weighted sum in the moment vector of `monomial_dot`.
 
     `exponents` is one length-m exponent vector or K of them, each of total
-    degree <= 3. A term's variables, sorted with repetition as i <= j <= k,
-    pick its moment: degree 0 the weight sum, degree 1 entry i of U^T v,
-    degree 2 entry (i, j) of (v*U)^T U and degree 3 entry (i, (j, k)) of
-    (v*U)^T (U (.) U), where (.) is the row-wise Khatri-Rao product over the
-    variable pairs j <= k.
+    degree <= 3 (`cubic_exponents`). A term's variables, sorted with
+    repetition as i <= j <= k, pick its moment: degree 0 the weight sum,
+    degree 1 entry i of U^T v, degree 2 entry (i, j) of (v*U)^T U and degree
+    3 entry (i, (j, k)) of (v*U)^T (U (.) U), where (.) is the row-wise
+    Khatri-Rao product over the variable pairs j <= k.
     """
-    E = _exponent_matrix(exponents, m)
+    E = cubic_exponents(exponents, m)
     degree = E.sum(axis=1)
-    above = np.flatnonzero(degree > 3)
-    if above.size:
-        t = int(above[0])
-        raise ValueError(
-            f"term {t} {tuple(E[t].tolist())} has degree {degree[t]}; "
-            "moments cover degree <= 3 only"
-        )
     # i, j, k: the first variable at which the running degree reaches 1, 2, 3
     reached = E.cumsum(axis=1)
     i, j, k = ((reached < d).sum(axis=1) for d in (1, 2, 3))

@@ -1193,6 +1193,29 @@ class TestSimulate:
         assert stat.S_ISFIFO(os.stat(out).st_mode)
 
 
+@pytest.mark.parametrize("rows", [3, 5])
+@pytest.mark.parametrize("command", ["eval", "simulate"])
+def test_validation_record_too_short_rejected(desk_pipeline, tmp_path, command, rows):
+    # the desk model's seed window is max(n_u, n_y) = 5 samples: a record of 5 rows has
+    # no sample to run freely, and 3 rows do not fill the window
+    validation = tmp_path / "validation.csv"
+    lines = desk_pipeline["validation_csv"].read_text().splitlines()
+    validation.write_text("\n".join(lines[:rows]) + "\n")
+    output = ["--output", str(tmp_path / "sim.csv")] if command == "simulate" else []
+    rc, stdout, err = run_main(
+        ["--set", f"paths.model={desk_pipeline['model']}",
+         "--set", f"paths.validation={validation}",
+         "--set", f"paths.train={desk_pipeline['train_csv']}", command, *output]
+    )
+    assert rc == 1
+    assert stdout == ""
+    assert err == (
+        f"error=validation record {validation}: series too short: {rows} samples, "
+        "need at least 6 for n_u=5, n_y=4\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["validation.csv"]
+
+
 class TestRegions:
     def test_export_complete(self, desk_pipeline, tmp_path):
         out = tmp_path / "regions.jsonl"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from urelunet.hessian import stack_hessians
-from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms
+from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms, monomials
 
 
 def hessian_at(model, u):
@@ -47,6 +47,11 @@ def random_model(m, degree, seed):
 
 def fd_hessian(model, u, step=1e-5):
     m = model.m
+    exponents = [t.exponents for t in model.terms]
+
+    def f(v):
+        return (monomials(exponents, v) @ model.coeffs)[0]
+
     H = np.zeros((m, m))
     for a in range(m):
         for b in range(m):
@@ -56,7 +61,7 @@ def fd_hessian(model, u, step=1e-5):
             pm[a] += step; pm[b] -= step
             mp[a] -= step; mp[b] += step
             H[a, b] = (
-                model(pp) - model(pm) - model(mp) + model(mm)
+                f(pp) - f(pm) - f(mp) + f(mm)
             ) / (4 * step * step)
     return H
 

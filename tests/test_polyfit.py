@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from urelunet.cpd import init_transform
 from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.polyfit import (
     MOMENT_BLOCK,
@@ -278,6 +279,21 @@ class TestFrols:
         with pytest.raises(ValueError, match=r"term 10 \(2, 2\) has degree 4"):
             frols_select(make_ds(U, U[:, 0]), candidates, max_terms=4)
 
+    def test_quartic_term_gives_one_message_as_candidate_and_in_the_model(self):
+        # FROLS's moments and the Hessian core of init_transform cover the same
+        # terms, so both raise the one message of `cubic_exponents`
+        rng = np.random.default_rng(19)
+        U = rng.normal(size=(40, 3))
+        ds = make_ds(U, U[:, 0])
+        terms = (PolyTerm((1, 0, 0)), PolyTerm((0, 2, 0)), PolyTerm((3, 1, 0)))
+        model = PolyNarxModel(terms=terms, coeffs=np.ones(3), m=3)
+        with pytest.raises(ValueError) as as_candidate:
+            frols_select(ds, list(terms), max_terms=2)
+        with pytest.raises(ValueError) as in_model:
+            init_transform(ds, model, n=2)
+        assert str(as_candidate.value).startswith("term 2 (3, 1, 0) has degree 4; ")
+        assert str(in_model.value) == str(as_candidate.value)
+
     def test_no_candidate_matrix_allocated(self):
         # All N x K candidate columns at once would take N * K * 8 bytes; the
         # moment gathers need a small fraction of that.
@@ -302,32 +318,6 @@ class TestFrols:
 
 
 class TestPolyEval:
-    def test_constant(self):
-        model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([5.0]), m=2)
-        assert model(np.array([3.0, -7.0])) == 5.0
-
-    def test_cross_term(self):
-        model = PolyNarxModel(terms=(PolyTerm((1, 1)),), coeffs=np.array([2.0]), m=2)
-        assert model(np.array([3.0, 4.0])) == 24.0
-
-    def test_matches_term_by_term_oracle(self):
-        rng = np.random.default_rng(6)
-        terms = enumerate_terms(4, 3)
-        coeffs = rng.normal(size=len(terms))
-        model = PolyNarxModel(terms=tuple(terms), coeffs=coeffs, m=4)
-        for _ in range(10):
-            u = rng.normal(size=4)
-            expected = sum(
-                c * np.prod([u[j] ** e for j, e in enumerate(t.exponents)])
-                for t, c in zip(terms, coeffs)
-            )
-            assert model(u) == pytest.approx(expected, rel=1e-12)
-
     def test_zero_terms_rejected(self):
         with pytest.raises(ValueError, match="at least one term"):
             PolyNarxModel(terms=(), coeffs=[], m=2)
-
-    def test_dimension_mismatch(self):
-        model = PolyNarxModel(terms=(PolyTerm((0, 0)),), coeffs=np.array([1.0]), m=2)
-        with pytest.raises(ValueError):
-            model(np.array([1.0]))
