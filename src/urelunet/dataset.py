@@ -132,9 +132,18 @@ def simulate_free_run(
 ) -> np.ndarray:
     """Run the model recursively on its own past outputs.
 
-    `model` maps an m-vector regressor to a scalar prediction. Only the
-    measured input and the seed values are used; beyond the seed window every
-    output lag comes from the simulation itself.
+    `model` maps an m-vector regressor to a scalar prediction; a model with a
+    `free_run_step` method (`network.UReluNet`) is run through the step it
+    hands out, any other callable as it is. Only the measured input and the
+    seed values are used; beyond the seed window every output lag comes from
+    the simulation itself. A non-finite value in `u_raw` or `y_init` raises
+    ValueError naming the array and the index; a non-finite prediction raises
+    `SimulationDiverged`.
+
+    Step t reads row t of one (L + n_y) x m regressor matrix, whose input lags
+    are filled before the loop; its output is written once into the n_y
+    output-lag slots of rows t + 1 .. t + n_y. The row is a view into that
+    matrix, valid for the one call: the model must not keep it.
     """
     u = np.asarray(u_raw, dtype=float)
     seed = np.asarray(y_init, dtype=float)
@@ -146,25 +155,32 @@ def simulate_free_run(
     L = len(u)
     if len(seed) > L:
         raise ValueError("y_init longer than the input series")
+    for name, values in (("u_raw", u), ("y_init", seed)):
+        bad = ~np.isfinite(values)
+        if bad.any():
+            index = int(np.argmax(bad))
+            raise ValueError(f"{name} has a non-finite value {float(values[index])!r} at index {index}")
     t0 = len(seed)  # >= max_lag, so every lag of the first step is in the record
-    y_s = np.empty(L)
-    y_s[:t0] = seed
-    phi = np.empty(spec.m)
-    phi_u = phi[: spec.n_u + 1]
-    phi_y = phi[spec.n_u + 1 :]
-    # reversed views: with r = L - 1 - t, u(t), ..., u(t - n_u) is u_rev[r : r + n_u + 1]
-    # and y(t - 1), ..., y(t - n_y) is y_rev[r + 1 : r + 1 + n_y]
-    u_rev = u[::-1]
-    y_rev = y_s[::-1]
-    n_u1, n_y1 = spec.n_u + 1, spec.n_y + 1
-    for r in range(L - 1 - t0, -1, -1):
-        phi_u[...] = u_rev[r : r + n_u1]
-        phi_y[...] = y_rev[r + 1 : r + n_y1]
-        val = float(model(phi))
+    n_u1, n_y = spec.n_u + 1, spec.n_y
+    # row t is [u(t), ..., u(t - n_u), y(t - 1), ..., y(t - n_y)]; rows before t0
+    # are never read, and the n_y rows past the record take the last outputs' writes
+    P = np.zeros((L + n_y, spec.m))
+    for j in range(n_u1):
+        P[j:L, j] = u[: L - j]
+    # slots[t] is y(t)'s place in rows t + 1 .. t + n_y: P[t + 1 + k, n_u + 1 + k]
+    row_stride, col_stride = P.strides
+    slots = np.lib.stride_tricks.as_strided(
+        P[1:, n_u1:], shape=(L, n_y), strides=(row_stride, row_stride + col_stride)
+    )
+    slots[:t0] = seed[:, None]
+    step = model.free_run_step() if hasattr(model, "free_run_step") else model
+    for t, row, out in zip(range(t0, L), P[t0:L], slots[t0:L]):
+        val = float(step(row))
         if not math.isfinite(val):
-            raise SimulationDiverged(L - 1 - r)
-        y_rev[r] = val
-    return y_s
+            raise SimulationDiverged(t)
+        out.fill(val)
+    # y(t) sits in row t + 1's first output lag
+    return P[1 : L + 1, n_u1].copy()
 
 
 def rmse(y: Sequence[float], y_s: Sequence[float]) -> float:

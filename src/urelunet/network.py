@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -96,6 +97,9 @@ class UReluNet:
     The knot grid is derived from the training data and stored with the model;
     it is never recomputed at inference time. Its first column beta[:, 0] is the
     bottom of each dimension's training range, x_max the top.
+
+    Calling the net evaluates one m-vector with its shape checked;
+    `free_run_step` hands a free run an unchecked step with scratch of its own.
     """
 
     V: np.ndarray
@@ -123,10 +127,6 @@ class UReluNet:
         object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "x_max", x_max)
-        # read by the one-vector `forward`; not fields, and bound anew by every
-        # construction, `dataclasses.replace` included
-        object.__setattr__(self, "_neuron_w", w[1:])
-        object.__setattr__(self, "_floor", _activation_floor(n, self.q))
 
     @property
     def m(self) -> int:
@@ -137,11 +137,22 @@ class UReluNet:
         return self.V.shape[1]
 
     def __call__(self, u: np.ndarray) -> float:
-        """Evaluate the network at a single m-vector."""
+        """Evaluate the network at a single m-vector, on scratch of its own."""
         u = np.asarray(u, dtype=float)
         if u.shape != (self.V.shape[0],):
             raise ValueError(f"expected vector of length {self.V.shape[0]}, got shape {u.shape}")
         return float(forward(self, u))
+
+    def free_run_step(self) -> Callable[[np.ndarray], np.float64]:
+        """The network as one free run's step: a function of a float m-vector.
+
+        The step owns its scratch (`step_scratch`), so two steps of one net may
+        be used side by side, but one step serves one free run at a time. It
+        checks nothing; `__call__` is the checked entry. Each call goes through
+        the module's `forward`.
+        """
+        work = step_scratch(self)
+        return lambda u: forward(self, u, work)
 
     def to_json(self) -> str:
         doc = {
@@ -233,22 +244,42 @@ def make_net(
     )
 
 
-def forward(net: UReluNet, U: np.ndarray) -> np.ndarray:
+def step_scratch(net: UReluNet) -> tuple:
+    """Buffers and operands of the one-vector `forward`, read from the net's fields.
+
+    The tuple is (x, x as an n x 1 column, D, D flattened, V, beta, the
+    activation floor, w[1:], float(w[0])); x and D are fresh n- and n x q
+    buffers that each call overwrites.
+    """
+    n, q = net.beta.shape
+    x = np.empty(n)
+    D = np.empty((n, q))
+    return (x, x[:, None], D, D.reshape(-1), net.V, net.beta, _activation_floor(n, q), net.w[1:], float(net.w[0]))
+
+
+def forward(net: UReluNet, U: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Evaluate the network on the rows of U: constant weight plus neuron combination.
 
     U is N x m, or one m-vector, for which the result is a scalar. The
     network's own arrays were checked when it was built and are used as they
     are. One m-vector (a free-run step) takes a gemv for u V, a subtract of
-    beta, a max with the activation floor in the same buffer and a ddot with
-    the neuron weights; these are the operations of build_B on a 1 x n row,
-    so the bits are those of a one-row block.
+    beta, a max with the activation floor and a ddot with the neuron weights,
+    the first three written with `out=` into `work` (`step_scratch`, fresh
+    when not given); these are the operations of build_B on a 1 x n row, so
+    the bits are those of a one-row block. With `work` given, U must be a float
+    m-vector and is not converted or checked: `UReluNet.free_run_step` passes
+    its own.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim != 1:
-        return net.w[0] + build_B(U @ net.V, net.beta) @ net._neuron_w
-    D = np.subtract(np.dot(U, net.V)[:, None], net.beta)
-    np.maximum(D, net._floor, out=D)
-    return net.w[0] + np.dot(D.reshape(-1), net._neuron_w)
+    if work is None:
+        U = np.asarray(U, dtype=float)
+        if U.ndim != 1:
+            return net.w[0] + build_B(U @ net.V, net.beta) @ net.w[1:]
+        work = step_scratch(net)
+    x, x_col, D, D_flat, V, beta, floor, neuron_w, w0 = work
+    np.dot(U, V, out=x)
+    np.subtract(x_col, beta, out=D)
+    np.maximum(D, floor, out=D)
+    return w0 + np.dot(D_flat, neuron_w)
 
 
 def param_count(net: UReluNet) -> int:

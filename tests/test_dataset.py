@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from urelunet import network
 from urelunet.dataset import (
     RegressorSpec,
     SimulationDiverged,
@@ -20,7 +21,7 @@ from urelunet.dataset import (
     simulate_free_run,
 )
 from urelunet.network import build_B, make_net, transform
-from urelunet.varpro import train
+from urelunet.varpro import solve_weights, train
 
 
 class TestBuildRegressors:
@@ -123,47 +124,109 @@ class TestFreeRun:
             simulate_free_run(lambda phi: 0.0, np.zeros(10), [1.0], RegressorSpec(0, 2))
 
 
-def reference_free_run(net, u, y_init, spec):
-    """The free run as a plain loop: reversed slices for the regressor, and
-    the network composed from transform and build_B on a 1 x m row."""
+def reference_free_run(predict, u, y_init, spec):
+    """The free run as a plain loop: reversed slices into one regressor buffer,
+    then `predict` on it."""
     y_s = np.empty(len(u))
     y_s[: len(y_init)] = y_init
     phi = np.empty(spec.m)
     for t in range(max(spec.n_u, len(y_init)), len(u)):
         phi[: spec.n_u + 1] = u[t - spec.n_u : t + 1][::-1]
         phi[spec.n_u + 1 :] = y_s[t - spec.n_y : t][::-1]
-        val = float((net.w[0] + build_B(transform(phi[None], net.V), net.beta) @ net.w[1:])[0])
+        val = float(predict(phi))
         if not np.isfinite(val):
             raise SimulationDiverged(t)
         y_s[t] = val
     return y_s
 
 
+def composed(net):
+    """The network as `transform` and `build_B` on a 1 x m row."""
+    return lambda phi: (net.w[0] + build_B(transform(phi[None], net.V), net.beta) @ net.w[1:])[0]
+
+
+def record(u):
+    y = np.zeros(len(u))
+    for t in range(2, len(u)):
+        y[t] = 0.6 * y[t - 1] - 0.2 * y[t - 2] + np.tanh(u[t]) + 0.3 * u[t - 1] ** 2
+    return y
+
+
+def trained_net(spec):
+    """A network trained for 10 iterations on 300 samples of `record`, its training
+    regressors, and a 400-sample validation input, wider than the training one, with
+    its record."""
+    rng = np.random.default_rng(19)
+    u_tr = rng.uniform(-1.0, 1.0, size=300)
+    ds = build_regressors(TimeSeriesData(u=u_tr, y=record(u_tr)), spec)
+    net, _ = train(rng.normal(size=(spec.m, 2)), ds, 4, max_iter=10)
+    u_val = rng.uniform(-1.6, 1.6, size=400)
+    return net, ds, u_val, record(u_val)
+
+
 class TestFreeRunReference:
-    """`simulate_free_run` on a network gives the reference loop's bits."""
+    """`simulate_free_run` gives the reference loop's bits."""
 
     def test_trained_network_bitwise(self):
         spec = RegressorSpec(2, 2)
-        rng = np.random.default_rng(19)
-
-        def record(u):
-            y = np.zeros(len(u))
-            for t in range(2, len(u)):
-                y[t] = 0.6 * y[t - 1] - 0.2 * y[t - 2] + np.tanh(u[t]) + 0.3 * u[t - 1] ** 2
-            return y
-
-        u_tr = rng.uniform(-1.0, 1.0, size=300)
-        ds = build_regressors(TimeSeriesData(u=u_tr, y=record(u_tr)), spec)
-        net, _ = train(rng.normal(size=(spec.m, 2)), ds, 4, max_iter=10)
-        # a validation input wider than the training one takes some
-        # coordinate below its first knot, where the linear neuron acts
-        u_val = rng.uniform(-1.6, 1.6, size=400)
-        y_val = record(u_val)
+        net, _, u_val, y_val = trained_net(spec)
         y_s = simulate_free_run(net, u_val, y_val[:2], spec)
-        ref = reference_free_run(net, u_val, y_val[:2], spec)
+        ref = reference_free_run(composed(net), u_val, y_val[:2], spec)
         assert y_s.tobytes() == ref.tobytes()
+        # some coordinate falls below its first knot, where the linear neuron acts
         X = build_regressors(TimeSeriesData(u=u_val, y=y_s), spec).U @ net.V
         assert np.any(X < net.beta[:, 0])
+
+    @pytest.mark.parametrize(
+        "n_u, n_y, seed_len",
+        [(0, 3, 3), (2, 2, 7), (2, 2, 400)],
+        ids=["no_input_lag", "seed_past_max_lag", "seed_is_the_record"],
+    )
+    def test_lags_and_seed_lengths_bitwise(self, n_u, n_y, seed_len):
+        # seed_len 400 is the whole validation record, so no step runs
+        spec = RegressorSpec(n_u, n_y)
+        net, _, u_val, y_val = trained_net(spec)
+        y_s = simulate_free_run(net, u_val, y_val[:seed_len], spec)
+        ref = reference_free_run(composed(net), u_val, y_val[:seed_len], spec)
+        assert y_s.tobytes() == ref.tobytes()
+
+    def test_affine_baseline_bitwise(self):
+        # eval's affine model, a plain callable, runs as it is
+        spec = RegressorSpec(2, 2)
+        _, ds, u_val, y_val = trained_net(spec)
+        w, _ = solve_weights(ds.U, ds.y)
+        affine = lambda phi: w[0] + w[1:] @ phi
+        y_s = simulate_free_run(affine, u_val, y_val[:2], spec)
+        assert y_s.tobytes() == reference_free_run(affine, u_val, y_val[:2], spec).tobytes()
+
+    def test_one_forward_call_per_step(self, monkeypatch):
+        # the bench's tracer counts network.forward calls as the free run's steps
+        spec = RegressorSpec(2, 2)
+        net, _, u_val, y_val = trained_net(spec)
+        calls, original = [], network.forward
+        monkeypatch.setattr(network, "forward", lambda *args: calls.append(args[0]) or original(*args))
+        y_s = simulate_free_run(net, u_val, y_val[:2], spec)
+        assert len(calls) == 400 - 2 and all(c is net for c in calls)
+        assert y_s.tobytes() == reference_free_run(composed(net), u_val, y_val[:2], spec).tobytes()
+
+    def test_two_steps_of_one_net_keep_their_own_scratch(self, monkeypatch):
+        spec = RegressorSpec(2, 2)
+        net, ds, _, _ = trained_net(spec)
+        works, original = [], network.forward
+
+        def recording(net, u, work):
+            works.append(work)
+            return original(net, u, work)
+
+        monkeypatch.setattr(network, "forward", recording)
+        steps = [net.free_run_step(), net.free_run_step()]
+        ref = composed(net)
+        for k, row in enumerate(ds.U[:20]):
+            assert steps[k % 2](row).tobytes() == ref(row).tobytes()
+        first, second = works[0], works[1]
+        assert all(w is first for w in works[::2]) and all(w is second for w in works[1::2])
+        # x, its column, D and its flat view are written by every call
+        assert not any(np.shares_memory(a, b) for a in first[:4] for b in second[:4])
 
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_index_matches(self):
@@ -172,11 +235,24 @@ class TestFreeRunReference:
         net = make_net(np.array([[0.0], [1.0]]), 2, np.array([-1.5, 1.5, 0.0]), np.array([[-1.0], [1.0]]), spec)
         u, y_init = np.zeros(2000), [1.0]
         with pytest.raises(SimulationDiverged) as ref:
-            reference_free_run(net, u, y_init, spec)
+            reference_free_run(composed(net), u, y_init, spec)
         with pytest.raises(SimulationDiverged) as run:
             simulate_free_run(net, u, y_init, spec)
         assert 1 < run.value.index < 2000
         assert run.value.index == ref.value.index
+
+    @pytest.mark.parametrize(
+        "where, index, value", [("u_raw", 300, math.nan), ("y_init", 3, math.inf), ("y_init", 0, -math.inf)]
+    )
+    def test_non_finite_input_is_rejected_by_name_and_index(self, where, index, value):
+        # not a divergence of the model: a ValueError before any step, and no
+        # warning (the test configuration fails on one)
+        spec = RegressorSpec(2, 2)
+        net, _, u_val, y_val = trained_net(spec)
+        u, seed = u_val.copy(), y_val[:5].copy()
+        (u if where == "u_raw" else seed)[index] = value
+        with pytest.raises(ValueError, match=rf"^{where} has a non-finite value {value!r} at index {index}$"):
+            simulate_free_run(net, u, seed, spec)
 
 
 class TestMetrics:

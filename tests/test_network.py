@@ -155,9 +155,9 @@ class TestForward:
         np.testing.assert_allclose(one, forward(net, U), rtol=1e-12, atol=1e-12)
 
     def test_one_vector_follows_the_fields_on_every_construction_route(self):
-        # the one-vector path reads neuron weights and an activation floor
-        # bound when the net is built; each route binds them from its own
-        # fields, so a term left over from another net would change the bits
+        # the one-vector path reads the neuron weights and the activation floor
+        # into its scratch; each route must give them from its own fields, so
+        # a term left over from another net would change the bits
         rng = np.random.default_rng(12)
         V = rng.normal(size=(4, 3))
         U = rng.normal(size=(40, 4))
@@ -172,6 +172,7 @@ class TestForward:
             for u in U[:10]:
                 ref = (net.w[0] + build_B(transform(u[None], net.V), net.beta) @ net.w[1:])[0]
                 assert forward(net, u).tobytes() == ref.tobytes()
+                assert net.free_run_step()(u).tobytes() == ref.tobytes()
                 assert net(u) == float(ref)
 
     def test_call_checks_its_input_shape(self):
