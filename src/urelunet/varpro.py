@@ -67,10 +67,25 @@ def _checked(routine: str, *args) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
 
 
-def _qr_buffer(y: np.ndarray, width: int) -> np.ndarray:
+def _buffer(cache: dict | None, name: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """An uninitialized float array of `shape`: without a `cache`, a new one; with one,
+    the workspace buffer the cache keeps under `name`. A buffer is allocated on first
+    use, or when its shape changes, and every later call with the cache reuses it, so
+    one fit does not hand the same pages back to the allocator and fault them in again.
+    """
+    if cache is None:
+        return np.empty(shape, order=order)
+    work = cache.setdefault("work", {})
+    buf = work.get(name)
+    if buf is None or buf.shape != shape:
+        buf = work[name] = np.empty(shape, order=order)
+    return buf
+
+
+def _qr_buffer(y: np.ndarray, width: int, cache: dict | None = None) -> np.ndarray:
     """Fortran-ordered N x (width + 2) matrix [1, B, y], with the `width` columns of B
-    left for the caller to fill."""
-    A = np.empty((len(y), width + 2), order="F")
+    left for the caller to fill; the workspace's own with a `cache`."""
+    A = _buffer(cache, "qr", (len(y), width + 2), order="F")
     A[:, 0] = 1.0
     A[:, -1] = y
     return A
@@ -86,9 +101,12 @@ class _Projection:
     [1, B] would. Then w = Vt_K S_K^-1 Ut_K^T c, and the residual y - [1, B] w
     is Q [c - Ut_K Ut_K^T c; rho; 0], which `_apply_q` computes from the
     reflectors without forming Q. This is the minimum-norm solution on every
-    path, rank-deficient or not. Q1 is formed by dorgqr on first use only;
-    Q1 Ut_K is an orthonormal basis of the range of [1, B], so
-    [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T and [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
+    path, rank-deficient or not. Q1 is formed by dorgqr on first use only,
+    in place over the reflectors of the first min(N, k) columns of `qr`, which
+    the weights and the residual no longer need; from then on those columns
+    hold Q1, and `_apply_q` no longer applies Q. Q1 Ut_K is an orthonormal
+    basis of the range of [1, B], so [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T
+    and [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
     """
 
     def __init__(self, A: np.ndarray):
@@ -123,9 +141,9 @@ class _Projection:
 
     @functools.cached_property
     def Q1(self) -> np.ndarray:
-        """The first min(N, k) columns of Q, N x min(N, k)."""
+        """The first min(N, k) columns of Q, N x min(N, k): a view of `qr`."""
         p = self.ut.shape[0]
-        q1 = np.array(self.qr[:, :p], order="F")
+        q1 = self.qr[:, :p]
         _lapack("dorgqr", q1, self.tau[:p])
         return q1
 
@@ -157,8 +175,10 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n * a, n * b)
 
 
-def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
+def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None):
     """Activation mask (N, n, q) and knot ends Umin and dU (m, n) at X = U V.
+
+    The mask is boolean, or 1.0 and 0.0 in the float array `out` if given.
 
     Knot j of dimension i sits at x_i(k_min) + s_j (x_i(k_max) - x_i(k_min)),
     where k_min and k_max are the samples holding that dimension's extremes
@@ -171,7 +191,7 @@ def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray):
     k_min, where the mask is off, the derivative u(k_min) - dbeta[:, i, 0] is
     exactly 0. Unmasking the column would change the rounding of the Jacobian.
     """
-    mask = X[:, :, None] > beta[None, :, :]  # the same test as x - beta > 0
+    mask = np.greater(X[:, :, None], beta[None, :, :], out=out)  # the same test as x - beta > 0
     Umin = U[np.argmin(X, axis=0), :].T
     dU = U[np.argmax(X, axis=0), :].T - Umin
     return mask, Umin, dU
@@ -185,14 +205,14 @@ def _knot_sensitivities(Umin: np.ndarray, dU: np.ndarray, q: int) -> np.ndarray:
 class _VpState:
     """Everything the residual and Jacobian share at a fixed V."""
 
-    def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int):
+    def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None = None):
         self.V = np.array(V, dtype=float)
         self.dataset = dataset
         self.q = q
         self.U = dataset.U
         self.X = transform(self.U, V)
         self.beta = bias_grid(self.X, q)
-        A = _qr_buffer(dataset.y, self.beta.size)
+        A = _qr_buffer(dataset.y, self.beta.size, cache)
         build_B(self.X, self.beta, out=A[:, 1:-1])
         self.proj = _Projection(A)
 
@@ -201,15 +221,17 @@ def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None
     """The state at V, taken from the one-entry `cache` when it was built at exactly this V.
 
     Without a cache every call builds its own state. With one, a miss drops the
-    held state before building the new one, which the cache then holds.
+    held state before building the new one, which the cache then holds: its QR
+    overwrites the workspace's [1, B, y] buffer, which held the old state's
+    factors. The cache keeps its workspace buffers across states.
     """
     if cache is None:
         return _VpState(V, dataset, q)
     st = cache.get("state")
     if st is not None and st.dataset is dataset and st.q == q and np.array_equal(st.V, V):
         return st
-    cache.clear()
-    st = cache["state"] = _VpState(V, dataset, q)
+    cache.pop("state", None)
+    st = cache["state"] = _VpState(V, dataset, q, cache)
     return st
 
 
@@ -221,7 +243,9 @@ def vp_residual(
     It costs one Householder QR of [1, B, y] and an SVD of its k x k
     triangle; no N x N or k x N matrix is formed. `cache` is an optional
     one-entry dict that keeps the factorization for a later `vp_jacobian`
-    call at the same V.
+    call at the same V. With a cache, the returned array is the cached state's
+    own, which that call reads, so the caller must not write to it; unlike the
+    Jacobian it is a new array at each new V, and a later call leaves it as is.
     """
     return _state(V, dataset, q, cache).proj.r
 
@@ -246,20 +270,28 @@ def vp_jacobian(
     is needed at this V, and never for a residual alone. With a
     `cache` that holds the state built at exactly this V (by `vp_residual`),
     the factorization is reused rather than rebuilt.
+
+    With a cache, the returned array belongs to the cache's workspace, and the
+    next `vp_jacobian` call with that cache overwrites it. The workspace also
+    holds the float mask and G, and J is formed in place: the second term of G
+    goes into J's buffer first, and Q1 times the inner factor last. Without a
+    cache every buffer is a new array.
     """
     st = _state(V, dataset, q, cache)
     proj = st.proj
     U = st.U
     N, m = U.shape
     n = st.X.shape[1]
-    mask, Umin, dU = _basis_derivative(U, st.X, st.beta)
-    mask = mask.reshape(N, n * q).astype(float)
+    mask, Umin, dU = _basis_derivative(U, st.X, st.beta, out=_buffer(cache, "mask", (N, n, q)))
+    mask = mask.reshape(N, n * q)
+    G = _buffer(cache, "G", (N, n * m))
+    J = _buffer(cache, "J", (N, n * m))
 
     # [a_t, b_t] for every dimension from one GEMM, then G = (dB/dv) w, shape N x (n*m)
     w = proj.w[1:].reshape(n, q)
     ab = mask @ _block_diag(np.stack([w, w * knot_fractions(q)], axis=2))
-    G = np.einsum("kt,ks->kts", ab[:, 0::2], U).reshape(N, n * m)
-    G -= ab @ _block_diag(np.stack([Umin.T, dU.T], axis=1))
+    np.einsum("kt,ks->kts", ab[:, 0::2], U, out=G.reshape(N, n, m))
+    G -= np.matmul(ab, _block_diag(np.stack([Umin.T, dU.T], axis=1)), out=J)
 
     # C[s, t, j] = (dB/dv_st)^T r in column (t, j), block-diagonal as (n*q) x (n*m)
     r = proj.r
@@ -269,7 +301,9 @@ def vp_jacobian(
 
     # with W = Q1 Ut_K: J = W (W^T G - S_K^-1 Vt_K^T[:, 1:] C_blk) - G
     Q1, ut = proj.Q1, proj.ut
-    return Q1 @ (ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk)) - G
+    np.matmul(Q1, ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk), out=J)
+    J -= G
+    return J
 
 
 def train(
@@ -285,8 +319,9 @@ def train(
     if the squared residual decreases. Each trial point is factorized once, by
     one Householder QR of [1, B, y]: the Jacobian at an accepted point and the
     returned network reuse that trial's factorization, and Q is formed only at
-    the start and at accepted points, never on a rejected trial. The returned
-    network has its knot grid frozen from the training data at the final
+    the start and at accepted points, never on a rejected trial. All of them
+    run on the one workspace that train's cache keeps (see `vp_jacobian`).
+    The returned network has its knot grid frozen from the training data at the final
     accepted V; the report gives the rank and condition number of [1, B] there.
     """
     if max_iter < 1:
@@ -313,6 +348,7 @@ def train(
             iterations -= 1
             break
         JtJ = J.T @ J
+        del J  # the next Jacobian overwrites it
         d = np.diag(JtJ)
         d = np.maximum(d, 1e-12 * max(float(d.max()), 1.0))
         while True:

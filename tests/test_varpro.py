@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -513,3 +515,77 @@ class TestTrialStateReuse:
         # one build for the cached call at the new V, one for the uncached call
         assert len(calls) == 2
         assert np.array_equal(cache["state"].V, V2)
+
+
+class TestWorkspace:
+    """With a cache, `train` runs on one workspace: the [1, B, y] QR matrix, the float
+    mask and two N x (n*m) blocks, G and J, allocated once and reused by every trial
+    and Jacobian. Without one, every call allocates its own."""
+
+    @staticmethod
+    def _record(monkeypatch, name, drop_cache=False):
+        """Record every result of `varpro.<name>`, called without its cache if `drop_cache`."""
+        results = []
+        original = getattr(varpro, name)
+
+        def recorded(*args, cache=None, **kwargs):
+            results.append(original(*args, cache=None if drop_cache else cache, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(varpro, name, recorded)
+        return results
+
+    def test_bit_identical_to_fresh_buffers(self, monkeypatch):
+        V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=43)
+        jacobians = self._record(monkeypatch, "vp_jacobian")
+        net, report = train(V, ds, 4, max_iter=15)
+        monkeypatch.undo()
+        self._record(monkeypatch, "vp_residual", drop_cache=True)
+        fresh = self._record(monkeypatch, "vp_jacobian", drop_cache=True)
+        net_ref, report_ref = train(V, ds, 4, max_iter=15)
+        assert report.accepted >= 3 and report.rejected >= 1
+        np.testing.assert_array_equal(net.V, net_ref.V)
+        np.testing.assert_array_equal(net.w, net_ref.w)
+        np.testing.assert_array_equal(net.beta, net_ref.beta)
+        assert report.residual_history == report_ref.residual_history
+        # every Jacobian of the workspace run is one buffer; the reference's are all new
+        assert len(jacobians) == len(fresh) == report.iterations
+        assert all(J is jacobians[0] for J in jacobians)
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(fresh) for b in fresh[i + 1 :])
+
+    def test_cached_calls_leave_uncached_results(self):
+        V, ds = safe_instance(N=80, m=4, n=2, q=4, seed=44)
+        V2 = V + 1e-3
+        J_ref = vp_jacobian(V, ds, 4)
+        kept = J_ref.copy()
+        cache = {}
+        J = vp_jacobian(V, ds, 4, cache=cache)
+        np.testing.assert_array_equal(J, kept)
+        work = dict(cache["work"])
+        # a new V drops the state but keeps the buffers: the next Jacobian overwrites J
+        vp_residual(V2, ds, 4, cache=cache)
+        J2 = vp_jacobian(V2, ds, 4, cache=cache)
+        assert J2 is J and all(cache["work"][k] is b for k, b in work.items())
+        np.testing.assert_array_equal(J2, vp_jacobian(V2, ds, 4))
+        np.testing.assert_array_equal(J_ref, kept)
+        # another record length gets buffers of its own shape
+        V3, ds3 = safe_instance(N=60, m=4, n=2, q=4, seed=45)
+        np.testing.assert_array_equal(vp_jacobian(V3, ds3, 4, cache=cache), vp_jacobian(V3, ds3, 4))
+
+    def test_peak_memory_of_a_wide_shaped_fit(self):
+        # the shape of the `wide` benchmark: m=30 regressors, n=3, q=8, about 4k rows.
+        # A J-sized block is N*n*m*8 bytes. The workspace holds two, G and J, plus the
+        # QR matrix and the mask (26 and 24 of the block's 90 columns); the Jacobian's
+        # (U * r) is 30 more. Measured peak: 3.05 blocks. Allocating every block afresh
+        # kept four of them live at the Jacobian's last product: 3.99 blocks.
+        N, m, n, q = 4000, 30, 3, 8
+        ds = random_dataset(N, m, seed=46, n_u=15)
+        V = np.random.default_rng(47).normal(size=(m, n))
+        tracemalloc.start()
+        try:
+            _, report = train(V, ds, q, max_iter=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.iterations == 4
+        assert peak / (N * n * m * 8) < 3.3
