@@ -4,6 +4,7 @@ excitation, zero-phase decimation."""
 from __future__ import annotations
 
 import math
+import numbers
 from array import array
 from dataclasses import astuple, dataclass
 
@@ -65,18 +66,23 @@ def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
 
     Each step solves the coupled (acceleration, hysteretic force) update with a
     Newton iteration on the implicit equations; the hysteretic state is
-    advanced by the trapezoidal rule, consistent with gamma_N = 1/2.
+    advanced by the trapezoidal rule, consistent with gamma_N = 1/2. Each Newton
+    iteration evaluates |z1|, |z1|**(nu-1), |z1|**nu and |v1| once and shares them
+    between the hysteresis law and its two partial derivatives.
 
     The loop runs on Python floats, one IEEE double operation at a time, so the
     result is fixed by the order of the operations below: any rewrite must give
     `np.array_equal` y, ydot and z (`tests/test_boucwen.py` keeps a numpy-scalar
     reference loop to check this). A power that overflows, a non-finite or
     singular Newton system, a Newton iteration that does not converge and a
-    displacement beyond BLOWUP_BOUND all raise IntegrationError.
+    displacement beyond BLOWUP_BOUND all raise IntegrationError; an empty or
+    non-finite `u` and a non-positive `fs` raise ValueError.
     """
     u = np.asarray(u, dtype=float)
     if not fs > 0:
         raise ValueError("fs must be positive")
+    if u.ndim != 1 or len(u) == 0:
+        raise ValueError(f"input force must be a non-empty 1-D series, not shape {u.shape}")
     if not np.all(np.isfinite(u)):
         raise ValueError("input force contains non-finite values")
     h = 1.0 / fs
@@ -88,12 +94,14 @@ def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
     nu1 = nu - 1.0
     neg_beta_nu = -beta_bw * nu
     half_h = 0.5 * h
+    neg_half_h = -half_h
+    hh = h * h
+    c_y, c_v = 0.5 - bn, 1.0 - gn
     J11 = m_L + c_L * gn * h + k_L * bn * h * h
     # J12 = 1, so the products with it are left out of det, da and dz
-
-    def zdot(v, z):  # the hysteresis law of BoucWenParams
-        az = abs(z)
-        return alpha * v - beta_bw * (gamma * abs(v) * az**nu1 * z + delta * v * az**nu)
+    tol = NEWTON_TOL
+    iterations = range(NEWTON_MAX_ITER)
+    isfinite = math.isfinite
 
     L = len(u)
     Y = np.empty(L)
@@ -105,42 +113,47 @@ def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
     for t in range(1, L):
         ut = u.item(t)
         y_pred = y + h * v
-        a_y = (0.5 - bn) * a
-        a_v = (1.0 - gn) * a
+        a_y = c_y * a
+        a_v = c_v * a
         a1, z1 = a, z
         try:
-            zd0 = zdot(v, z)
-            for _ in range(NEWTON_MAX_ITER):
-                y1 = y_pred + h * h * (a_y + bn * a1)
+            # the hysteresis law of BoucWenParams at the start of the step
+            az = abs(z)
+            zd0 = alpha * v - beta_bw * (gamma * abs(v) * az**nu1 * z + delta * v * az**nu)
+            for _ in iterations:
+                y1 = y_pred + hh * (a_y + bn * a1)
                 v1 = v + h * (a_v + gn * a1)
-                zd1 = zdot(v1, z1)
+                az = abs(z1)
+                p1 = az**nu1
+                pn = az**nu
+                av1 = abs(v1)
+                zd1 = alpha * v1 - beta_bw * (gamma * av1 * p1 * z1 + delta * v1 * pn)
                 R1 = m_L * a1 + c_L * v1 + k_L * y1 + z1 - ut
                 R2 = z1 - z - half_h * (zd0 + zd1)
-                az = abs(z1)
-                sign_v = (v1 > 0) - (v1 < 0)
-                sign_z = (z1 > 0) - (z1 < 0)
-                dzd_dv = alpha - beta_bw * (gamma * sign_v * az**nu1 * z1 + delta * az**nu)
-                dzd_dz = neg_beta_nu * az**nu1 * (gamma * abs(v1) + delta * v1 * sign_z)
-                J21 = -half_h * dzd_dv * gn * h
+                sign_v = 1.0 if v1 > 0 else -1.0 if v1 < 0 else 0.0
+                sign_z = 1.0 if z1 > 0 else -1.0 if z1 < 0 else 0.0
+                dzd_dv = alpha - beta_bw * (gamma * sign_v * p1 * z1 + delta * pn)
+                dzd_dz = neg_beta_nu * p1 * (gamma * av1 + delta * v1 * sign_z)
+                J21 = neg_half_h * dzd_dv * gn * h
                 J22 = 1.0 - half_h * dzd_dz
                 det = J11 * J22 - J21
-                if det == 0.0 or not math.isfinite(det):
+                if det == 0.0 or not isfinite(det):
                     raise IntegrationError(f"singular Newton system at step {t}")
                 da = (-R1 * J22 + R2) / det
                 dz = (-J11 * R2 + J21 * R1) / det
                 a1 += da
                 z1 += dz
-                if abs(da) + abs(dz) <= NEWTON_TOL * (1.0 + abs(a1) + abs(z1)):
+                if abs(da) + abs(dz) <= tol * (1.0 + abs(a1) + abs(z1)):
                     break
             else:
                 raise IntegrationError(f"Newton iteration did not converge at step {t}")
         except OverflowError:
             # a float power that overflows raises instead of returning inf
             raise IntegrationError(f"power overflowed at step {t}") from None
-        y = y_pred + h * h * (a_y + bn * a1)
+        y = y_pred + hh * (a_y + bn * a1)
         v = v + h * (a_v + gn * a1)
         a, z = a1, z1
-        if not math.isfinite(y) or abs(y) > BLOWUP_BOUND:
+        if not isfinite(y) or abs(y) > BLOWUP_BOUND:
             raise IntegrationError(f"simulation diverged at step {t}")
         Y[t] = y
         V[t] = v
@@ -248,8 +261,8 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     x)[::factor]`, which `tests/test_boucwen.py` keeps as its oracle: every record
     depends on them."""
     x = np.asarray(x, dtype=float)
-    if factor < 1 or int(factor) != factor:
-        raise ValueError("factor must be a positive integer")
+    if not isinstance(factor, numbers.Integral) or factor < 1:
+        raise ValueError(f"factor must be a positive integer, not {factor!r}")
     sos = _butter4_sos(0.8 / factor)
     n = 3 * (2 * len(sos) + 1)  # samples of odd extension at each end, as scipy's padlen
     if len(x) <= n:

@@ -255,6 +255,11 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(desk_params(), np.array([1.0, np.nan]), fs=100.0)
 
+    @pytest.mark.parametrize("u", [np.array([]), np.zeros((4, 2)), np.float64(1.0)], ids=["empty", "2-D", "scalar"])
+    def test_input_that_is_no_series_rejected(self, u):
+        with pytest.raises(ValueError, match="non-empty 1-D"):
+            simulate(desk_params(), u, fs=100.0)
+
 
 class TestExactArithmetic:
     """`simulate` must give the numbers of its reference loop bit for bit: the benchmark
@@ -288,6 +293,15 @@ class TestExactArithmetic:
 
     def test_nu_two(self):
         p = desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0)
+        t = np.arange(3000) / 15000.0
+        self.assert_matches_reference(p, 100.0 * np.sin(2 * np.pi * 40.0 * t))
+
+    def test_fractional_nu(self):
+        # |z|**0.5 and |z|**1.5: both powers are non-trivial, unlike at nu = 1 and nu = 2.
+        # The desk coefficients make the hysteresis strong enough that a power rounded
+        # differently (|z| * |z|**0.5 for |z|**1.5) changes most samples; with test_nu_two's
+        # weaker hysteresis the converged Newton steps absorb it and no sample changes
+        p = desk_params(nu=1.5)
         t = np.arange(3000) / 15000.0
         self.assert_matches_reference(p, 100.0 * np.sin(2 * np.pi * 40.0 * t))
 
@@ -391,6 +405,17 @@ class TestDecimate:
             decimate(np.zeros(100), 0)
         with pytest.raises(ValueError):
             decimate(np.zeros(10), 2)
+
+    @pytest.mark.parametrize(
+        "factor", [2.0, 2.5, np.float64(2.0), "2"], ids=["float", "fraction", "numpy-float", "str"]
+    )
+    def test_non_integer_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="factor must be a positive integer"):
+            decimate(np.zeros(100), factor)
+
+    def test_numpy_integer_factor_accepted(self):
+        x = np.random.default_rng(0).normal(size=1000)
+        assert np.array_equal(decimate(x, np.int64(4)), decimate(x, 4))
 
 
 class TestDecimateOracle:
