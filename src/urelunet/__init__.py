@@ -12,6 +12,7 @@ from .dataset import (
     rmse,
     rmse_db,
     save_csv,
+    score_free_run,
     simulate_free_run,
 )
 from .network import UReluNet, bias_grid, build_B, forward, make_net, param_count, transform
@@ -27,6 +28,7 @@ __all__ = [
     "rmse",
     "rmse_db",
     "save_csv",
+    "score_free_run",
     "simulate_free_run",
     "UReluNet",
     "bias_grid",

@@ -1,8 +1,9 @@
 """Hysteretic oscillator benchmark data: Newmark-beta integration, multisine
-excitation, zero-phase decimation."""
+excitation, zero-phase decimation, and the benchmark's record recipe."""
 
 from __future__ import annotations
 
+import contextlib
 import math
 import numbers
 from array import array
@@ -10,13 +11,22 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .dataset import is_finite_number, parse_json_object
+from .dataset import TimeSeriesData, is_finite_number, parse_json_object
 
 BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
 NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
 NEWTON_MAX_ITER = 50
 PARAM_KEYS = ("m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu")
 INIT_KEYS = ("y0", "v0", "z0")
+# Every record follows the hysteretic benchmark's recipe (`record`): a random-phase
+# multisine over F_MIN_HZ to F_MAX_HZ drives the oscillator, which is simulated at
+# SIM_RATE_HZ, the input and output are decimated by DECIMATION (to 750 Hz), and the
+# first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
+F_MIN_HZ = 5.0
+F_MAX_HZ = 150.0
+SIM_RATE_HZ = 15000.0
+DECIMATION = 20
+SETTLE_SAMPLES = 128
 
 
 class IntegrationError(RuntimeError):
@@ -275,6 +285,28 @@ def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     y = _sosfilt(sos, zi * y[0], y)
     y.reverse()
     return np.frombuffer(y, dtype=float)[n : len(y) - n : factor].copy()
+
+
+def sim_samples(n_samples: int) -> int:
+    """Samples simulated at SIM_RATE_HZ for a record of `n_samples` decimated samples."""
+    return (n_samples + SETTLE_SAMPLES) * DECIMATION
+
+
+def record(params: BoucWenParams, amplitude_rms: float, n_samples: int, seed: int, stages=None) -> TimeSeriesData:
+    """`n_samples` decimated samples of the oscillator driven by the multisine of
+    `amplitude_rms` at `seed`, by the recipe of the constants above.
+
+    `stages`, if given, times the excitation, the simulation and the decimation: each
+    runs in `with stages(name):` (`cli.StageClock`)."""
+    stages = contextlib.nullcontext if stages is None else stages  # nullcontext(name) times nothing
+    with stages("excitation"):
+        u_sim = multisine(sim_samples(n_samples), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, amplitude_rms, seed=seed)
+    with stages("simulation"):
+        sim = simulate(params, u_sim, SIM_RATE_HZ)
+    with stages("decimation"):
+        u_dec = decimate(u_sim, DECIMATION)
+        y_dec = decimate(sim.y, DECIMATION)
+    return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
 
 
 def load_params(path) -> BoucWenParams:

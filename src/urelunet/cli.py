@@ -19,33 +19,23 @@ import numpy as np
 from . import boucwen, cpd, polyfit, pwl
 from .dataset import (
     RegressorSpec,
-    SimulationDiverged,
     build_regressors,
     is_finite_number,
     load_csv,
     open_output,
     parse_json_object,
     remove_output,
-    rmse,
     rmse_db,
     save_csv,
+    score_free_run,
     simulate_free_run,
     TimeSeriesData,
 )
 from .network import UReluNet, param_count, transform
-from .varpro import solve_weights, train
+from .varpro import affine_baseline, train
 
 # Total degree of the candidate monomials that FROLS selects from.
 POLY_MAX_DEGREE = 3
-# Every record follows the hysteretic benchmark's recipe: a random-phase multisine over
-# F_MIN_HZ to F_MAX_HZ drives the oscillator, which is simulated at SIM_RATE_HZ, the input
-# and output are decimated by DECIMATION (to 750 Hz), and the first SETTLE_SAMPLES
-# decimated samples are dropped as the start-up transient.
-F_MIN_HZ = 5.0
-F_MAX_HZ = 150.0
-SIM_RATE_HZ = 15000.0
-DECIMATION = 20
-SETTLE_SAMPLES = 128
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -219,27 +209,6 @@ def _files(cfg: dict, args: argparse.Namespace) -> tuple[dict[str, str], dict[st
     return inputs, {name: named[name] for name in writes}
 
 
-def _sim_samples(n_out: int) -> int:
-    """Samples simulated at SIM_RATE_HZ for a record of `n_out` decimated samples."""
-    return (n_out + SETTLE_SAMPLES) * DECIMATION
-
-
-def _generate_record(params, exc: dict, n_out: int, seed: int, stages: StageClock) -> TimeSeriesData:
-    """`n_out` decimated samples of the oscillator driven by the multisine `exc` at `seed`.
-
-    Times its excitation, simulation and decimation on `stages`."""
-    with stages("excitation"):
-        u_sim = boucwen.multisine(
-            _sim_samples(n_out), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, exc["amplitude_rms"], seed=seed
-        )
-    with stages("simulation"):
-        sim = boucwen.simulate(params, u_sim, SIM_RATE_HZ)
-    with stages("decimation"):
-        u_dec = boucwen.decimate(u_sim, DECIMATION)
-        y_dec = boucwen.decimate(sim.y, DECIMATION)
-    return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
-
-
 def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     dg = cfg["datagen"]
     for key in ("train_samples", "validation_samples"):
@@ -254,16 +223,18 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     meta = {
         "seed": seed,
         "validation_seed": seed + 1,
-        "fs_simulation": SIM_RATE_HZ,
-        "fs_output": SIM_RATE_HZ / DECIMATION,
-        "decimation": DECIMATION,
-        "settle_samples": SETTLE_SAMPLES,
+        "fs_simulation": boucwen.SIM_RATE_HZ,
+        "fs_output": boucwen.SIM_RATE_HZ / boucwen.DECIMATION,
+        "decimation": boucwen.DECIMATION,
+        "settle_samples": boucwen.SETTLE_SAMPLES,
         "filter": "butterworth order 4 forward-backward, cutoff 0.8x target Nyquist",
         "params_file": str(dg["params_file"]),
-        "excitation": {"signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, **exc},
+        "excitation": {
+            "signal": "random-phase multisine", "f_min": boucwen.F_MIN_HZ, "f_max": boucwen.F_MAX_HZ, **exc
+        },
     }
-    train_rec = _generate_record(params, exc, n_train, seed, stages)
-    val_rec = _generate_record(params, exc, n_val, seed + 1, stages)
+    train_rec = boucwen.record(params, exc["amplitude_rms"], n_train, seed, stages)
+    val_rec = boucwen.record(params, exc["amplitude_rms"], n_val, seed + 1, stages)
     with stages("persist"):
         written = []
         try:
@@ -281,7 +252,7 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")
-    print(f"simulation_steps={_sim_samples(n_train) + _sim_samples(n_val)}")
+    print(f"simulation_steps={boucwen.sim_samples(n_train) + boucwen.sim_samples(n_val)}")
     for name, seconds in stages.seconds.items():
         print(f"stage_{name}_s={seconds:.6f}")
     return 0
@@ -396,31 +367,10 @@ def _free_run_inputs(cfg: dict):
     return net, data, ds
 
 
-def _score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
-    """(rmse, None) of `model`'s free run on `data` from its first `spec.max_lag` outputs,
-    or (None, index) when it diverges: a non-finite prediction, or a run too large to square or sum."""
-    seed_len = spec.max_lag
-    try:
-        y_s = simulate_free_run(model, data.u, data.y[:seed_len], spec)
-    except SimulationDiverged as exc:
-        return None, exc.index
-    with np.errstate(over="ignore"):
-        value = rmse(data.y[seed_len:], y_s[seed_len:])
-        if np.isfinite(value):
-            return value, None
-        sq_err = (data.y[seed_len:] - y_s[seed_len:]) ** 2
-        bad = ~np.isfinite(sq_err)
-        if not bad.any():  # every square is finite, only their sum overflows
-            bad = ~np.isfinite(np.cumsum(sq_err))
-    return None, seed_len + int(np.argmax(bad))
-
-
 def cmd_eval(cfg: dict) -> int:
     net, data, ds = _free_run_inputs(cfg)
-    # the affine baseline [1, U] w, least squares on the training record's regressors
-    train_ds = build_regressors(load_csv(cfg["paths"]["train"]), ds.spec)
-    w, _ = solve_weights(train_ds.U, train_ds.y)
-    value, div_index = _score_free_run(net, data, ds.spec)
+    baseline = affine_baseline(build_regressors(load_csv(cfg["paths"]["train"]), ds.spec))
+    value, div_index = score_free_run(net, data, ds.spec)
     cond_u, cond_x = pwl.cond_diagnostics(ds.U, transform(ds.U, net.V))
     if value is None:
         print("diverged=true")
@@ -432,7 +382,7 @@ def cmd_eval(cfg: dict) -> int:
         print(f"rmse_db={rmse_db(value):.4f}")
     print(f"cond_u={cond_u:.6e}")
     print(f"cond_x={cond_x:.6e}")
-    affine, aff_index = _score_free_run(lambda phi: w[0] + w[1:] @ phi, data, ds.spec)
+    affine, aff_index = score_free_run(baseline, data, ds.spec)
     print(f"affine_diverged={str(affine is None).lower()}")
     if affine is None:
         print(f"affine_divergence_index={aff_index}")

@@ -183,6 +183,25 @@ def simulate_free_run(
     return P[1 : L + 1, n_u1].copy()
 
 
+def score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
+    """(rmse, None) of `model`'s free run on `data` from its first `spec.max_lag` outputs,
+    or (None, index) when it diverges: a non-finite prediction, or a run too large to square or sum."""
+    seed_len = spec.max_lag
+    try:
+        y_s = simulate_free_run(model, data.u, data.y[:seed_len], spec)
+    except SimulationDiverged as exc:
+        return None, exc.index
+    with np.errstate(over="ignore"):
+        value = rmse(data.y[seed_len:], y_s[seed_len:])
+        if np.isfinite(value):
+            return value, None
+        sq_err = (data.y[seed_len:] - y_s[seed_len:]) ** 2
+        bad = ~np.isfinite(sq_err)
+        if not bad.any():  # every square is finite, only their sum overflows
+            bad = ~np.isfinite(np.cumsum(sq_err))
+    return None, seed_len + int(np.argmax(bad))
+
+
 def rmse(y: Sequence[float], y_s: Sequence[float]) -> float:
     """Root mean square error between two equal-length sequences."""
     a = np.asarray(y, dtype=float)

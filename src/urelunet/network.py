@@ -98,8 +98,8 @@ class UReluNet:
     it is never recomputed at inference time. Its first column beta[:, 0] is the
     bottom of each dimension's training range, x_max the top.
 
-    Calling the net evaluates one m-vector with its shape checked;
-    `free_run_step` hands a free run an unchecked step with scratch of its own.
+    `forward` evaluates a block of m-vectors; one m-vector goes through the step
+    that `free_run_step` hands out, which has scratch of its own.
     """
 
     V: np.ndarray
@@ -136,22 +136,21 @@ class UReluNet:
     def n(self) -> int:
         return self.V.shape[1]
 
-    def __call__(self, u: np.ndarray) -> float:
-        """Evaluate the network at a single m-vector, on scratch of its own."""
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.V.shape[0],):
-            raise ValueError(f"expected vector of length {self.V.shape[0]}, got shape {u.shape}")
-        return float(forward(self, u))
-
     def free_run_step(self) -> Callable[[np.ndarray], np.float64]:
         """The network as one free run's step: a function of a float m-vector.
 
-        The step owns its scratch (`step_scratch`), so two steps of one net may
-        be used side by side, but one step serves one free run at a time. It
-        checks nothing; `__call__` is the checked entry. Each call goes through
-        the module's `forward`.
+        The step owns its scratch, `forward`'s `work`: the tuple (x, x as an
+        n x 1 column, D, D flattened, V, beta, the activation floor, w[1:],
+        float(w[0])), whose fresh n- and n x q buffers x and D each call
+        overwrites. So two steps of one net may be used side by side, but one
+        step serves one free run at a time. It converts nothing; numpy's `out=`
+        raises ValueError for a u that is not an m-vector. Each call goes
+        through the module's `forward`.
         """
-        work = step_scratch(self)
+        n, q = self.beta.shape
+        x, D = np.empty(n), np.empty((n, q))
+        floor = _activation_floor(n, q)
+        work = (x, x[:, None], D, D.reshape(-1), self.V, self.beta, floor, self.w[1:], float(self.w[0]))
         return lambda u: forward(self, u, work)
 
     def to_json(self) -> str:
@@ -244,37 +243,20 @@ def make_net(
     )
 
 
-def step_scratch(net: UReluNet) -> tuple:
-    """Buffers and operands of the one-vector `forward`, read from the net's fields.
-
-    The tuple is (x, x as an n x 1 column, D, D flattened, V, beta, the
-    activation floor, w[1:], float(w[0])); x and D are fresh n- and n x q
-    buffers that each call overwrites.
-    """
-    n, q = net.beta.shape
-    x = np.empty(n)
-    D = np.empty((n, q))
-    return (x, x[:, None], D, D.reshape(-1), net.V, net.beta, _activation_floor(n, q), net.w[1:], float(net.w[0]))
-
-
 def forward(net: UReluNet, U: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Evaluate the network on the rows of U: constant weight plus neuron combination.
 
-    U is N x m, or one m-vector, for which the result is a scalar. The
+    Without `work`, U is an N x m block and the result has N entries. The
     network's own arrays were checked when it was built and are used as they
-    are. One m-vector (a free-run step) takes a gemv for u V, a subtract of
-    beta, a max with the activation floor and a ddot with the neuron weights,
-    the first three written with `out=` into `work` (`step_scratch`, fresh
-    when not given); these are the operations of build_B on a 1 x n row, so
-    the bits are those of a one-row block. With `work` given, U must be a float
-    m-vector and is not converted or checked: `UReluNet.free_run_step` passes
-    its own.
+    are. With `work`, U is one float m-vector, not converted, and the result
+    is a scalar: a free-run step (`UReluNet.free_run_step`) takes a gemv for
+    u V, a subtract of beta, a max with the activation floor and a ddot with
+    the neuron weights, the first three written with `out=` into `work`; these
+    are the operations of build_B on a 1 x n row, so the bits are those of a
+    one-row block.
     """
     if work is None:
-        U = np.asarray(U, dtype=float)
-        if U.ndim != 1:
-            return net.w[0] + build_B(U @ net.V, net.beta) @ net.w[1:]
-        work = step_scratch(net)
+        return net.w[0] + build_B(np.asarray(U, dtype=float) @ net.V, net.beta) @ net.w[1:]
     x, x_col, D, D_flat, V, beta, floor, neuron_w, w0 = work
     np.dot(U, V, out=x)
     np.subtract(x_col, beta, out=D)

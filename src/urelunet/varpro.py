@@ -6,6 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from numpy.linalg import lapack_lite
@@ -67,14 +68,12 @@ def _checked(routine: str, *args) -> None:
         raise np.linalg.LinAlgError(f"{routine} failed with info={info}")
 
 
-def _buffer(cache: dict | None, name: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
-    """An uninitialized float array of `shape`: without a `cache`, a new one; with one,
-    the workspace buffer the cache keeps under `name`. A buffer is allocated on first
-    use, or when its shape changes, and every later call with the cache reuses it, so
-    one fit does not hand the same pages back to the allocator and fault them in again.
+def _buffer(cache: dict, name: str, shape: tuple[int, ...], order: str = "C") -> np.ndarray:
+    """An uninitialized float array of `shape`: the workspace buffer the cache keeps under
+    `name`. A buffer is allocated on first use, or when its shape changes, and every later
+    call with the cache reuses it, so one fit does not hand the same pages back to the
+    allocator and fault them in again.
     """
-    if cache is None:
-        return np.empty(shape, order=order)
     work = cache.setdefault("work", {})
     buf = work.get(name)
     if buf is None or buf.shape != shape:
@@ -82,9 +81,9 @@ def _buffer(cache: dict | None, name: str, shape: tuple[int, ...], order: str = 
     return buf
 
 
-def _qr_buffer(y: np.ndarray, width: int, cache: dict | None = None) -> np.ndarray:
-    """Fortran-ordered N x (width + 2) matrix [1, B, y], with the `width` columns of B
-    left for the caller to fill; the workspace's own with a `cache`."""
+def _qr_buffer(y: np.ndarray, width: int, cache: dict) -> np.ndarray:
+    """Fortran-ordered N x (width + 2) matrix [1, B, y], the workspace's own, with the
+    `width` columns of B left for the caller to fill."""
     A = _buffer(cache, "qr", (len(y), width + 2), order="F")
     A[:, 0] = 1.0
     A[:, -1] = y
@@ -161,10 +160,17 @@ def solve_weights(B: np.ndarray, y: np.ndarray):
     y = np.asarray(y, dtype=float)
     if B.shape[0] != len(y):
         raise ValueError("row count of B must match length of y")
-    A = _qr_buffer(y, B.shape[1])
+    A = _qr_buffer(y, B.shape[1], {})
     A[:, 1:-1] = B
     proj = _Projection(A)
     return proj.w, proj.rank
+
+
+def affine_baseline(ds: RegressionDataset) -> Callable[[np.ndarray], float]:
+    """The affine model phi -> [1, phi] w, with w the `solve_weights` least squares on the
+    regressors of `ds`: the baseline that `eval` runs free beside the network."""
+    w, _ = solve_weights(ds.U, ds.y)
+    return lambda phi: w[0] + w[1:] @ phi
 
 
 def _block_diag(blocks: np.ndarray) -> np.ndarray:
@@ -205,7 +211,7 @@ def _knot_sensitivities(Umin: np.ndarray, dU: np.ndarray, q: int) -> np.ndarray:
 class _VpState:
     """Everything the residual and Jacobian share at a fixed V."""
 
-    def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None = None):
+    def __init__(self, V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict):
         self.V = np.array(V, dtype=float)
         self.dataset = dataset
         self.q = q
@@ -217,16 +223,13 @@ class _VpState:
         self.proj = _Projection(A)
 
 
-def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict | None) -> _VpState:
+def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict) -> _VpState:
     """The state at V, taken from the one-entry `cache` when it was built at exactly this V.
 
-    Without a cache every call builds its own state. With one, a miss drops the
-    held state before building the new one, which the cache then holds: its QR
-    overwrites the workspace's [1, B, y] buffer, which held the old state's
-    factors. The cache keeps its workspace buffers across states.
+    A miss drops the held state before building the new one, which the cache then
+    holds: its QR overwrites the workspace's [1, B, y] buffer, which held the old
+    state's factors. The cache keeps its workspace buffers across states.
     """
-    if cache is None:
-        return _VpState(V, dataset, q)
     st = cache.get("state")
     if st is not None and st.dataset is dataset and st.q == q and np.array_equal(st.V, V):
         return st
@@ -243,11 +246,12 @@ def vp_residual(
     It costs one Householder QR of [1, B, y] and an SVD of its k x k
     triangle; no N x N or k x N matrix is formed. `cache` is an optional
     one-entry dict that keeps the factorization for a later `vp_jacobian`
-    call at the same V. With a cache, the returned array is the cached state's
-    own, which that call reads, so the caller must not write to it; unlike the
-    Jacobian it is a new array at each new V, and a later call leaves it as is.
+    call at the same V; without one, the call runs on a fresh dict. The
+    returned array is the cached state's own, which that call reads, so the
+    caller must not write to it; unlike the Jacobian it is a new array at each
+    new V, and a later call leaves it as is.
     """
-    return _state(V, dataset, q, cache).proj.r
+    return _state(V, dataset, q, {} if cache is None else cache).proj.r
 
 
 def vp_jacobian(
@@ -271,12 +275,13 @@ def vp_jacobian(
     `cache` that holds the state built at exactly this V (by `vp_residual`),
     the factorization is reused rather than rebuilt.
 
-    With a cache, the returned array belongs to the cache's workspace, and the
-    next `vp_jacobian` call with that cache overwrites it. The workspace also
-    holds the float mask and G, and J is formed in place: the second term of G
-    goes into J's buffer first, and Q1 times the inner factor last. Without a
-    cache every buffer is a new array.
+    The returned array belongs to the cache's workspace, and the next
+    `vp_jacobian` call with that cache overwrites it. The workspace also holds
+    the float mask and G, and J is formed in place: the second term of G goes
+    into J's buffer first, and Q1 times the inner factor last. Without a cache
+    the call runs on a fresh dict, so every buffer is a new array.
     """
+    cache = {} if cache is None else cache
     st = _state(V, dataset, q, cache)
     proj = st.proj
     U = st.U

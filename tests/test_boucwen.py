@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from urelunet import boucwen, cli
+from urelunet import boucwen
 from urelunet.boucwen import (
     BLOWUP_BOUND,
     NEWTON_MAX_ITER,
@@ -449,9 +449,8 @@ class TestDecimateOracle:
         def scipy_decimate(x, factor):
             return signal.sosfiltfilt(signal.butter(4, 0.8 / factor, output="sos"), x)[::factor]
 
-        exc = {"amplitude_rms": 120.0}
-        record = cli._generate_record(desk_params(), exc, 256, 2, cli.StageClock())
+        record = boucwen.record(desk_params(), 120.0, 256, 2)
         monkeypatch.setattr(boucwen, "decimate", scipy_decimate)
-        expected = cli._generate_record(desk_params(), exc, 256, 2, cli.StageClock())
+        expected = boucwen.record(desk_params(), 120.0, 256, 2)
         assert np.array_equal(record.u, expected.u)
         assert np.array_equal(record.y, expected.y)

@@ -365,8 +365,8 @@ class TestDatagen:
     def test_stage_times_reported(self, desk_pipeline):
         kv = desk_pipeline["datagen"]
         # both records, each with its settling samples, at SIM_RATE_HZ
-        n_out = 4096 + 1024 + 2 * cli.SETTLE_SAMPLES
-        assert int(kv["simulation_steps"]) == n_out * cli.DECIMATION
+        n_out = 4096 + 1024 + 2 * boucwen.SETTLE_SAMPLES
+        assert int(kv["simulation_steps"]) == n_out * boucwen.DECIMATION
         for name in ["excitation", "simulation", "decimation", "persist"]:
             assert float(kv[f"stage_{name}_s"]) >= 0.0
 
@@ -375,16 +375,24 @@ class TestDatagen:
             (desk_pipeline["work"] / "train.csv.meta.json").read_text()
         )
         assert meta["seed"] == 2 and meta["validation_seed"] == 3
-        assert meta["fs_simulation"] == cli.SIM_RATE_HZ == 15000.0
+        assert meta["fs_simulation"] == boucwen.SIM_RATE_HZ == 15000.0
         assert meta["fs_output"] == 750.0
-        assert meta["decimation"] == cli.DECIMATION
-        assert meta["settle_samples"] == cli.SETTLE_SAMPLES
+        assert meta["decimation"] == boucwen.DECIMATION
+        assert meta["settle_samples"] == boucwen.SETTLE_SAMPLES
         assert meta["excitation"] == {
             "signal": "random-phase multisine",
             "f_min": 5.0,
             "f_max": 150.0,
             "amplitude_rms": 120.0,
         }
+
+    def test_writes_the_library_records(self, desk_pipeline, tmp_path):
+        # datagen's records are `boucwen.record`'s: train at the config's seed,
+        # validation at seed + 1, written bit for bit
+        params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
+        for n_samples, seed, written in ((4096, 2, "train_csv"), (1024, 3, "validation_csv")):
+            save_csv(tmp_path / "record.csv", boucwen.record(params, 120.0, n_samples, seed))
+            assert (tmp_path / "record.csv").read_bytes() == desk_pipeline[written].read_bytes()
 
     def test_deterministic_rerun(self, desk_pipeline, tmp_path):
         rc, out = desk_pipeline["run"]("datagen")
@@ -1099,7 +1107,7 @@ class TestEval:
         # neuron of each dimension is a ramp instead of linear
         dg = cli.load_config(str(cli_config_path()), [])["datagen"]
         params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
-        rec = cli._generate_record(params, dg["excitation"], dg["validation_samples"], seed, cli.StageClock())
+        rec = boucwen.record(params, dg["excitation"]["amplitude_rms"], dg["validation_samples"], seed)
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V

@@ -91,11 +91,11 @@ class TestBuildB:
     def test_elementwise_oracle(self, X, beta):
         # the first neuron of each dimension is linear, the others are ramps,
         # whether B is allocated, written into a Fortran-ordered buffer, built
-        # one row at a time or read off a one-vector `forward` with V = I and
-        # a unit weight on one neuron
+        # one row at a time or read off a free-run step with V = I and a unit
+        # weight on one neuron
         by_row = np.array([build_B(x[None], beta)[0] for x in X])
         units = [UReluNet(V=np.eye(2), q=3, beta=beta, w=np.eye(7)[1 + k], x_max=beta[:, -1]) for k in range(6)]
-        by_forward = np.array([[forward(net, x) for net in units] for x in X])
+        by_forward = np.array([[net.free_run_step()(x) for net in units] for x in X])
         for B in (build_B(X, beta), build_B(X, beta, out=np.empty((7, 8), order="F")[:, 1:7]), by_row, by_forward):
             for k in range(7):
                 for i in range(2):
@@ -148,14 +148,14 @@ class TestForward:
         U = rng.normal(size=(60, 4))
         net = toy_net(V, 5, rng.normal(size=3 * 5 + 1), transform(U[:30], V))
         assert np.any(transform(U, V) < net.beta[:, 0])
-        one = np.array([forward(net, u) for u in U])
+        step = net.free_run_step()
+        one = np.array([step(u) for u in U])
         for k in range(60):
             assert one[k].tobytes() == forward(net, U[k : k + 1])[0].tobytes()
-            assert net(U[k]) == one[k]
         np.testing.assert_allclose(one, forward(net, U), rtol=1e-12, atol=1e-12)
 
     def test_one_vector_follows_the_fields_on_every_construction_route(self):
-        # the one-vector path reads the neuron weights and the activation floor
+        # the free-run step reads the neuron weights and the activation floor
         # into its scratch; each route must give them from its own fields, so
         # a term left over from another net would change the bits
         rng = np.random.default_rng(12)
@@ -171,17 +171,7 @@ class TestForward:
         for net in nets:
             for u in U[:10]:
                 ref = (net.w[0] + build_B(transform(u[None], net.V), net.beta) @ net.w[1:])[0]
-                assert forward(net, u).tobytes() == ref.tobytes()
                 assert net.free_run_step()(u).tobytes() == ref.tobytes()
-                assert net(u) == float(ref)
-
-    def test_call_checks_its_input_shape(self):
-        rng = np.random.default_rng(8)
-        net = toy_net(rng.normal(size=(4, 2)), 3, np.zeros(7), rng.normal(size=(10, 2)))
-        with pytest.raises(ValueError, match=r"expected vector of length 4, got shape \(3,\)"):
-            net(np.zeros(3))
-        with pytest.raises(ValueError, match=r"expected vector of length 4, got shape \(1, 4\)"):
-            net(np.zeros((1, 4)))
 
     def test_exact_pwl_interpolation(self):
         # a 1-D piecewise-linear target with kinks on the knot grid is

@@ -24,6 +24,8 @@ def test_library_example_runs_on_the_desk_record(desk_pipeline, monkeypatch):
     exec(compile(library_example(), "README.md", "exec"), scope)
     assert scope["y_sim"].shape == data.u.shape
     assert np.all(np.isfinite(scope["y_sim"]))
+    value, index = scope["score"]
+    assert np.isfinite(value) and index is None
     assert scope["rep"].status in TRAIN_STATUSES
     # the same network that `fit` wrote on this record with this config
     assert scope["net"].to_json() + "\n" == desk_pipeline["model"].read_text(encoding="utf-8")
