@@ -4,18 +4,19 @@ excitation, zero-phase decimation, and the benchmark's record recipe."""
 from __future__ import annotations
 
 import contextlib
-import math
 import numbers
+import subprocess
+import sys
+import tempfile
 from array import array
 from dataclasses import astuple, dataclass
 
 import numpy as np
 
+from . import _newmark
+from ._newmark import BLOWUP_BOUND, NEWTON_MAX_ITER, NEWTON_TOL, IntegrationError
 from .dataset import TimeSeriesData, is_finite_number, parse_json_object
 
-BLOWUP_BOUND = 1e3  # meters; far beyond any sane desk-scale displacement
-NEWTON_TOL = 1e-10  # relative size of the last Newton update that ends a step
-NEWTON_MAX_ITER = 50
 PARAM_KEYS = ("m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu")
 INIT_KEYS = ("y0", "v0", "z0")
 # Every record follows the hysteretic benchmark's recipe (`record`): a random-phase
@@ -28,9 +29,9 @@ SIM_RATE_HZ = 15000.0
 DECIMATION = 20
 SETTLE_SAMPLES = 128
 
-
-class IntegrationError(RuntimeError):
-    pass
+# `_newmark.py` as a worker process: this Python, isolated from the environment and the
+# user's files, without site-packages and without writing bytecode
+WORKER = (sys.executable, "-I", "-S", "-B", _newmark.__file__)
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,18 @@ class SimOutput:
     z: np.ndarray
 
 
+def _force(u, fs: float) -> np.ndarray:
+    """`u` as a contiguous float array, checked as `simulate` checks its inputs."""
+    u = np.asarray(u, dtype=float)
+    if not fs > 0:
+        raise ValueError("fs must be positive")
+    if u.ndim != 1 or len(u) == 0:
+        raise ValueError(f"input force must be a non-empty 1-D series, not shape {u.shape}")
+    if not np.all(np.isfinite(u)):
+        raise ValueError("input force contains non-finite values")
+    return np.ascontiguousarray(u)
+
+
 def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
     """Integrate the oscillator with average-acceleration Newmark stepping from the
     initial state of `params`.
@@ -80,95 +93,59 @@ def simulate(params: BoucWenParams, u: np.ndarray, fs: float) -> SimOutput:
     iteration evaluates |z1|, |z1|**(nu-1), |z1|**nu and |v1| once and shares them
     between the hysteresis law and its two partial derivatives.
 
-    The loop runs on Python floats, one IEEE double operation at a time, so the
-    result is fixed by the order of the operations below: any rewrite must give
+    The loop is `_newmark.integrate`, which `SimulationWorker` also runs in a worker
+    process. It runs on Python floats, one IEEE double operation at a time, so the
+    result is fixed by the order of its operations: any rewrite must give
     `np.array_equal` y, ydot and z (`tests/test_boucwen.py` keeps a numpy-scalar
     reference loop to check this). A power that overflows, a non-finite or
     singular Newton system, a Newton iteration that does not converge and a
     displacement beyond BLOWUP_BOUND all raise IntegrationError; an empty or
     non-finite `u` and a non-positive `fs` raise ValueError.
     """
-    u = np.asarray(u, dtype=float)
-    if not fs > 0:
-        raise ValueError("fs must be positive")
-    if u.ndim != 1 or len(u) == 0:
-        raise ValueError(f"input force must be a non-empty 1-D series, not shape {u.shape}")
-    if not np.all(np.isfinite(u)):
-        raise ValueError("input force contains non-finite values")
-    h = 1.0 / fs
-    gn, bn = 0.5, 0.25  # Newmark gamma, beta
-    m_L, k_L, c_L = params.m_L, params.k_L, params.c_L
-    alpha, beta_bw, gamma, delta, nu = (
-        params.alpha, params.beta_bw, params.gamma, params.delta, params.nu
-    )
-    nu1 = nu - 1.0
-    neg_beta_nu = -beta_bw * nu
-    half_h = 0.5 * h
-    neg_half_h = -half_h
-    hh = h * h
-    c_y, c_v = 0.5 - bn, 1.0 - gn
-    J11 = m_L + c_L * gn * h + k_L * bn * h * h
-    # J12 = 1, so the products with it are left out of det, da and dz
-    tol = NEWTON_TOL
-    iterations = range(NEWTON_MAX_ITER)
-    isfinite = math.isfinite
+    u = _force(u, fs)
+    y, ydot, z = _newmark.integrate(astuple(params), memoryview(u), fs)
+    return SimOutput(y=np.frombuffer(y), ydot=np.frombuffer(ydot), z=np.frombuffer(z))
 
-    L = len(u)
-    Y = np.empty(L)
-    V = np.empty(L)
-    Z = np.empty(L)
-    y, v, z = float(params.y0), float(params.v0), float(params.z0)
-    a = (u.item(0) - c_L * v - k_L * y - z) / m_L
-    Y[0], V[0], Z[0] = y, v, z
-    for t in range(1, L):
-        ut = u.item(t)
-        y_pred = y + h * v
-        a_y = c_y * a
-        a_v = c_v * a
-        a1, z1 = a, z
-        try:
-            # the hysteresis law of BoucWenParams at the start of the step
-            az = abs(z)
-            zd0 = alpha * v - beta_bw * (gamma * abs(v) * az**nu1 * z + delta * v * az**nu)
-            for _ in iterations:
-                y1 = y_pred + hh * (a_y + bn * a1)
-                v1 = v + h * (a_v + gn * a1)
-                az = abs(z1)
-                p1 = az**nu1
-                pn = az**nu
-                av1 = abs(v1)
-                zd1 = alpha * v1 - beta_bw * (gamma * av1 * p1 * z1 + delta * v1 * pn)
-                R1 = m_L * a1 + c_L * v1 + k_L * y1 + z1 - ut
-                R2 = z1 - z - half_h * (zd0 + zd1)
-                sign_v = 1.0 if v1 > 0 else -1.0 if v1 < 0 else 0.0
-                sign_z = 1.0 if z1 > 0 else -1.0 if z1 < 0 else 0.0
-                dzd_dv = alpha - beta_bw * (gamma * sign_v * p1 * z1 + delta * pn)
-                dzd_dz = neg_beta_nu * p1 * (gamma * av1 + delta * v1 * sign_z)
-                J21 = neg_half_h * dzd_dv * gn * h
-                J22 = 1.0 - half_h * dzd_dz
-                det = J11 * J22 - J21
-                if det == 0.0 or not isfinite(det):
-                    raise IntegrationError(f"singular Newton system at step {t}")
-                da = (-R1 * J22 + R2) / det
-                dz = (-J11 * R2 + J21 * R1) / det
-                a1 += da
-                z1 += dz
-                if abs(da) + abs(dz) <= tol * (1.0 + abs(a1) + abs(z1)):
-                    break
-            else:
-                raise IntegrationError(f"Newton iteration did not converge at step {t}")
-        except OverflowError:
-            # a float power that overflows raises instead of returning inf
-            raise IntegrationError(f"power overflowed at step {t}") from None
-        y = y_pred + hh * (a_y + bn * a1)
-        v = v + h * (a_v + gn * a1)
-        a, z = a1, z1
-        if not isfinite(y) or abs(y) > BLOWUP_BOUND:
-            raise IntegrationError(f"simulation diverged at step {t}")
-        Y[t] = y
-        V[t] = v
-        Z[t] = z
-    return SimOutput(y=Y, ydot=V, z=Z)
+
+class SimulationWorker:
+    """`simulate(params, u, fs).y`, computed by a worker process while this one runs on.
+
+    The worker is the command WORKER, which imports nothing outside the standard
+    library. `u` is checked here, as `simulate`
+    checks it, before the worker starts; `result()` waits for the worker and returns y,
+    or raises simulate's IntegrationError. A worker that fails otherwise raises
+    RuntimeError with the last line of its stderr, which is never printed. Leaving the
+    `with` block, by any path, kills a worker that still runs and reaps it.
+    """
+
+    def __init__(self, params: BoucWenParams, u: np.ndarray, fs: float):
+        u = _force(u, fs)
+        self._n = len(u)
+        # the request goes through an unlinked file, so that starting the worker does
+        # not wait for it to read a pipe
+        with tempfile.TemporaryFile() as fh:
+            fh.write(_newmark.request(astuple(params), fs))
+            fh.write(u.data)
+            fh.seek(0)
+            self._proc = subprocess.Popen(WORKER, stdin=fh, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def result(self) -> np.ndarray:
+        out, err = self._proc.communicate()
+        code = self._proc.returncode
+        if code == _newmark.EXIT_INTEGRATION_ERROR:
+            raise IntegrationError(out.decode())
+        if code != 0 or len(out) != 8 * self._n:
+            last = err.decode(errors="replace").strip().splitlines()[-1:] or ["no message"]
+            raise RuntimeError(f"simulation worker exited with status {code}: {last[0]}")
+        return np.frombuffer(out)
+
+    def __enter__(self) -> SimulationWorker:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        if self._proc.returncode is None:
+            self._proc.kill()
+            self._proc.communicate()
 
 
 def multisine(
@@ -292,21 +269,34 @@ def sim_samples(n_samples: int) -> int:
     return (n_samples + SETTLE_SAMPLES) * DECIMATION
 
 
+def excitation(amplitude_rms: float, n_samples: int, seed: int) -> np.ndarray:
+    """The multisine of `amplitude_rms` at `seed`, at SIM_RATE_HZ, that drives the record
+    of `n_samples` decimated samples."""
+    return multisine(sim_samples(n_samples), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, amplitude_rms, seed=seed)
+
+
+def settled(x_sim: np.ndarray) -> np.ndarray:
+    """One simulated signal as a record holds it: decimated by DECIMATION, less the first
+    SETTLE_SAMPLES decimated samples."""
+    return decimate(x_sim, DECIMATION)[SETTLE_SAMPLES:]
+
+
 def record(params: BoucWenParams, amplitude_rms: float, n_samples: int, seed: int, stages=None) -> TimeSeriesData:
     """`n_samples` decimated samples of the oscillator driven by the multisine of
-    `amplitude_rms` at `seed`, by the recipe of the constants above.
+    `amplitude_rms` at `seed`, by the recipe of the constants above: `excitation`,
+    `simulate`, then `settled` on the input and on the output, all in this process.
+    (`datagen` runs the same steps for its training record, but with the simulation in
+    a `SimulationWorker`.)
 
     `stages`, if given, times the excitation, the simulation and the decimation: each
     runs in `with stages(name):` (`cli.StageClock`)."""
     stages = contextlib.nullcontext if stages is None else stages  # nullcontext(name) times nothing
     with stages("excitation"):
-        u_sim = multisine(sim_samples(n_samples), SIM_RATE_HZ, F_MIN_HZ, F_MAX_HZ, amplitude_rms, seed=seed)
+        u_sim = excitation(amplitude_rms, n_samples, seed)
     with stages("simulation"):
-        sim = simulate(params, u_sim, SIM_RATE_HZ)
+        y_sim = simulate(params, u_sim, SIM_RATE_HZ).y
     with stages("decimation"):
-        u_dec = decimate(u_sim, DECIMATION)
-        y_dec = decimate(sim.y, DECIMATION)
-    return TimeSeriesData(u=u_dec[SETTLE_SAMPLES:], y=y_dec[SETTLE_SAMPLES:])
+        return TimeSeriesData(u=settled(u_sim), y=settled(y_sim))
 
 
 def load_params(path) -> BoucWenParams:

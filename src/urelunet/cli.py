@@ -210,6 +210,14 @@ def _files(cfg: dict, args: argparse.Namespace) -> tuple[dict[str, str], dict[st
 
 
 def cmd_datagen(cfg: dict, stages: StageClock) -> int:
+    """Write the training record (at the config's seed), the validation record (seed + 1)
+    and the metadata sidecar; the records are `boucwen.record`'s, bit for bit.
+
+    The training record's Newmark loop runs in a `boucwen.SimulationWorker` while this
+    process makes the whole validation record and decimates the training input, so the
+    stage times are this process's: `simulation` includes the wait for the worker. When
+    both records fail, the training record's error is the one raised; no worker outlives
+    the call."""
     dg = cfg["datagen"]
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
@@ -233,8 +241,30 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
             "signal": "random-phase multisine", "f_min": boucwen.F_MIN_HZ, "f_max": boucwen.F_MAX_HZ, **exc
         },
     }
-    train_rec = boucwen.record(params, exc["amplitude_rms"], n_train, seed, stages)
-    val_rec = boucwen.record(params, exc["amplitude_rms"], n_val, seed + 1, stages)
+    # the training record's simulation runs in a worker process while this one makes
+    # the validation record and decimates the training input; starting the worker and
+    # waiting for it are simulation time
+    with stages("excitation"):
+        u_train = boucwen.excitation(exc["amplitude_rms"], n_train, seed)
+    with stages("simulation"):
+        worker = boucwen.SimulationWorker(params, u_train, boucwen.SIM_RATE_HZ)
+    with worker:
+        try:
+            val_rec = boucwen.record(params, exc["amplitude_rms"], n_val, seed + 1, stages)
+            with stages("decimation"):
+                u_settled = boucwen.settled(u_train)
+        except Exception:
+            # as when the records were made one after the other, the training record's
+            # error is the one reported; the validation error keeps its own stage
+            failed = stages.stage
+            with stages("simulation"):
+                worker.result()
+            stages.stage = failed
+            raise
+        with stages("simulation"):
+            y_train = worker.result()
+    with stages("decimation"):
+        train_rec = TimeSeriesData(u=u_settled, y=boucwen.settled(y_train))
     with stages("persist"):
         written = []
         try:

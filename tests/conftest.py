@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -83,3 +85,25 @@ def desk_pipeline(tmp_path_factory):
         "train_csv": work / "train.csv",
         "validation_csv": work / "validation.csv",
     }
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """The processes started while the test runs (by `boucwen.SimulationWorker`), in order."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+def assert_reaped(processes):
+    """Each process has exited and been waited for: it is no longer a child of this one."""
+    for proc in processes:
+        assert proc.returncode is not None
+        with pytest.raises(ChildProcessError):
+            os.waitpid(proc.pid, os.WNOHANG)

@@ -1,4 +1,8 @@
+import dataclasses
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from urelunet.boucwen import (
     multisine,
     simulate,
 )
+
+from conftest import CONFIGS, assert_reaped
 
 DESK = dict(
     m_L=2.0, k_L=50000.0, c_L=40.0, alpha=50000.0,
@@ -322,6 +328,82 @@ class TestExactArithmetic:
         x = multisine(n, fs, 5000.0, f_max, amplitude_rms=1.0, seed=1)
         ref = reference_multisine(n, fs, 5000.0, f_max, 1.0, seed=1)
         assert np.abs(x - ref).max() <= 1e-9
+
+
+class TestWorker:
+    """`SimulationWorker` runs `_newmark.py` as a worker process: the same loop as
+    `simulate`, so the same y and the same IntegrationError text."""
+
+    @staticmethod
+    def worker_y(p, u, fs=boucwen.SIM_RATE_HZ):
+        with boucwen.SimulationWorker(p, u, fs) as worker:
+            return worker.result()
+
+    def test_desk_training_record(self, workers):
+        p = load_params(CONFIGS / "desk_boucwen.json")
+        u = boucwen.excitation(120.0, 4096, 2)
+        assert np.array_equal(self.worker_y(p, u), simulate(p, u, boucwen.SIM_RATE_HZ).y)
+        assert [proc.args for proc in workers] == [boucwen.WORKER]
+        assert_reaped(workers)
+
+    def test_initial_state_and_fractional_nu(self):
+        p = desk_params(nu=1.5, y0=1e-4, v0=-0.02, z0=3.0)
+        u = 100.0 * np.sin(2 * np.pi * 40.0 * np.arange(3000) / 15000.0)
+        assert np.array_equal(self.worker_y(p, u, 15000.0), simulate(p, u, 15000.0).y)
+
+    @pytest.mark.parametrize(
+        "p, u, fs",
+        [
+            (desk_params(), boucwen.excitation(1e6, 4096, 2), 15000.0),
+            (desk_params(k_L=0.0, alpha=0.0), np.full(1000, 1e5), 1000.0),
+            (desk_params(gamma=0.5, delta=0.3, nu=2.0, beta_bw=10.0), np.full(100, 1e160), 15000.0),
+            (desk_params(m_L=2.0, k_L=0.0, c_L=0.0, alpha=-8.0), np.zeros(10), 1.0),
+        ],
+        ids=["newton", "diverged", "overflow", "singular"],
+    )
+    def test_same_integration_error(self, workers, p, u, fs):
+        with pytest.raises(IntegrationError) as in_process:
+            simulate(p, u, fs)
+        with pytest.raises(IntegrationError) as in_worker:
+            self.worker_y(p, u, fs)
+        assert str(in_worker.value) == str(in_process.value)
+        assert_reaped(workers)
+
+    def test_input_checked_before_the_worker_starts(self, workers):
+        with pytest.raises(ValueError, match="non-finite"):
+            boucwen.SimulationWorker(desk_params(), np.array([1.0, np.nan]), 100.0)
+        with pytest.raises(ValueError, match="fs must be positive"):
+            boucwen.SimulationWorker(desk_params(), np.zeros(10), 0.0)
+        assert workers == []
+
+    def test_failed_worker_reports_its_last_stderr_line(self, monkeypatch, workers, capfd):
+        script = "import sys; print('one', file=sys.stderr); sys.exit('MemoryError: two')"
+        monkeypatch.setattr(boucwen, "WORKER", (sys.executable, "-c", script))
+        with pytest.raises(RuntimeError, match="^simulation worker exited with status 1: MemoryError: two$"):
+            self.worker_y(desk_params(), np.zeros(10))
+        assert capfd.readouterr().err == ""
+        assert_reaped(workers)
+
+    def test_imports_only_the_standard_library(self):
+        # the worker starts in tens of milliseconds because it imports no numpy
+        script = (
+            f"import sys; sys.path.insert(0, {str(Path(boucwen.__file__).parent)!r}); import _newmark; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] not in sys.stdlib_module_names))"
+        )
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", script], capture_output=True, text=True, check=True)
+        assert done.stdout == "['__main__', '_newmark']\n"
+
+    def test_worker_protocol(self):
+        # one request on stdin, y back on stdout; the IntegrationError text with its own status
+        u = 80.0 * np.sin(2 * np.pi * 30.0 * np.arange(1500) / 15000.0)
+        p = desk_params(z0=1.0)
+        request = boucwen._newmark.request(dataclasses.astuple(p), 15000.0).tobytes() + u.tobytes()
+        done = subprocess.run(boucwen.WORKER, input=request, capture_output=True, check=True)
+        assert np.array_equal(np.frombuffer(done.stdout), simulate(p, u, 15000.0).y)
+        request = boucwen._newmark.request(dataclasses.astuple(p), 15000.0).tobytes() + np.full(20, 1e12).tobytes()
+        done = subprocess.run(boucwen.WORKER, input=request, capture_output=True)
+        assert done.returncode == boucwen._newmark.EXIT_INTEGRATION_ERROR
+        assert done.stdout.decode() == "Newton iteration did not converge at step 1" and done.stderr == b""
 
 
 class TestMultisine:

@@ -34,7 +34,7 @@ from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count
 from urelunet.pwl import PwlRegion, cond_diagnostics
 from urelunet.varpro import TrainReport
 
-from conftest import parse_kv
+from conftest import assert_reaped, parse_kv
 
 
 def run_main(argv):
@@ -538,6 +538,86 @@ class TestDatagen:
         assert out == ""
         assert list(tmp_path.iterdir()) == []
 
+    def test_failing_simulation_leaves_no_record_and_no_worker(self, tmp_path, workers):
+        # both records fail; the training record's error is the one reported, as when
+        # datagen made it first
+        params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
+        with pytest.raises(boucwen.IntegrationError, match="did not converge at step 2$"):
+            boucwen.record(params, 1e6, 1024, 3)
+        rc, out, err = run_main(
+            desk_datagen_args(tmp_path) + ["--set", "datagen.excitation.amplitude_rms=1e6", "datagen"]
+        )
+        assert rc == 1
+        assert err == "error=stage:simulation detail=Newton iteration did not converge at step 97\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert len(workers) == 1
+        assert_reaped(workers)
+
+    def test_failing_validation_record_reaps_the_worker(self, tmp_path, monkeypatch, workers):
+        # only the in-process simulation, the validation record's, fails
+        def diverge(*args):
+            raise boucwen.IntegrationError("simulation diverged at step 5")
+
+        monkeypatch.setattr(boucwen, "simulate", diverge)
+        rc, out, err = run_main(small_datagen_args(tmp_path) + ["datagen"])
+        assert rc == 1
+        assert err == "error=stage:simulation detail=simulation diverged at step 5\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        # the training record's simulation ran to its end and was waited for
+        assert [proc.returncode for proc in workers] == [0]
+        assert_reaped(workers)
+
+    @pytest.mark.parametrize(
+        "amplitude, shown",
+        [
+            ("120", "error=stage:excitation detail=no excitation at seed 3"),
+            ("1e6", "error=stage:simulation detail=Newton iteration did not converge at step 97"),
+        ],
+    )
+    def test_validation_excitation_error_keeps_its_stage(self, tmp_path, monkeypatch, workers, amplitude, shown):
+        # the validation record (seed 3) fails in its excitation while the worker runs:
+        # its own stage is named, unless the training record failed too
+        multisine = boucwen.multisine
+
+        def no_validation_excitation(*args, seed):
+            if seed == 3:
+                raise ValueError(f"no excitation at seed {seed}")
+            return multisine(*args, seed=seed)
+
+        monkeypatch.setattr(boucwen, "multisine", no_validation_excitation)
+        rc, out, err = run_main(
+            desk_datagen_args(tmp_path) + ["--set", f"datagen.excitation.amplitude_rms={amplitude}", "datagen"]
+        )
+        assert rc == 1
+        assert err == shown + "\n"
+        assert out == ""
+        assert list(tmp_path.iterdir()) == []
+        assert_reaped(workers)
+
+    def test_failed_worker_folds_its_stderr_into_the_error(self, tmp_path, monkeypatch, workers, capfd):
+        script = "import sys; print('one', file=sys.stderr); sys.exit('MemoryError: two')"
+        monkeypatch.setattr(boucwen, "WORKER", (sys.executable, "-c", script))
+        rc, out, err = run_main(small_datagen_args(tmp_path) + ["datagen"])
+        assert rc == 1
+        assert err == "error=stage:simulation detail=simulation worker exited with status 1: MemoryError: two\n"
+        assert out == ""
+        assert capfd.readouterr().err == ""
+        assert list(tmp_path.iterdir()) == []
+        assert_reaped(workers)
+
+    def test_interrupt_kills_and_reaps_the_worker(self, tmp_path, monkeypatch, workers):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(boucwen, "simulate", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            run_main(desk_datagen_args(tmp_path) + ["datagen"])
+        assert list(tmp_path.iterdir()) == []
+        assert len(workers) == 1
+        assert_reaped(workers)
+
     def test_wrong_type_value_exit_code(self, tmp_path):
         rc, _, err = run_main(
             [
@@ -609,6 +689,17 @@ def small_datagen_args(tmp_path):
         "paths.validation": tmp_path / "v.csv",
     }
     return [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+
+
+def desk_datagen_args(tmp_path):
+    """Arguments of `datagen` on the desk config, writing its records into `tmp_path`."""
+    settings = {
+        "datagen.params_file": configs_dir() / "desk_boucwen.json",
+        "paths.train": tmp_path / "t.csv",
+        "paths.validation": tmp_path / "v.csv",
+    }
+    args = [arg for key, value in settings.items() for arg in ("--set", f"{key}={value}")]
+    return ["--config", str(cli_config_path())] + args
 
 
 def configs_dir():
