@@ -15,12 +15,12 @@ from .dataset import RegressionDataset
 # this bounds the term list and the K-length vectors FROLS keeps per candidate
 # (norms, correlations, ERR).
 MAX_CANDIDATES = 200_000
-# Rows per block when `monomial_dot` accumulates moments of U: its largest
-# buffer is m(m+1)/2 x MOMENT_BLOCK, whatever the record length.
+# Rows per block when `monomial_dot` accumulates moments of U: its buffers are
+# m x MOMENT_BLOCK and m(m+1)/2 x MOMENT_BLOCK, whatever the record length.
 MOMENT_BLOCK = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolyTerm:
     """One monomial, stored as a tuple of per-variable exponents."""
 
@@ -155,11 +155,10 @@ def monomial_dot(index: np.ndarray, U: np.ndarray, v: np.ndarray) -> np.ndarray:
 
     Accumulates the v-weighted moments of U over blocks of MOMENT_BLOCK rows
     (the cubic ones only if a term needs them), then gathers one per term.
-    Each block's Khatri-Rao product is formed once, in a buffer reused by
-    every block.
+    Each block of U^T and its Khatri-Rao product are formed once, in buffers
+    reused by every block.
     """
-    Ut = np.ascontiguousarray(U.T, dtype=float)
-    m, N = Ut.shape
+    N, m = U.shape
     cubic = index.max(initial=0) > m + m * m
     pairs = m * (m + 1) // 2 if cubic else 0
     first = np.cumsum([0, *range(m, 1, -1)]).tolist()  # Khatri-Rao row of pair (a, a)
@@ -168,10 +167,11 @@ def monomial_dot(index: np.ndarray, U: np.ndarray, v: np.ndarray) -> np.ndarray:
     s2 = moments[1 + m : 1 + m + m * m].reshape(m, m)
     s3 = moments[1 + m + m * m :].reshape(m, pairs)
     rows = min(N, MOMENT_BLOCK)
-    vU_buf, kr_buf = np.empty((m, rows)), np.empty((pairs, rows))
+    Ut_buf, vU_buf, kr_buf = np.empty((m, rows)), np.empty((m, rows)), np.empty((pairs, rows))
     for start in range(0, N, MOMENT_BLOCK):
-        Ub = Ut[:, start : start + MOMENT_BLOCK]
         vb = v[start : start + MOMENT_BLOCK]
+        Ub = Ut_buf[:, : len(vb)]
+        Ub[...] = U[start : start + MOMENT_BLOCK].T
         vU = np.multiply(Ub, vb, out=vU_buf[:, : len(vb)])
         moments[0] += vb.sum()
         s1 += vU.sum(axis=1)
@@ -217,8 +217,7 @@ def frols_select(
     if N <= max_terms:
         raise ValueError(f"need more samples ({N}) than max_terms ({max_terms})")
     K = len(candidates)
-    E = np.array([t.exponents for t in candidates])
-    index = moment_index(E, dataset.m)
+    index = moment_index([t.exponents for t in candidates], dataset.m)
     yty = float(y @ y)
     if yty == 0:
         # Zero target: the first candidate with a zero coefficient.
@@ -260,7 +259,7 @@ def frols_select(
         esr -= err[best]
         if esr <= esr_tol or len(selected) == max_terms:
             break
-        q = monomials(E[best], U)[:, 0] / scale[best]
+        q = monomials(candidates[best].exponents, U)[:, 0] / scale[best]
         for _ in range(2):
             q -= Q[:, :k] @ (Q[:, :k].T @ q)
         q /= np.linalg.norm(q)
@@ -272,7 +271,7 @@ def frols_select(
         wn2 -= c * c
         wy -= c * (q @ y)
 
-    cols = monomials(E[selected], U)
+    cols = monomials([candidates[i].exponents for i in selected], U)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return PolyNarxModel(
         terms=tuple(candidates[i] for i in selected),

@@ -23,6 +23,9 @@ LM_LAMBDA0 = 1e-3
 LM_FACTOR = 10.0
 GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
+# Rows per block when `vp_jacobian` forms J in G's buffer: its row scratch is
+# ROW_BLOCK x (n*m), whatever the record length.
+ROW_BLOCK = 512
 
 
 @dataclass
@@ -181,6 +184,20 @@ def _block_diag(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(n * a, n * b)
 
 
+def _row_blocks(N: int) -> list[slice]:
+    """Slices of at most ROW_BLOCK rows covering range(N), none of one row unless N == 1.
+
+    numpy multiplies a one-row matrix as a vector (gemv), whose sums run in another
+    order than the matrix product's (gemm), while a block of two or more rows gets the
+    bits of the whole product's rows. So a last block of one row takes a second one
+    from the block before it.
+    """
+    bounds = [*range(0, N, ROW_BLOCK), N]
+    if N > 1 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
 def _basis_derivative(U: np.ndarray, X: np.ndarray, beta: np.ndarray, out: np.ndarray | None = None):
     """Activation mask (N, n, q) and knot ends Umin and dU (m, n) at X = U V.
 
@@ -277,9 +294,10 @@ def vp_jacobian(
 
     The returned array belongs to the cache's workspace, and the next
     `vp_jacobian` call with that cache overwrites it. The workspace also holds
-    the float mask and G, and J is formed in place: the second term of G goes
-    into J's buffer first, and Q1 times the inner factor last. Without a cache
-    the call runs on a fresh dict, so every buffer is a new array.
+    the float mask and one row scratch, and J is formed in G's own buffer, one
+    block of `_row_blocks` at a time: the second term of G first, then Q1 times
+    the inner factor minus G. Without a cache the call runs on a fresh dict, so
+    every buffer is a new array.
     """
     cache = {} if cache is None else cache
     st = _state(V, dataset, q, cache)
@@ -289,14 +307,6 @@ def vp_jacobian(
     n = st.X.shape[1]
     mask, Umin, dU = _basis_derivative(U, st.X, st.beta, out=_buffer(cache, "mask", (N, n, q)))
     mask = mask.reshape(N, n * q)
-    G = _buffer(cache, "G", (N, n * m))
-    J = _buffer(cache, "J", (N, n * m))
-
-    # [a_t, b_t] for every dimension from one GEMM, then G = (dB/dv) w, shape N x (n*m)
-    w = proj.w[1:].reshape(n, q)
-    ab = mask @ _block_diag(np.stack([w, w * knot_fractions(q)], axis=2))
-    np.einsum("kt,ks->kts", ab[:, 0::2], U, out=G.reshape(N, n, m))
-    G -= np.matmul(ab, _block_diag(np.stack([Umin.T, dU.T], axis=1)), out=J)
 
     # C[s, t, j] = (dB/dv_st)^T r in column (t, j), block-diagonal as (n*q) x (n*m)
     r = proj.r
@@ -304,11 +314,24 @@ def vp_jacobian(
     C -= _knot_sensitivities(Umin, dU, q) * (r @ mask).reshape(n, q)
     C_blk = _block_diag(C.transpose(1, 2, 0))
 
-    # with W = Q1 Ut_K: J = W (W^T G - S_K^-1 Vt_K^T[:, 1:] C_blk) - G
+    # [a_t, b_t] for every dimension from one GEMM, then G = (dB/dv) w, shape N x (n*m)
+    G = _buffer(cache, "G", (N, n * m))
+    blocks = _row_blocks(N)
+    scratch = _buffer(cache, "rows", (min(N, ROW_BLOCK), n * m))
+    w = proj.w[1:].reshape(n, q)
+    ab = mask @ _block_diag(np.stack([w, w * knot_fractions(q)], axis=2))
+    np.einsum("kt,ks->kts", ab[:, 0::2], U, out=G.reshape(N, n, m))
+    knot_ends = _block_diag(np.stack([Umin.T, dU.T], axis=1))
+    for rows in blocks:
+        G[rows] -= np.matmul(ab[rows], knot_ends, out=scratch[: rows.stop - rows.start])
+
+    # with W = Q1 Ut_K: J = W (W^T G - S_K^-1 Vt_K^T[:, 1:] C_blk) - G, in G's buffer
     Q1, ut = proj.Q1, proj.ut
-    np.matmul(Q1, ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk), out=J)
-    J -= G
-    return J
+    inner = ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk)
+    for rows in blocks:
+        part = np.matmul(Q1[rows], inner, out=scratch[: rows.stop - rows.start])
+        np.subtract(part, G[rows], out=G[rows])
+    return G
 
 
 def train(

@@ -88,6 +88,35 @@ def reference_monomials(exponents, U):
     return np.column_stack(cols)
 
 
+def full_copy_monomial_dot(index, U, v):
+    """`monomial_dot` with one m x N copy of U^T, of which each block is a column slice:
+    the moments and gathers of `monomial_dot`, on another buffer layout."""
+    Ut = np.ascontiguousarray(U.T, dtype=float)
+    m, N = Ut.shape
+    cubic = index.max(initial=0) > m + m * m
+    pairs = m * (m + 1) // 2 if cubic else 0
+    first = np.cumsum([0, *range(m, 1, -1)]).tolist()
+    moments = np.zeros(1 + m + m * m + m * pairs)
+    s1 = moments[1 : 1 + m]
+    s2 = moments[1 + m : 1 + m + m * m].reshape(m, m)
+    s3 = moments[1 + m + m * m :].reshape(m, pairs)
+    rows = min(N, MOMENT_BLOCK)
+    vU_buf, kr_buf = np.empty((m, rows)), np.empty((pairs, rows))
+    for start in range(0, N, MOMENT_BLOCK):
+        Ub = Ut[:, start : start + MOMENT_BLOCK]
+        vb = v[start : start + MOMENT_BLOCK]
+        vU = np.multiply(Ub, vb, out=vU_buf[:, : len(vb)])
+        moments[0] += vb.sum()
+        s1 += vU.sum(axis=1)
+        s2 += vU @ Ub.T
+        if cubic:
+            kr = kr_buf[:, : len(vb)]
+            for a, row in enumerate(first):
+                np.multiply(Ub[a:], Ub[a], out=kr[row : row + m - a])
+            s3 += vU @ kr.T
+    return moments[index]
+
+
 @st.composite
 def terms_and_points(draw):
     m = draw(st.integers(1, 30))
@@ -147,6 +176,19 @@ class TestMonomialDot:
         np.testing.assert_allclose(
             monomial_dot(moment_index(E, 4), U, v), monomials(E, U).T @ v, rtol=1e-12, atol=1e-12
         )
+
+    @pytest.mark.parametrize("m", [6, 9])
+    def test_bit_identical_to_one_full_copy(self, m):
+        # each block of U^T goes through one reused buffer; the bits stay those of
+        # column slices of a whole m x N copy, in the last, short block too
+        rng = np.random.default_rng(m)
+        U = rng.normal(size=(2 * MOMENT_BLOCK + 5, m))
+        index = moment_index([t.exponents for t in enumerate_terms(m, 3)], m)
+        for v in (rng.normal(size=len(U)), np.ones(len(U))):
+            for W in (U, U * U):
+                np.testing.assert_array_equal(
+                    monomial_dot(index, W, v), full_copy_monomial_dot(index, W, v)
+                )
 
 
 class TestEnumerateTerms:

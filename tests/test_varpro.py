@@ -5,8 +5,9 @@ import pytest
 
 from urelunet import varpro
 from urelunet.dataset import RegressionDataset, RegressorSpec
-from urelunet.network import bias_grid, build_B, forward, make_net, transform
+from urelunet.network import bias_grid, build_B, forward, knot_fractions, make_net, transform
 from urelunet.varpro import (
+    ROW_BLOCK,
     solve_weights,
     train,
     vp_jacobian,
@@ -589,3 +590,67 @@ class TestWorkspace:
             tracemalloc.stop()
         assert report.iterations == 4
         assert peak / (N * n * m * 8) < 3.3
+
+
+def two_block_jacobian(V, ds, q):
+    """`vp_jacobian` by its two-block formula: G = (dB/dv) w and J = Q1 inner - G as two
+    N x (n*m) arrays, each product over all N rows at once, on a fresh factorization."""
+    st = varpro._VpState(V, ds, q, {})
+    proj, U = st.proj, ds.U
+    N, m = U.shape
+    n = st.X.shape[1]
+    mask, Umin, dU = varpro._basis_derivative(U, st.X, st.beta, out=np.empty((N, n, q)))
+    mask = mask.reshape(N, n * q)
+    w = proj.w[1:].reshape(n, q)
+    ab = mask @ varpro._block_diag(np.stack([w, w * knot_fractions(q)], axis=2))
+    G = np.empty((N, n * m))
+    np.einsum("kt,ks->kts", ab[:, 0::2], U, out=G.reshape(N, n, m))
+    G -= ab @ varpro._block_diag(np.stack([Umin.T, dU.T], axis=1))
+    r = proj.r
+    C = ((U * r[:, None]).T @ mask).reshape(m, n, q)
+    C -= varpro._knot_sensitivities(Umin, dU, q) * (r @ mask).reshape(n, q)
+    C_blk = varpro._block_diag(C.transpose(1, 2, 0))
+    Q1, ut = proj.Q1, proj.ut
+    J = Q1 @ (ut @ (ut.T @ (Q1.T @ G) - proj.vs.T[:, 1:] @ C_blk))
+    J -= G
+    return J
+
+
+class TestRowBlocks:
+    """`vp_jacobian` forms J in G's buffer by blocks of ROW_BLOCK rows; a row block does
+    not change a product's sums, so J keeps the bits of the two-block formula."""
+
+    @pytest.mark.parametrize("N", [ROW_BLOCK - 1, ROW_BLOCK, 2 * ROW_BLOCK + 1])
+    def test_bit_identical_to_two_blocks(self, N):
+        m, n, q = 6, 2, 4
+        ds = random_dataset(N, m, seed=N)
+        rng = np.random.default_rng(N + 1)
+        V, V2 = rng.normal(size=(m, n)), rng.normal(size=(m, n))
+        np.testing.assert_array_equal(vp_jacobian(V, ds, q), two_block_jacobian(V, ds, q))
+        # one cache across two V: the second Jacobian overwrites the first's buffers
+        cache = {}
+        for Vi in (V, V2):
+            J = vp_jacobian(Vi, ds, q, cache=cache)
+            np.testing.assert_array_equal(J, two_block_jacobian(Vi, ds, q))
+            # J is the one N x (n*m) buffer; the row scratch has at most ROW_BLOCK rows
+            work = cache["work"]
+            blocks = [b for name, b in work.items() if name != "rows" and b.shape == (N, n * m)]
+            assert len(blocks) == 1 and blocks[0] is J
+            assert work["rows"].shape == (min(N, ROW_BLOCK), n * m)
+
+    def test_cold_call_allocates_less_than_one_more_block(self):
+        # kept: the [1, B, y] QR matrix, the mask, the returned block and the row scratch.
+        # Everything else the call allocates, at its peak, is under one N x (n*m) block.
+        N, m, n, q = 3000, 10, 3, 8
+        ds = random_dataset(N, m, seed=48)
+        V = np.random.default_rng(49).normal(size=(m, n))
+        cache = {}
+        tracemalloc.start()
+        try:
+            J = vp_jacobian(V, ds, q, cache=cache)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        work = cache["work"]
+        kept = sum(a.nbytes for a in (work["qr"], work["mask"], J, work["rows"]))
+        assert peak - kept < N * n * m * 8
