@@ -271,6 +271,7 @@ def frols_select(
         wn2 -= c * c
         wy -= c * (q @ y)
 
+    del Q  # the refit's N x len(selected) columns take its place
     cols = monomials([candidates[i].exponents for i in selected], U)
     coeffs, *_ = np.linalg.lstsq(cols, y, rcond=None)
     return PolyNarxModel(

@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
-from operator import getitem
 from typing import Iterator
 
 import numpy as np
@@ -16,6 +15,9 @@ from .network import UReluNet
 
 # the most cells one pass yields unless the caller sets its own limit
 DEFAULT_LIMIT = 1_000_000
+# the cells whose maps enumerate_regions builds together: at the paper's shape
+# (m = 30, n = 5) a pass holds about 0.1 MB, and larger blocks are no faster
+BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -31,8 +33,8 @@ class PwlRegion:
     a: np.ndarray
     b: float
     c: np.ndarray
-    # the JSON text of the list items of cell, a and x_bounds; only _cell_map sets
-    # it, from the network's tables. It is not an init field, so a region built by
+    # the JSON text of the list items of cell, a and x_bounds; only enumerate_regions
+    # sets it, from the network's tables. It is not an init field, so a region built by
     # hand or by dataclasses.replace has None here and to_json renders its fields.
     _fixed_json: tuple[str, str, str] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -71,59 +73,82 @@ class PwlRegion:
 def enumerate_regions(net: UReluNet, limit: int = DEFAULT_LIMIT) -> Iterator[PwlRegion]:
     """Yield every bounded cell (indices 1..q per dimension) in lexicographic order.
 
-    Stops after `limit` cells; use region_count to know the full total.
+    Stops after `limit` cells; use region_count to know the full total. The maps
+    are built BLOCK cells at a time, and no block reaches past `limit`.
     """
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, not {limit}")
     tables = _CellTables(net)
-    cells = itertools.product(range(1, net.q + 1), repeat=net.n)
-    for cell in itertools.islice(cells, limit):
-        yield _cell_map(tables, cell)
+    stop = min(limit, region_count(net))
+    # per cell: its index tuple, x_bounds and the JSON text of its cell, a and x_bounds
+    grid = zip(*(
+        itertools.product(*table)
+        for table in (tables.cells, tables.bounds, tables.cell_json, tables.slope_json, tables.bounds_json)
+    ))
+    for start in range(0, stop, BLOCK):
+        A, b, C = tables.maps(start, min(start + BLOCK, stop))
+        # A runs out first, so zip takes no cell of the next block from grid
+        for a, b_cell, c, (cell, bounds, cell_json, a_json, bounds_json) in zip(A, b, C, grid):
+            region = PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b_cell, c=c)
+            object.__setattr__(region, "_fixed_json", (
+                ", ".join(cell_json), ", ".join(a_json), ", ".join(bounds_json)
+            ))
+            yield region
 
 
 class _CellTables:
     """The network as n univariate pieces, tabulated per cell index k = 1..q.
 
     yhat = w0 + sum_i g_i(x_i), and on cell k of dimension i the piece g_i is
-    slope[i][k] * x_i + offset[i][k] with the neurons j < k active:
-    slope = sum_j w_ij and offset = -sum_j w_ij beta_ij. Entry 0 of each table
-    is unused, so a cell index reads its entry directly. The entries are Python
-    floats, so a cell's map is a handful of list reads. The slopes and bounds
-    are kept as JSON text too, so a region's export renders only its b and c.
+    slope[i, k] * x_i + offset[i, k] with the neurons j < k active:
+    slope = sum_j w_ij and offset = -sum_j w_ij beta_ij, summed as Python
+    floats. Column 0 of both arrays is unused, so a cell index reads its entry
+    directly. The cell indices, slopes and bounds of cells 1..q are kept as
+    JSON text too, so a region's export renders only its b and c.
     """
 
     def __init__(self, net: UReluNet):
-        q = net.q
+        n, q = net.n, net.q
         w = net.w.tolist()
         self.w0 = w[0]
         self.V = net.V
-        self.slope, self.offset, self.bounds = [], [], []
+        self.dims = np.arange(n)
+        self.slope, self.offset = np.zeros((n, q + 1)), np.zeros((n, q + 1))
+        self.bounds = []
         for i, (beta, x_max) in enumerate(zip(net.beta.tolist(), net.x_max.tolist())):
-            slope, offset, a, b = [None], [None], 0.0, 0.0
-            for wij, bij in zip(w[1 + i * q : 1 + (i + 1) * q], beta):
+            a, b = 0.0, 0.0
+            for k, (wij, bij) in enumerate(zip(w[1 + i * q : 1 + (i + 1) * q], beta), start=1):
                 a += wij
                 b -= wij * bij
-                slope.append(a)
-                offset.append(b)
-            self.slope.append(slope)
-            self.offset.append(offset)
-            self.bounds.append([None] + list(zip(beta, beta[1:] + [x_max])))
-        self.slope_json = [[None] + [json.dumps(s) for s in slope[1:]] for slope in self.slope]
-        self.bounds_json = [[None] + [json.dumps(bd) for bd in bounds[1:]] for bounds in self.bounds]
+                self.slope[i, k], self.offset[i, k] = a, b
+            self.bounds.append(list(zip(beta, beta[1:] + [x_max])))
+        self.q = q
+        self.cells = [range(1, q + 1)] * n
+        self.cell_json = [[str(k) for k in range(1, q + 1)]] * n
+        self.slope_json = [[json.dumps(s) for s in slope] for slope in self.slope[:, 1:].tolist()]
+        self.bounds_json = [[json.dumps(bd) for bd in bounds] for bounds in self.bounds]
 
+    def maps(self, start: int, stop: int) -> tuple[np.ndarray, list[float], np.ndarray]:
+        """The maps of the cells start..stop-1 in lexicographic order.
 
-def _cell_map(tables: _CellTables, cell: tuple[int, ...]) -> PwlRegion:
-    """The region of `cell`, summed from the per-dimension tables."""
-    a = np.array(list(map(getitem, tables.slope, cell)))
-    b = tables.w0
-    for offset in map(getitem, tables.offset, cell):
-        b += offset
-    bounds = tuple(map(getitem, tables.bounds, cell))
-    region = PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b, c=tables.V @ a)
-    object.__setattr__(region, "_fixed_json", (
-        ", ".join(map(str, cell)),
-        ", ".join(map(getitem, tables.slope_json, cell)),
-        ", ".join(map(getitem, tables.bounds_json, cell)),
-    ))
-    return region
+        Returns A (cells x n), b and C (cells x m). b adds w0 and each offset in
+        dimension order, and np.matmul computes each row of C by the same
+        matrix-vector product as one cell's V @ a (A @ V.T would be a matrix
+        product, whose sums may run in another order), so every map keeps its
+        bits whatever the block.
+        """
+        flat = np.arange(start, stop)
+        K = np.empty((stop - start, len(self.dims)), dtype=np.intp)
+        for i in reversed(self.dims):
+            flat, K[:, i] = np.divmod(flat, self.q)
+        K += 1
+        A = self.slope[self.dims, K]
+        # a Python-float sum never warns; inf + -inf is nan and a finite sum may overflow
+        with np.errstate(invalid="ignore", over="ignore"):
+            b = np.full(len(K), self.w0)
+            for offset in self.offset[self.dims, K].T:
+                b += offset
+        return A, b.tolist(), np.matmul(self.V, A[:, :, None])[:, :, 0]
 
 
 def region_count(net: UReluNet) -> int:

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -161,11 +163,20 @@ class TestEnumeration:
     def test_limit_stops_before_later_cells(self, monkeypatch):
         net, _ = random_net(8, 6, 10, seed=14, N=50)
         built = []
-        cell_map = pwl._cell_map
-        monkeypatch.setattr(pwl, "_cell_map", lambda t, cell: built.append(cell) or cell_map(t, cell))
+        maps = pwl._CellTables.maps
+
+        def recorded(tables, start, stop):
+            built.append(maps(tables, start, stop))
+            return built[-1]
+
+        monkeypatch.setattr(pwl._CellTables, "maps", recorded)
         regions = list(enumerate_regions(net, limit=3))
         assert [r.cell for r in regions] == [(1,) * 5 + (k,) for k in (1, 2, 3)]
-        assert built == [r.cell for r in regions]
+        # one block of exactly the three cells yielded: no map of a later cell is computed
+        [(A, b, C)] = built
+        assert np.array_equal(A, [r.a for r in regions])
+        assert b == [r.b for r in regions]
+        assert np.array_equal(C, [r.c for r in regions])
 
     def test_bounds_partition_per_dimension(self):
         net, _ = random_net(2, 2, 3, seed=11)
@@ -175,6 +186,64 @@ class TestEnumeration:
                 k = reg.cell[i]
                 assert lo == float(net.beta[i, k - 1])
                 assert hi == float(net.beta[i, k] if k < net.q else net.x_max[i])
+
+
+def per_cell_map(net, cell):
+    """One cell's map by per-cell arithmetic: each dimension's slope and offset as
+    Python-float running sums of its active weights, a the array of the slopes, b
+    w0 plus the offsets in dimension order, c = V @ a."""
+    q, w = net.q, net.w.tolist()
+    slopes, b, bounds = [], w[0], []
+    for i, k in enumerate(cell):
+        beta = net.beta[i].tolist()
+        slope = offset = 0.0
+        for wij, bij in zip(w[1 + i * q : 1 + i * q + k], beta):
+            slope += wij
+            offset -= wij * bij
+        slopes.append(slope)
+        b += offset
+        bounds.append((beta[k - 1], (beta + [float(net.x_max[i])])[k]))
+    a = np.array(slopes)
+    return PwlRegion(cell=cell, x_bounds=tuple(bounds), a=a, b=b, c=net.V @ a)
+
+
+class TestBlocks:
+    """enumerate_regions builds the maps of BLOCK cells at a time; each map keeps the
+    bits of the per-cell arithmetic, at any limit around the blocks' edges."""
+
+    @pytest.mark.parametrize("m, n, q", [(10, 3, 8), (30, 5, 6), (4, 2, 5)])
+    def test_blocks_equal_the_per_cell_maps(self, monkeypatch, m, n, q):
+        monkeypatch.setattr(pwl, "BLOCK", 7)
+        net, _ = random_net(m, n, q, seed=m + n + q, N=60)
+        cells = list(itertools.product(range(1, q + 1), repeat=n))
+        oracle = [per_cell_map(net, cell) for cell in cells]
+        for limit in (0, 1, 6, 7, 8, 23, q**n):
+            regions = list(enumerate_regions(net, limit=limit))
+            assert [r.cell for r in regions] == cells[:limit]
+            for reg, ref in zip(regions, oracle):
+                assert reg.x_bounds == ref.x_bounds
+                assert np.array_equal(reg.a, ref.a)
+                assert type(reg.b) is float and reg.b == ref.b
+                assert np.array_equal(reg.c, ref.c)
+                # ref was built by hand, so its text is json.dumps of its fields
+                assert reg.to_json() == ref.to_json()
+
+    def test_memory_is_one_block_whatever_the_count(self):
+        # the paper's shape: 100,000 cells, m = 30
+        net, _ = random_net(30, 5, 10, seed=10, N=100)
+
+        def peak(cells):
+            tracemalloc.start()
+            try:
+                for _ in enumerate_regions(net, limit=cells):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(pwl.BLOCK)  # the first pass's one-off allocations
+        two, eight = peak(2 * pwl.BLOCK), peak(8 * pwl.BLOCK)
+        assert eight <= 1.05 * two
 
 
 def test_region_json_bytes_pinned():
