@@ -321,6 +321,22 @@ def identify(data: TimeSeriesData, cfg: dict, stages: StageClock):
     return ds, poly, factors, net, report
 
 
+def numeric_environment() -> dict:
+    """The BLAS that numpy was built with, and the thread count the environment requests
+    of it through OPENBLAS_NUM_THREADS and OMP_NUM_THREADS (null when neither is set): a
+    fit's bits depend on both. Where numpy's show_config takes no `mode` (numpy 1.24),
+    the name and version are null."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    requested = {name: os.environ[name] for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS") if name in os.environ}
+    return {
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads_requested_by_environment": requested or None,
+    }
+
+
 def cmd_fit(cfg: dict, stages: StageClock) -> int:
     paths = cfg["paths"]
     with stages("load"):
@@ -343,6 +359,7 @@ def cmd_fit(cfg: dict, stages: StageClock) -> int:
             "cond_x": cond_x,
             "cpd": cpd_report,
             "frols_err": list(poly.err_values),
+            "numeric_environment": numeric_environment(),
             "stage_s": stages.seconds,
             "stage_peak_rss_mb": stages.peak_rss_mb,
             "warnings": stages.warnings,

@@ -52,8 +52,11 @@ def cpd_als(
     Factors are initialized from a seeded standard normal; the best of
     `n_restarts` runs (by relative reconstruction error) is returned, with
     the error of every restart attempted in `restart_errors` (None for a
-    restart whose normal equations were singular).
+    restart whose normal equations were singular). Restarts are attempted in
+    order until one brings the best error to `tol`.
     Iteration stops when the relative error, or its relative change, drops to `tol`.
+    The restarts run in lockstep, as one stack (`_als_lockstep`), with the
+    results that running them one after another gives.
 
     ALS runs on an exact compression of mode 3: for a core G and an N x p
     basis Q with orthonormal columns such that T = G x_3 Q, ALS on G with
@@ -91,11 +94,9 @@ def cpd_als(
     G, Q = _compress_mode3(data) if basis is None else (data, basis)
     best: CpdFactors | None = None
     errors: list[float | None] = []
-    for restart in range(n_restarts):
-        rng = np.random.default_rng(seed + restart)
-        try:
-            fac = _als_run(G, Q, r, max_iter, tol, rng, normT2)
-        except np.linalg.LinAlgError:
+    # restart by restart, as if each ran after the one before
+    for fac in _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2):
+        if fac is None:
             errors.append(None)
             continue
         errors.append(fac.rel_error)
@@ -105,7 +106,8 @@ def cpd_als(
             break
     if best is None:
         raise np.linalg.LinAlgError("ALS normal equations singular in every restart")
-    return replace(best, restart_errors=tuple(errors))
+    # lifted back to N x r for the chosen restart only
+    return replace(best, C=Q @ best.C, restart_errors=tuple(errors))
 
 
 def _compress_mode3(T):
@@ -116,50 +118,121 @@ def _compress_mode3(T):
 
 
 def _khatri_rao(X, Y):
-    """Column-wise Kronecker product: row i * len(Y) + j holds X[i] * Y[j]."""
-    return (X[:, None, :] * Y[None, :, :]).reshape(-1, X.shape[1])
+    """Column-wise Kronecker product of each pair in two stacks of matrices: row
+    i * Y.shape[1] + j of member s holds X[s, i] * Y[s, j]."""
+    return (X[:, :, None, :] * Y[:, None, :, :]).reshape(len(X), -1, X.shape[2])
 
 
-def _als_run(G, Q, r, max_iter, tol, rng, normT2) -> CpdFactors:
+def _gram(X):
+    """X_s^T X_s for each member s of a stack."""
+    return X.transpose(0, 2, 1) @ X
+
+
+def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdFactors | None]:
+    """ALS on the core G from the start of each restart (a standard normal A, B and
+    N x r C0 from seed + restart), all restarts advanced together as one stack.
+
+    Each matmul and solve of a sweep runs over the stack, one BLAS or LAPACK call per
+    member, so every member takes the iterates, errors and stop it would take alone. A
+    member leaves the stack when it stops, and so does every later restart once a member
+    reaches `tol`, as cpd_als would never run it. Returns one CpdFactors per restart,
+    with C still on the core (p x r); None where the normal equations were singular, and
+    also past a member that reached `tol`.
+    """
     m, _, p = G.shape
-    # fixed unfoldings, so each MTTKRP and the residual is one GEMM:
+    # fixed unfoldings, so each MTTKRP and the residual is one GEMM per member:
     # mode 1 over (j, k), mode 2 over (i, k), mode 3 over (i, j)
     G1 = G.reshape(m, m * p)
     G2 = G.transpose(1, 0, 2).reshape(m, m * p)
     G3 = G.reshape(m * m, p)
-    A = rng.standard_normal((m, r))
-    B = rng.standard_normal((m, r))
-    C0 = rng.standard_normal((Q.shape[0], r))
-    C = Q.T @ C0
-    # the first A and B updates use the Gram of the full start C0, as ALS on T
-    # does; from the first C update on, C^T C equals the Gram of the lift Q C
-    CtC = C0.T @ C0
-    history = []
-    status = "max_iter"
+    starts = []
+    for restart in range(n_restarts):
+        rng = np.random.default_rng(seed + restart)
+        A = rng.standard_normal((m, r))
+        B = rng.standard_normal((m, r))
+        C0 = rng.standard_normal((Q.shape[0], r))
+        # the first A and B updates use the Gram of the full start C0, as ALS on T
+        # does; from the first C update on, C^T C equals the Gram of the lift Q C
+        starts.append((A, B, Q.T @ C0, C0.T @ C0))
+    A, B, C, CtC = (np.stack(x) for x in zip(*starts))
+    live = list(range(n_restarts))  # the restart of each stack member
+    histories: list[list[float]] = [[] for _ in live]
+    runs: list[CpdFactors | None] = [None] * n_restarts
+
+    def keep(members, *stacks):
+        # indexing keeps each member's memory layout, that of the solve output it would be alone
+        nonlocal live
+        live = [live[s] for s in members]
+        return [x[members] for x in stacks]
+
     for _ in range(max_iter):
-        A = _solve_mode(G1 @ _khatri_rao(B, C), (B.T @ B) * CtC)
-        B = _solve_mode(G2 @ _khatri_rao(A, C), (A.T @ A) * CtC)
+        A, ok = _solve_mode(G1 @ _khatri_rao(B, C), _gram(B) * CtC)
+        if ok is not None:
+            A, B, C, CtC = keep(ok, A, B, C, CtC)
+            if not live:
+                break
+        B, ok = _solve_mode(G2 @ _khatri_rao(A, C), _gram(A) * CtC)
+        if ok is not None:
+            A, B, C = keep(ok, A, B, C)
+            if not live:
+                break
         AB = _khatri_rao(A, B)
-        C = _solve_mode(G3.T @ AB, (A.T @ A) * (B.T @ B))
-        CtC = C.T @ C
+        C, ok = _solve_mode(G3.T @ AB, _gram(A) * _gram(B))
+        if ok is not None:
+            A, B, C, AB = keep(ok, A, B, C, AB)
+            if not live:
+                break
+        CtC = _gram(C)
         # direct residual norm, on the core since ||T - [[A,B,QC]]|| = ||G - [[A,B,C]]||;
         # the Gram-matrix shortcut cancels catastrophically once the fit is tight
-        resid = G3 - AB @ C.T
-        err = np.sqrt(np.sum(resid * resid) / normT2)
-        history.append(float(err))
-        # err is already relative to ||T||; the change test alone never fires once
-        # the error wobbles at rounding level
-        if err <= tol or len(history) > 1 and abs(history[-2] - err) <= tol * max(err, 1e-300):
-            status = "converged"
+        resid = G3 - AB @ C.transpose(0, 2, 1)
+        err = np.sqrt(np.sum(resid * resid, axis=(1, 2)) / normT2)
+        going = []
+        for s, restart in enumerate(live):
+            history = histories[restart]
+            history.append(float(err[s]))
+            # err is already relative to ||T||; the change test alone never fires once
+            # the error wobbles at rounding level
+            if err[s] <= tol or len(history) > 1 and abs(history[-2] - err[s]) <= tol * max(err[s], 1e-300):
+                runs[restart] = _factors(A[s], B[s], C[s], history, "converged")
+                if err[s] <= tol:
+                    break  # no later restart runs
+            else:
+                going.append(s)
+        if len(going) < len(live):
+            A, B, C, CtC = keep(going, A, B, C, CtC)
+        if not live:
             break
-    return CpdFactors(A=A, B=B, C=Q @ C, rel_error=history[-1], error_history=tuple(history), status=status)
+    for s, restart in enumerate(live):
+        runs[restart] = _factors(A[s], B[s], C[s], histories[restart], "max_iter")
+    return runs
+
+
+def _factors(A, B, C, history, status) -> CpdFactors:
+    return CpdFactors(A=A, B=B, C=C, rel_error=history[-1], error_history=tuple(history), status=status)
 
 
 def _solve_mode(M, gram):
+    """X_s = M_s gram_s^-1 for each member s; returns (X, None), or, when some members'
+    equations are singular, X with NaN in those and the indices of the others."""
     # tiny ridge keeps near-singular normal equations solvable; genuine
-    # singularity still raises and triggers a restart
-    gram = gram + np.eye(gram.shape[0]) * (1e-14 * max(np.trace(gram), 1e-300))
-    return np.linalg.solve(gram, M.T).T
+    # singularity still raises and ends that restart
+    ridge = 1e-14 * np.maximum(np.trace(gram, axis1=1, axis2=2), 1e-300)
+    gram = gram + np.eye(gram.shape[1]) * ridge[:, None, None]
+    Mt = M.transpose(0, 2, 1)
+    try:
+        return np.linalg.solve(gram, Mt).transpose(0, 2, 1), None
+    except np.linalg.LinAlgError:
+        pass
+    X = np.full(Mt.shape, np.nan)
+    ok = []
+    for s in range(len(gram)):
+        try:
+            X[s] = np.linalg.solve(gram[s], Mt[s])
+        except np.linalg.LinAlgError:
+            continue
+        ok.append(s)
+    return X.transpose(0, 2, 1), ok
 
 
 def symmetrize_to_V(factors: CpdFactors) -> np.ndarray:

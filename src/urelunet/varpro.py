@@ -23,6 +23,15 @@ LM_LAMBDA0 = 1e-3
 LM_FACTOR = 10.0
 GRAD_TOL = 1e-10
 STEP_TOL = 1e-12
+# A trial is rejected from its QR alone when rho^2 (1 - FLOOR_MARGIN) >= the current
+# cost (`vp_residual`'s ceiling). In exact arithmetic r.r >= rho^2, as r = Q z with
+# z[k] = rho. The computed r is Q applied by k+1 backward-stable reflectors (Higham,
+# "Accuracy and Stability of Numerical Algorithms", 2002, Lemma 19.3) and r.r a dot
+# product of N terms, so fl(r.r) >= fl(rho^2) (1 - (2k+3) c N u) for a small constant
+# c and u = 2^-53: the margin holds for (2k+3) c N up to 9e9, which is k = 1000 at
+# N = 4e6 with c = 1. So a trial rejected this way would also fail `train`'s
+# decrease test on its full cost.
+FLOOR_MARGIN = 1e-6
 # Rows per block when `vp_jacobian` forms J in G's buffer: its row scratch is
 # ROW_BLOCK x (n*m), whatever the record length.
 ROW_BLOCK = 512
@@ -96,25 +105,41 @@ def _qr_buffer(y: np.ndarray, width: int, cache: dict) -> np.ndarray:
 class _Projection:
     """[1, B] and y factored by one Householder QR, with the minimum-norm weights.
 
-    LAPACK's dgeqrf factors the N x (k+1) matrix A = [1, B, y] = Q R in place.
-    Let R11 = R[:k, :k], c = R[:k, k] and rho = R[k, k]; then [1, B] = Q1 R11
-    with the same singular values. The SVD R11 = Ut S Vt^T keeps the values
-    above PINV_RCOND times the largest (the set K), as a pseudo-inverse of
-    [1, B] would. Then w = Vt_K S_K^-1 Ut_K^T c, and the residual y - [1, B] w
-    is Q [c - Ut_K Ut_K^T c; rho; 0], which `_apply_q` computes from the
+    LAPACK's dgeqrf factors the N x (k+1) matrix A = [1, B, y] = Q R in place,
+    and that is all the constructor does. Let R11 = R[:k, :k], c = R[:k, k]
+    and rho = R[k, k]; then [1, B] = Q1 R11 with the same singular values, and
+    rho^2 (`rho2`, 0 when N <= k) bounds the squared residual from below. The
+    rest is computed on first use of any of `rank`, `cond`, `ut`, `vs`, `w` or
+    `r` (`_solve`). The SVD R11 = Ut S Vt^T keeps the values above PINV_RCOND
+    times the largest (the set K), as a pseudo-inverse of [1, B] would. Then
+    w = Vt_K S_K^-1 Ut_K^T c, and the residual y - [1, B] w is
+    Q [c - Ut_K Ut_K^T c; rho; 0], which `_apply_q` computes from the
     reflectors without forming Q. This is the minimum-norm solution on every
     path, rank-deficient or not. Q1 is formed by dorgqr on first use only,
-    in place over the reflectors of the first min(N, k) columns of `qr`, which
-    the weights and the residual no longer need; from then on those columns
-    hold Q1, and `_apply_q` no longer applies Q. Q1 Ut_K is an orthonormal
-    basis of the range of [1, B], so [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T
-    and [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
+    after `_solve`, in place over the reflectors of the first min(N, k)
+    columns of `qr`, which the weights and the residual no longer need; from
+    then on those columns hold Q1, and `_apply_q` no longer applies Q. Q1 Ut_K
+    is an orthonormal basis of the range of [1, B], so
+    [1, B] [1, B]^+ = Q1 Ut_K Ut_K^T Q1^T and [1, B]^+ = Vt_K S_K^-1 Ut_K^T Q1^T.
     """
 
     def __init__(self, A: np.ndarray):
         N, k = A.shape[0], A.shape[1] - 1
         self.qr, self.tau = A, np.empty(min(N, k + 1))
         _lapack("dgeqrf", A, self.tau)
+        rho = float(A[k, k]) if N > k else 0.0
+        self.rho2 = rho * rho
+
+    def __getattr__(self, name: str):
+        # rank, cond, ut, vs, w and r: made together by `_solve` on the first read of any
+        if name not in ("rank", "cond", "ut", "vs", "w", "r"):
+            raise AttributeError(name)
+        self._solve()
+        return self.__dict__[name]
+
+    def _solve(self) -> None:
+        """The SVD of R11, the rank and condition number, the weights and the residual."""
+        N, k = self.qr.shape[0], self.qr.shape[1] - 1
         p = min(N, k)
         c = self.qr[:p, k]
         ut, sv, vt = np.linalg.svd(np.triu(self.qr[:p, :k]), full_matrices=False)
@@ -144,7 +169,7 @@ class _Projection:
     @functools.cached_property
     def Q1(self) -> np.ndarray:
         """The first min(N, k) columns of Q, N x min(N, k): a view of `qr`."""
-        p = self.ut.shape[0]
+        p = self.ut.shape[0]  # so `_solve` has run: dorgqr overwrites the reflectors it reads
         q1 = self.qr[:, :p]
         _lapack("dorgqr", q1, self.tau[:p])
         return q1
@@ -256,19 +281,30 @@ def _state(V: np.ndarray, dataset: RegressionDataset, q: int, cache: dict) -> _V
 
 
 def vp_residual(
-    V: np.ndarray, dataset: RegressionDataset, q: int, *, cache: dict | None = None
-) -> np.ndarray:
+    V: np.ndarray,
+    dataset: RegressionDataset,
+    q: int,
+    *,
+    cache: dict | None = None,
+    ceiling: float | None = None,
+) -> np.ndarray | None:
     """Projected residual y - [1, B(V)] [1, B(V)]^+ y at the given transform.
 
     It costs one Householder QR of [1, B, y] and an SVD of its k x k
-    triangle; no N x N or k x N matrix is formed. `cache` is an optional
+    triangle; no N x N or k x N matrix is formed. With a `ceiling`, it returns
+    None, after the QR alone, when rho^2 (1 - FLOOR_MARGIN) >= ceiling, where
+    rho is the QR's last pivot: then the squared residual is at least
+    `ceiling` too (see FLOOR_MARGIN). `cache` is an optional
     one-entry dict that keeps the factorization for a later `vp_jacobian`
     call at the same V; without one, the call runs on a fresh dict. The
     returned array is the cached state's own, which that call reads, so the
     caller must not write to it; unlike the Jacobian it is a new array at each
     new V, and a later call leaves it as is.
     """
-    return _state(V, dataset, q, {} if cache is None else cache).proj.r
+    proj = _state(V, dataset, q, {} if cache is None else cache).proj
+    if ceiling is not None and proj.rho2 * (1.0 - FLOOR_MARGIN) >= ceiling:
+        return None
+    return proj.r
 
 
 def vp_jacobian(
@@ -347,7 +383,9 @@ def train(
     if the squared residual decreases. Each trial point is factorized once, by
     one Householder QR of [1, B, y]: the Jacobian at an accepted point and the
     returned network reuse that trial's factorization, and Q is formed only at
-    the start and at accepted points, never on a rejected trial. All of them
+    the start and at accepted points, never on a rejected trial. A trial whose
+    QR's last pivot alone bounds its cost above the current one is rejected
+    without its SVD or residual (`vp_residual`'s ceiling). All of them
     run on the one workspace that train's cache keeps (see `vp_jacobian`).
     The returned network has its knot grid frozen from the training data at the final
     accepted V; the report gives the rank and condition number of [1, B] there.
@@ -389,8 +427,8 @@ def train(
                     status = "step_tol"
                     break
                 V_new = V + delta.reshape(n, m).T
-                r_new = vp_residual(V_new, dataset, q, cache=cache)
-                cost_new = float(r_new @ r_new)
+                r_new = vp_residual(V_new, dataset, q, cache=cache, ceiling=history[-1])
+                cost_new = math.inf if r_new is None else float(r_new @ r_new)
             # an infinite or NaN trial cost compares false, so it is rejected
             if cost_new < history[-1]:
                 V, r = V_new, r_new

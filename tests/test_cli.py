@@ -795,6 +795,25 @@ class TestFit:
         assert len(errors) == 3 and all(e is not None for e in errors)
         assert float(kv["cpd_rel_error"]) == min(errors)
 
+    def test_numeric_environment_reported(self, tmp_path, monkeypatch):
+        # a fit's bits depend on the BLAS and on its thread count, so the report names both
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])
+        assert rc == 0, err
+        env = json.loads((tmp_path / "report.json").read_text())["numeric_environment"]
+        assert env == cli.numeric_environment()
+        assert env["threads_requested_by_environment"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert set(env["blas"]) == {"name", "version"}
+        if np.lib.NumpyVersion(np.__version__) >= "2.0.0":
+            assert isinstance(env["blas"]["name"], str) and isinstance(env["blas"]["version"], str)
+        # report.json only: fit prints no line for it
+        assert not any(key.startswith(("numeric", "blas")) for key in parse_kv(out))
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert cli.numeric_environment()["threads_requested_by_environment"] is None
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert cli.numeric_environment()["threads_requested_by_environment"] == {"OMP_NUM_THREADS": "2"}
+
     def test_stage_times_reported(self, tmp_path):
         start = time.perf_counter()
         rc, out, err = run_main(small_fit_args(tmp_path) + ["fit"])

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,99 @@ def assert_matches_reference_als(tensor, r, seed):
     model = np.einsum("il,jl,kl->ijk", fac.A, fac.B, fac.C)
     direct = np.linalg.norm(tensor.data - model) / np.linalg.norm(tensor.data)
     assert fac.rel_error == pytest.approx(direct, rel=1e-10)
+
+
+def sequential_cpd_als(tensor, r, max_iter, tol, seed, n_restarts):
+    """`cpd_als` as it ran before its restarts went into lockstep, kept as the oracle: on
+    the same mode-3 compression, one ALS run per restart from default_rng(seed + restart),
+    each to its own stop, one after another until the best error reaches `tol`. Returns
+    the chosen factors and the run of every restart attempted, None where singular."""
+    data = tensor.data
+    normT2 = float(np.sum(data * data))
+    G, Q = cpd._compress_mode3(data)
+    best, errors, runs = None, [], []
+    for restart in range(n_restarts):
+        rng = np.random.default_rng(seed + restart)
+        try:
+            fac = sequential_als_run(G, Q, r, max_iter, tol, rng, normT2)
+        except np.linalg.LinAlgError:
+            errors.append(None)
+            runs.append(None)
+            continue
+        errors.append(fac.rel_error)
+        runs.append(fac)
+        if best is None or fac.rel_error < best.rel_error:
+            best = fac
+        if best.rel_error <= tol:
+            break
+    if best is None:
+        raise np.linalg.LinAlgError("ALS normal equations singular in every restart")
+    return replace(best, restart_errors=tuple(errors)), runs
+
+
+def sequential_als_run(G, Q, r, max_iter, tol, rng, normT2):
+    """One ALS run on the core G, on 2-D arrays: the loop that `cpd_als` ran per restart."""
+
+    def khatri_rao(X, Y):
+        return (X[:, None, :] * Y[None, :, :]).reshape(-1, X.shape[1])
+
+    def solve_mode(M, gram):
+        gram = gram + np.eye(gram.shape[0]) * (1e-14 * max(np.trace(gram), 1e-300))
+        return np.linalg.solve(gram, M.T).T
+
+    m, _, p = G.shape
+    G1 = G.reshape(m, m * p)
+    G2 = G.transpose(1, 0, 2).reshape(m, m * p)
+    G3 = G.reshape(m * m, p)
+    A = rng.standard_normal((m, r))
+    B = rng.standard_normal((m, r))
+    C0 = rng.standard_normal((Q.shape[0], r))
+    C = Q.T @ C0
+    CtC = C0.T @ C0
+    history = []
+    status = "max_iter"
+    for _ in range(max_iter):
+        A = solve_mode(G1 @ khatri_rao(B, C), (B.T @ B) * CtC)
+        B = solve_mode(G2 @ khatri_rao(A, C), (A.T @ A) * CtC)
+        AB = khatri_rao(A, B)
+        C = solve_mode(G3.T @ AB, (A.T @ A) * (B.T @ B))
+        CtC = C.T @ C
+        resid = G3 - AB @ C.T
+        err = np.sqrt(np.sum(resid * resid) / normT2)
+        history.append(float(err))
+        if err <= tol or len(history) > 1 and abs(history[-2] - err) <= tol * max(err, 1e-300):
+            status = "converged"
+            break
+    return CpdFactors(A=A, B=B, C=Q @ C, rel_error=history[-1], error_history=tuple(history), status=status)
+
+
+def make_restart_singular(monkeypatch, *seeds):
+    """Make each restart that draws its start from default_rng(seed), for a seed in
+    `seeds`, singular: its start is all NaN, and np.linalg.solve raises LinAlgError, as
+    LAPACK does on a zero pivot, on normal equations that hold a NaN, alone or in a stack."""
+
+    class NanStart:
+        def standard_normal(self, shape):
+            return np.full(shape, np.nan)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s=None: NanStart() if s in seeds else default_rng(s))
+    solve = np.linalg.solve
+
+    def singular_on_nan(a, b):
+        if np.isnan(a).any():
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", singular_on_nan)
+
+
+def assert_same_factors(got, want):
+    for x, y in ((got.A, want.A), (got.B, want.B), (got.C, want.C)):
+        np.testing.assert_array_equal(x, y)
+    assert got.error_history == want.error_history
+    assert got.status == want.status
+    assert got.rel_error == want.rel_error
 
 
 def congruence(A, B):
@@ -147,16 +242,7 @@ class TestCpdAls:
 
     def test_singular_restart_recorded(self, monkeypatch):
         tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
-        run = cpd._als_run
-        calls = []
-
-        def first_singular(*args):
-            calls.append(None)
-            if len(calls) == 1:
-                raise np.linalg.LinAlgError("singular")
-            return run(*args)
-
-        monkeypatch.setattr(cpd, "_als_run", first_singular)
+        make_restart_singular(monkeypatch, 2)
         fac = cpd_als(tensor, r=3, max_iter=5, seed=2, n_restarts=3)
         assert len(fac.restart_errors) == 3 and fac.restart_errors[0] is None
         assert fac.rel_error == min(fac.restart_errors[1:])
@@ -169,6 +255,80 @@ class TestCpdAls:
             cpd_als(tensor, r=100)
         with pytest.raises(ValueError, match="n_restarts"):
             cpd_als(tensor, r=1, n_restarts=0)
+
+
+class TestLockstep:
+    """`cpd_als` runs its restarts as one stack; the restarts run one after another are
+    the oracle, and every restart must keep its bits, its stop and its error trail."""
+
+    @staticmethod
+    def _check(tensor, r, max_iter, seed, n_restarts, tol=1e-8):
+        fac = cpd_als(tensor, r=r, max_iter=max_iter, tol=tol, seed=seed, n_restarts=n_restarts)
+        want, runs = sequential_cpd_als(tensor, r, max_iter, tol, seed, n_restarts)
+        assert_same_factors(fac, want)
+        assert fac.restart_errors == want.restart_errors
+        # every restart the oracle ran, not just the chosen one, is a member of the stack
+        G, Q = cpd._compress_mode3(tensor.data)
+        stacked = cpd._als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, float(np.sum(tensor.data**2)))
+        for got, run in zip(stacked, runs):
+            assert (got is None) == (run is None)
+            if run is not None:
+                assert_same_factors(replace(got, C=Q @ got.C), run)
+        # a restart past the one that reached tol left the stack then, unless it had
+        # stopped before
+        assert all(got is None or got.iterations < runs[-1].iterations for got in stacked[len(runs) :])
+        return fac, runs, stacked
+
+    @pytest.mark.parametrize("n_restarts", [1, 2, 3, 5])
+    def test_noisy_tensor(self, n_restarts):
+        # the restarts stop on the change test at different sweeps, or at the cap
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=1)
+        noise = 1e-3 * np.random.default_rng(1).normal(size=tensor.data.shape)
+        tensor = HessianTensor(data=tensor.data + noise)
+        fac, runs, _ = self._check(tensor, 3, 60, seed=1, n_restarts=n_restarts)
+        assert len(fac.restart_errors) == n_restarts
+        if n_restarts == 5:
+            assert len({run.iterations for run in runs}) > 1
+
+    def test_exact_tensor_first_restart_reaches_tol(self):
+        tensor, _, _ = symmetric_tensor(8, 40, 2, seed=0)
+        fac, _, _ = self._check(tensor, 2, 500, seed=0, n_restarts=3)
+        assert fac.restart_errors == (fac.rel_error,) and fac.rel_error <= 1e-8
+
+    def test_a_later_restart_reaching_tol_truncates_the_errors(self):
+        # restarts 0 and 1 stop on the change test early, 2 at the cap, and 3 reaches
+        # tol, so restart 4 never counts
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=3, cond_guard=False)
+        fac, runs, _ = self._check(tensor, 3, 60, seed=3, n_restarts=5)
+        assert len(fac.restart_errors) == 4 and fac.restart_errors[3] <= 1e-8
+        assert [run.status for run in runs] == ["converged", "converged", "max_iter", "converged"]
+        assert runs[0].iterations < 60 and runs[1].iterations < 60
+
+    def test_tol_reached_out_of_restart_order(self):
+        # restart 4 reaches tol at sweep 21, before restart 1 does at sweep 24; restart 1
+        # then ends the walk, so restart 4's run is never compared
+        tensor, _, _ = symmetric_tensor(5, 20, 3, seed=7, cond_guard=False)
+        fac, runs, stacked = self._check(tensor, 3, 30, seed=7, n_restarts=5)
+        assert len(fac.restart_errors) == 2 and fac.rel_error <= 1e-8
+        assert runs[1].iterations == 24
+        assert stacked[2] is None and stacked[3] is None
+        assert stacked[4].iterations == 21 and stacked[4].rel_error <= 1e-8
+
+    @pytest.mark.parametrize("singular", [0, 1])
+    def test_singular_member(self, monkeypatch, singular):
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
+        make_restart_singular(monkeypatch, 2 + singular)
+        fac, _, _ = self._check(tensor, 3, 40, seed=2, n_restarts=3)
+        assert fac.restart_errors[singular] is None
+        assert sum(e is None for e in fac.restart_errors) == 1
+
+    @pytest.mark.parametrize("n_restarts", [1, 3])
+    def test_every_member_singular(self, monkeypatch, n_restarts):
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
+        make_restart_singular(monkeypatch, *range(2, 2 + n_restarts))
+        for run in (cpd_als, sequential_cpd_als):
+            with pytest.raises(np.linalg.LinAlgError, match="singular in every restart"):
+                run(tensor, 3, 40, 1e-8, 2, n_restarts)
 
 
 class TestSymmetrize:

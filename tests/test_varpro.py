@@ -1,7 +1,10 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from urelunet import varpro
 from urelunet.dataset import RegressionDataset, RegressorSpec
@@ -433,6 +436,96 @@ class TestTrainExits:
         np.testing.assert_array_equal(net.V, net_ref.V)
 
 
+class TestRhoFloor:
+    """A trial's cost is at least rho^2, the square of its [1, B, y] QR's last pivot, so
+    `vp_residual` may return None on rho^2 alone and `train` reject the trial there."""
+
+    @given(
+        N=st.integers(2, 40),
+        k=st.integers(1, 16),
+        deficient=st.integers(0, 3),
+        in_span=st.sampled_from([None, 0.0, 1e-12, 1e-6]),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cost_is_at_least_rho_squared(self, N, k, deficient, in_span, scale, seed):
+        # [1, B] has k columns; N <= k + 1 and duplicated or zero columns are included
+        rng = np.random.default_rng(seed)
+        B = scale * rng.normal(size=(N, k - 1))
+        for j in range(min(deficient, k - 1)):
+            B[:, j] = 0.0 if j % 2 else B[:, -1]
+        if in_span is None:
+            y = rng.normal(size=N)
+        else:
+            y = np.column_stack([np.ones(N), B]) @ rng.normal(size=k) + in_span * rng.normal(size=N)
+        A = varpro._qr_buffer(y, k - 1, {})
+        A[:, 1:-1] = B
+        proj = varpro._Projection(A)
+        r = proj.r
+        assert float(r @ r) >= proj.rho2 * (1.0 - varpro.FLOOR_MARGIN)
+        if N <= k:
+            assert proj.rho2 == 0.0
+
+    def test_rejection_on_the_floor_runs_no_svd(self, monkeypatch):
+        V, ds = safe_instance(N=80, m=4, n=2, q=4, seed=60)
+        cache = {}
+        r = vp_residual(V, ds, 4, cache=cache)
+        rho2 = cache["state"].proj.rho2
+        assert 0.0 < rho2 <= float(r @ r)
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a) or svd(*a, **k))
+        V2 = V + 1e-3
+        assert vp_residual(V2, ds, 4, cache=cache, ceiling=0.0) is None
+        assert calls == []
+        # the same state gives its residual later, and its Q1 after that
+        r2 = vp_residual(V2, ds, 4, cache=cache)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(r2, vp_residual(V2, ds, 4))
+        Q1 = cache["state"].proj.Q1
+        np.testing.assert_allclose(Q1.T @ Q1, np.eye(Q1.shape[1]), atol=1e-12)
+
+    def test_q1_first_keeps_the_residual(self):
+        # Q1 overwrites the reflectors that the residual needs, so it computes that first
+        A = np.asfortranarray(np.random.default_rng(61).normal(size=(50, 8)))
+        first_q1 = varpro._Projection(A.copy(order="F"))
+        Q1 = first_q1.Q1.copy()
+        plain = varpro._Projection(A.copy(order="F"))
+        np.testing.assert_array_equal(first_q1.r, plain.r)
+        np.testing.assert_array_equal(first_q1.w, plain.w)
+        np.testing.assert_array_equal(Q1, plain.Q1)
+
+    def test_train_keeps_its_bits_without_the_floor(self, monkeypatch):
+        V, ds = safe_instance(N=150, m=4, n=2, q=4, seed=41)
+        original = varpro.vp_residual
+        returned = []
+
+        def recorded(*args, **kwargs):
+            returned.append(original(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(varpro, "vp_residual", recorded)
+        net, report = train(V, ds, 4, max_iter=15)
+        floored = sum(r is None for r in returned)
+        assert 0 < floored <= report.rejected
+        # a margin of inf never lets rho^2 decide, so every trial gets its full cost
+        monkeypatch.setattr(varpro, "FLOOR_MARGIN", math.inf)
+        returned.clear()
+        net_ref, report_ref = train(V, ds, 4, max_iter=15)
+        assert not any(r is None for r in returned)
+        np.testing.assert_array_equal(net.V, net_ref.V)
+        np.testing.assert_array_equal(net.w, net_ref.w)
+        np.testing.assert_array_equal(net.beta, net_ref.beta)
+        assert report.residual_history == report_ref.residual_history
+        assert (report.iterations, report.accepted, report.rejected, report.status) == (
+            report_ref.iterations,
+            report_ref.accepted,
+            report_ref.rejected,
+            report_ref.status,
+        )
+
+
 class TestTrialStateReuse:
     """`train` factorizes each trial point once and reuses it for the Jacobian."""
 
@@ -520,8 +613,9 @@ class TestTrialStateReuse:
 
 class TestWorkspace:
     """With a cache, `train` runs on one workspace: the [1, B, y] QR matrix, the float
-    mask and two N x (n*m) blocks, G and J, allocated once and reused by every trial
-    and Jacobian. Without one, every call allocates its own."""
+    mask, one N x (n*m) block that holds G and then J, and a row scratch of at most
+    ROW_BLOCK rows, allocated once and reused by every trial and Jacobian. Without one,
+    every call allocates its own."""
 
     @staticmethod
     def _record(monkeypatch, name, drop_cache=False):
@@ -575,10 +669,11 @@ class TestWorkspace:
 
     def test_peak_memory_of_a_wide_shaped_fit(self):
         # the shape of the `wide` benchmark: m=30 regressors, n=3, q=8, about 4k rows.
-        # A J-sized block is N*n*m*8 bytes. The workspace holds two, G and J, plus the
-        # QR matrix and the mask (26 and 24 of the block's 90 columns); the Jacobian's
-        # (U * r) is 30 more. Measured peak: 3.05 blocks. Allocating every block afresh
-        # kept four of them live at the Jacobian's last product: 3.99 blocks.
+        # A J-sized block is N*n*m*8 bytes. The workspace holds one, in which G becomes
+        # J, a row scratch of ROW_BLOCK rows, and the QR matrix and the mask (26 and 24
+        # of the block's 90 columns); the Jacobian's (U * r) is 30 more. Measured peak:
+        # 2.12 blocks. The bound dates from a workspace of two blocks, G and J, which
+        # peaked at 3.05.
         N, m, n, q = 4000, 30, 3, 8
         ds = random_dataset(N, m, seed=46, n_u=15)
         V = np.random.default_rng(47).normal(size=(m, n))
