@@ -26,7 +26,8 @@ class CpdFactors:
     error_history: tuple[float, ...] = field(default=(), compare=False)
     # "converged" when the `tol` test on the error or its change stopped ALS, else "max_iter"
     status: str = field(default="max_iter", compare=False)
-    # the final error of each restart `cpd_als` attempted, None where it was singular
+    # the final error of each restart `cpd_als` attempted, None where it failed (an error
+    # that was not finite)
     restart_errors: tuple[float | None, ...] = field(default=(), compare=False)
 
     @property
@@ -51,9 +52,11 @@ def cpd_als(
 
     Factors are initialized from a seeded standard normal; the best of
     `n_restarts` runs (by relative reconstruction error) is returned, with
-    the error of every restart attempted in `restart_errors` (None for a
-    restart whose normal equations were singular). Restarts are attempted in
-    order until one brings the best error to `tol`.
+    the error of every restart attempted in `restart_errors`. A restart fails,
+    and is recorded as None, when its relative error after a sweep is not
+    finite (a NaN or infinite start, or an overflow); LinAlgError is raised when
+    every restart fails. Restarts are attempted in order until one brings the
+    best error to `tol`.
     Iteration stops when the relative error, or its relative change, drops to `tol`.
     The restarts run in lockstep, as one stack (`_als_lockstep`), with the
     results that running them one after another gives.
@@ -105,7 +108,7 @@ def cpd_als(
         if best.rel_error <= tol:
             break
     if best is None:
-        raise np.linalg.LinAlgError("ALS normal equations singular in every restart")
+        raise np.linalg.LinAlgError("ALS relative error not finite in every restart")
     # lifted back to N x r for the chosen restart only
     return replace(best, C=Q @ best.C, restart_errors=tuple(errors))
 
@@ -135,9 +138,9 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
     Each matmul and solve of a sweep runs over the stack, one BLAS or LAPACK call per
     member, so every member takes the iterates, errors and stop it would take alone. A
     member leaves the stack when it stops, and so does every later restart once a member
-    reaches `tol`, as cpd_als would never run it. Returns one CpdFactors per restart,
-    with C still on the core (p x r); None where the normal equations were singular, and
-    also past a member that reached `tol`.
+    reaches `tol`, as cpd_als would never run it, and so does a member whose error is
+    not finite, which has failed. Returns one CpdFactors per restart, with C still on the
+    core (p x r); None where the restart failed, and also past a member that reached `tol`.
     """
     m, _, p = G.shape
     # fixed unfoldings, so each MTTKRP and the residual is one GEMM per member:
@@ -159,29 +162,11 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
     histories: list[list[float]] = [[] for _ in live]
     runs: list[CpdFactors | None] = [None] * n_restarts
 
-    def keep(members, *stacks):
-        # indexing keeps each member's memory layout, that of the solve output it would be alone
-        nonlocal live
-        live = [live[s] for s in members]
-        return [x[members] for x in stacks]
-
     for _ in range(max_iter):
-        A, ok = _solve_mode(G1 @ _khatri_rao(B, C), _gram(B) * CtC)
-        if ok is not None:
-            A, B, C, CtC = keep(ok, A, B, C, CtC)
-            if not live:
-                break
-        B, ok = _solve_mode(G2 @ _khatri_rao(A, C), _gram(A) * CtC)
-        if ok is not None:
-            A, B, C = keep(ok, A, B, C)
-            if not live:
-                break
+        A = _solve_mode(G1 @ _khatri_rao(B, C), _gram(B) * CtC)
+        B = _solve_mode(G2 @ _khatri_rao(A, C), _gram(A) * CtC)
         AB = _khatri_rao(A, B)
-        C, ok = _solve_mode(G3.T @ AB, _gram(A) * _gram(B))
-        if ok is not None:
-            A, B, C, AB = keep(ok, A, B, C, AB)
-            if not live:
-                break
+        C = _solve_mode(G3.T @ AB, _gram(A) * _gram(B))
         CtC = _gram(C)
         # direct residual norm, on the core since ||T - [[A,B,QC]]|| = ||G - [[A,B,C]]||;
         # the Gram-matrix shortcut cancels catastrophically once the fit is tight
@@ -189,6 +174,8 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
         err = np.sqrt(np.sum(resid * resid, axis=(1, 2)) / normT2)
         going = []
         for s, restart in enumerate(live):
+            if not np.isfinite(err[s]):
+                continue  # the restart failed: its run stays None
             history = histories[restart]
             history.append(float(err[s]))
             # err is already relative to ||T||; the change test alone never fires once
@@ -200,7 +187,9 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
             else:
                 going.append(s)
         if len(going) < len(live):
-            A, B, C, CtC = keep(going, A, B, C, CtC)
+            # indexing keeps each member's memory layout, that of the solve output it would be alone
+            live = [live[s] for s in going]
+            A, B, C, CtC = (x[going] for x in (A, B, C, CtC))
         if not live:
             break
     for s, restart in enumerate(live):
@@ -213,26 +202,12 @@ def _factors(A, B, C, history, status) -> CpdFactors:
 
 
 def _solve_mode(M, gram):
-    """X_s = M_s gram_s^-1 for each member s; returns (X, None), or, when some members'
-    equations are singular, X with NaN in those and the indices of the others."""
-    # tiny ridge keeps near-singular normal equations solvable; genuine
-    # singularity still raises and ends that restart
+    """X_s = M_s gram_s^-1 for each member s of a stack."""
+    # tiny ridge keeps near-singular normal equations solvable; a solve that raised
+    # anyway would end cpd_als with its LinAlgError
     ridge = 1e-14 * np.maximum(np.trace(gram, axis1=1, axis2=2), 1e-300)
     gram = gram + np.eye(gram.shape[1]) * ridge[:, None, None]
-    Mt = M.transpose(0, 2, 1)
-    try:
-        return np.linalg.solve(gram, Mt).transpose(0, 2, 1), None
-    except np.linalg.LinAlgError:
-        pass
-    X = np.full(Mt.shape, np.nan)
-    ok = []
-    for s in range(len(gram)):
-        try:
-            X[s] = np.linalg.solve(gram[s], Mt[s])
-        except np.linalg.LinAlgError:
-            continue
-        ok.append(s)
-    return X.transpose(0, 2, 1), ok
+    return np.linalg.solve(gram, M.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 
 def symmetrize_to_V(factors: CpdFactors) -> np.ndarray:
@@ -274,7 +249,8 @@ def init_transform(
     Returns the merged transform V0 and the CPD factors it came from.
 
     The CPD is that of the Hessian stack over the operating points, which
-    default to every regressor row; `max_points` subsamples them uniformly.
+    default to every regressor row; `max_points` (>= 1, or None for every
+    row) subsamples them uniformly.
     ALS never sees the stack: `hessian_core` gives it exactly as an
     m x m x (m+1) core from the polynomial's coefficients and an N x (m+1)
     basis from one QR of [1, points], so `max_points` bounds only that QR.
@@ -282,6 +258,8 @@ def init_transform(
     """
     if n > dataset.m:
         raise ValueError("n must not exceed the regressor dimension m")
+    if max_points is not None and max_points < 1:
+        raise ValueError(f"init.max_points must be >= 1 or null, not {max_points}")
     points = dataset.U
     if max_points is not None and points.shape[0] > max_points:
         idx = np.linspace(0, points.shape[0] - 1, max_points).astype(int)

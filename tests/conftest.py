@@ -24,6 +24,20 @@ def parse_kv(stdout: str) -> dict:
     return out
 
 
+def make_restart_singular(monkeypatch, *seeds, value=np.nan):
+    """Make each CPD restart that draws its start from default_rng(seed), for a seed in
+    `seeds`, fail: its start is all `value`. A NaN start keeps its error NaN; a zero
+    start has zero normal equations, whose ridge pivot LAPACK inverts to inf, so its
+    first sweep gives NaN too."""
+
+    class FilledStart:
+        def standard_normal(self, shape):
+            return np.full(shape, value)
+
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s=None: FilledStart() if s in seeds else default_rng(s))
+
+
 def basis_derivative(V, ds, q, s, t, umin_sign=1.0):
     """Dense N x (n*q) derivative of the basis B(U V) with respect to v_st, built from
     `varpro._basis_derivative` and `_knot_sensitivities`, the helpers of `vp_jacobian`.

@@ -34,7 +34,7 @@ from urelunet.network import UReluNet, bias_grid, build_B, make_net, param_count
 from urelunet.pwl import PwlRegion, cond_diagnostics
 from urelunet.varpro import TrainReport
 
-from conftest import assert_reaped, parse_kv
+from conftest import assert_reaped, make_restart_singular, parse_kv
 
 
 def run_main(argv):
@@ -794,6 +794,29 @@ class TestFit:
         assert json.loads(kv["cpd_restart_errors"]) == errors
         assert len(errors) == 3 and all(e is not None for e in errors)
         assert float(kv["cpd_rel_error"]) == min(errors)
+
+    def test_failed_cpd_restart_reported_as_null(self, tmp_path, monkeypatch):
+        # restart 0 draws its start from default_rng(seed) with the config's seed 0; an
+        # all-NaN start fails it, and the fit goes on from the best of the other two
+        args = small_fit_args(tmp_path) + ["--set", "init.n=1", "--set", "init.cpd_restarts=3"]
+        make_restart_singular(monkeypatch, 0)
+        rc, out, err = run_main(args + ["fit"])
+        assert rc == 0, err
+        kv = parse_kv(out)
+        assert kv["cpd_restart_errors"].startswith("[null,")
+        errors = json.loads((tmp_path / "report.json").read_text())["cpd"]["restart_errors"]
+        assert json.loads(kv["cpd_restart_errors"]) == errors
+        assert len(errors) == 3 and errors[0] is None
+        assert all(math.isfinite(e) for e in errors[1:])
+        assert float(kv["cpd_rel_error"]) == min(errors[1:])
+
+    @pytest.mark.parametrize("value", [-5, 0])
+    def test_non_positive_max_points_exit_code(self, tmp_path, value):
+        rc, out, err = run_main(small_fit_args(tmp_path) + ["--set", f"init.max_points={value}", "fit"])
+        assert rc == 1
+        assert err == f"error=stage:initialization detail=init.max_points must be >= 1 or null, not {value}\n"
+        assert "model=" not in out
+        assert not (tmp_path / "model.json").exists()
 
     def test_numeric_environment_reported(self, tmp_path, monkeypatch):
         # a fit's bits depend on the BLAS and on its thread count, so the report names both

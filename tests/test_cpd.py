@@ -9,6 +9,8 @@ from urelunet.dataset import RegressionDataset, RegressorSpec
 from urelunet.hessian import HessianTensor, hessian_core, stack_hessians
 from urelunet.polyfit import PolyNarxModel, PolyTerm, enumerate_terms
 
+from conftest import make_restart_singular
+
 
 def symmetric_tensor(m, N, r, seed, cond_guard=True):
     """Ground-truth [[V, V, W]] tensor with well-conditioned factors."""
@@ -71,32 +73,31 @@ def sequential_cpd_als(tensor, r, max_iter, tol, seed, n_restarts):
     """`cpd_als` as it ran before its restarts went into lockstep, kept as the oracle: on
     the same mode-3 compression, one ALS run per restart from default_rng(seed + restart),
     each to its own stop, one after another until the best error reaches `tol`. Returns
-    the chosen factors and the run of every restart attempted, None where singular."""
+    the chosen factors and the run of every restart attempted, None where it failed."""
     data = tensor.data
     normT2 = float(np.sum(data * data))
     G, Q = cpd._compress_mode3(data)
     best, errors, runs = None, [], []
     for restart in range(n_restarts):
         rng = np.random.default_rng(seed + restart)
-        try:
-            fac = sequential_als_run(G, Q, r, max_iter, tol, rng, normT2)
-        except np.linalg.LinAlgError:
+        fac = sequential_als_run(G, Q, r, max_iter, tol, rng, normT2)
+        runs.append(fac)
+        if fac is None:
             errors.append(None)
-            runs.append(None)
             continue
         errors.append(fac.rel_error)
-        runs.append(fac)
         if best is None or fac.rel_error < best.rel_error:
             best = fac
         if best.rel_error <= tol:
             break
     if best is None:
-        raise np.linalg.LinAlgError("ALS normal equations singular in every restart")
+        raise np.linalg.LinAlgError("ALS relative error not finite in every restart")
     return replace(best, restart_errors=tuple(errors)), runs
 
 
 def sequential_als_run(G, Q, r, max_iter, tol, rng, normT2):
-    """One ALS run on the core G, on 2-D arrays: the loop that `cpd_als` ran per restart."""
+    """One ALS run on the core G, on 2-D arrays: the loop that `cpd_als` ran per restart.
+    None when the run failed: its error after a sweep was not finite."""
 
     def khatri_rao(X, Y):
         return (X[:, None, :] * Y[None, :, :]).reshape(-1, X.shape[1])
@@ -124,32 +125,13 @@ def sequential_als_run(G, Q, r, max_iter, tol, rng, normT2):
         CtC = C.T @ C
         resid = G3 - AB @ C.T
         err = np.sqrt(np.sum(resid * resid) / normT2)
+        if not np.isfinite(err):
+            return None
         history.append(float(err))
         if err <= tol or len(history) > 1 and abs(history[-2] - err) <= tol * max(err, 1e-300):
             status = "converged"
             break
     return CpdFactors(A=A, B=B, C=Q @ C, rel_error=history[-1], error_history=tuple(history), status=status)
-
-
-def make_restart_singular(monkeypatch, *seeds):
-    """Make each restart that draws its start from default_rng(seed), for a seed in
-    `seeds`, singular: its start is all NaN, and np.linalg.solve raises LinAlgError, as
-    LAPACK does on a zero pivot, on normal equations that hold a NaN, alone or in a stack."""
-
-    class NanStart:
-        def standard_normal(self, shape):
-            return np.full(shape, np.nan)
-
-    default_rng = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda s=None: NanStart() if s in seeds else default_rng(s))
-    solve = np.linalg.solve
-
-    def singular_on_nan(a, b):
-        if np.isnan(a).any():
-            raise np.linalg.LinAlgError("Singular matrix")
-        return solve(a, b)
-
-    monkeypatch.setattr(np.linalg, "solve", singular_on_nan)
 
 
 def assert_same_factors(got, want):
@@ -327,8 +309,33 @@ class TestLockstep:
         tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
         make_restart_singular(monkeypatch, *range(2, 2 + n_restarts))
         for run in (cpd_als, sequential_cpd_als):
-            with pytest.raises(np.linalg.LinAlgError, match="singular in every restart"):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite in every restart"):
                 run(tensor, 3, 40, 1e-8, 2, n_restarts)
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_zero_start_fails(self, monkeypatch, failing):
+        # no solve raises: the zero start's first sweep gives a NaN error, and the
+        # restart is recorded as failed from that
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
+        make_restart_singular(monkeypatch, 2 + failing, value=0.0)
+        fac, _, stacked = self._check(tensor, 3, 40, seed=2, n_restarts=3)
+        assert fac.restart_errors[failing] is None and stacked[failing] is None
+        assert sum(e is None for e in fac.restart_errors) == 1
+        assert fac.rel_error == min(e for e in fac.restart_errors if e is not None)
+        assert np.all(np.isfinite(fac.A)) and np.all(np.isfinite(fac.C))
+
+    # numpy warns of the overflow of ||T||^2 and of the products that follow it
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_tensor_fails_every_restart(self):
+        # ||T||^2 is inf, so every error is NaN from the first sweep on: every restart
+        # fails there instead of running max_iter NaN sweeps
+        tensor, _, _ = symmetric_tensor(6, 30, 3, seed=2)
+        tensor = HessianTensor(data=tensor.data * 1e160)
+        assert not np.isfinite(np.sum(tensor.data * tensor.data))
+        for run in (cpd_als, sequential_cpd_als):
+            with pytest.raises(np.linalg.LinAlgError, match="not finite in every restart"):
+                run(tensor, 3, 40, 1e-8, 2, 3)
 
 
 class TestSymmetrize:
