@@ -6,6 +6,7 @@ import argparse
 import contextlib
 import copy
 import dataclasses
+import functools
 import json
 import os
 import resource
@@ -469,7 +470,9 @@ def cmd_regions(cfg: dict, limit: int, output: str) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="urelunet", description="UReLU network system-identification pipeline"
     )
@@ -491,7 +494,18 @@ def main(argv: list[str] | None = None) -> int:
     p_reg = sub.add_parser("regions", help="export the affine regions as JSON lines")
     p_reg.add_argument("--limit", type=int, default=pwl.DEFAULT_LIMIT)
     p_reg.add_argument("--output", default="regions.jsonl", help="output JSON-lines path")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code: 0, or after an error= line on stderr 2
+    for an OSError and 1 for a ValueError, TypeError, RuntimeError or LinAlgError; a
+    usage error exits through argparse.
+
+    The calls in one process share one parser (`_parser`), built by the first; each
+    call parses its own argv and reads its config afresh, so no call's options or
+    --set reach another."""
+    args = _parser().parse_args(argv)
 
     stages, caught = StageClock(), []
     try:

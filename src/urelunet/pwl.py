@@ -33,8 +33,9 @@ class PwlRegion:
     a: np.ndarray
     b: float
     c: np.ndarray
-    # the JSON text of the list items of cell, a and x_bounds; only enumerate_regions
-    # sets it, from the network's tables. It is not an init field, so a region built by
+    # the JSON text of the list items of cell, a and x_bounds, each joined once per cell
+    # from the network's tables; only enumerate_regions sets it, when it fills a region's
+    # __dict__ without running __init__. It is not an init field, so a region built by
     # hand or by dataclasses.replace has None here and to_json renders its fields.
     _fixed_json: tuple[str, str, str] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -73,26 +74,31 @@ class PwlRegion:
 def enumerate_regions(net: UReluNet, limit: int = DEFAULT_LIMIT) -> Iterator[PwlRegion]:
     """Yield every bounded cell (indices 1..q per dimension) in lexicographic order.
 
-    Stops after `limit` cells; use region_count to know the full total. The maps
-    are built BLOCK cells at a time, and no block reaches past `limit`.
+    Stops after `limit` cells, an integer (numpy's too, but not a bool) >= 0; use
+    region_count to know the full total. The maps are built BLOCK cells at a time,
+    and no block reaches past `limit`.
     """
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, not {limit}")
+    if isinstance(limit, bool) or not isinstance(limit, (int, np.integer)) or limit < 0:
+        raise ValueError(f"limit must be an integer >= 0, not {limit}")
     tables = _CellTables(net)
     stop = min(limit, region_count(net))
     # per cell: its index tuple, x_bounds and the JSON text of its cell, a and x_bounds
-    grid = zip(*(
-        itertools.product(*table)
-        for table in (tables.cells, tables.bounds, tables.cell_json, tables.slope_json, tables.bounds_json)
-    ))
+    grid = zip(
+        itertools.product(*tables.cells),
+        itertools.product(*tables.bounds),
+        zip(*(
+            map(", ".join, itertools.product(*table))
+            for table in (tables.cell_json, tables.slope_json, tables.bounds_json)
+        )),
+    )
+    new = object.__new__
     for start in range(0, stop, BLOCK):
         A, b, C = tables.maps(start, min(start + BLOCK, stop))
         # A runs out first, so zip takes no cell of the next block from grid
-        for a, b_cell, c, (cell, bounds, cell_json, a_json, bounds_json) in zip(A, b, C, grid):
-            region = PwlRegion(cell=cell, x_bounds=bounds, a=a, b=b_cell, c=c)
-            object.__setattr__(region, "_fixed_json", (
-                ", ".join(cell_json), ", ".join(a_json), ", ".join(bounds_json)
-            ))
+        for a, b_cell, c, (cell, bounds, fixed_json) in zip(A, b, C, grid):
+            # the fields PwlRegion's __init__ would set, and _fixed_json, in one update
+            region = new(PwlRegion)
+            region.__dict__.update(cell=cell, x_bounds=bounds, a=a, b=b_cell, c=c, _fixed_json=fixed_json)
             yield region
 
 

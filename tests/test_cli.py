@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from urelunet import boucwen, cli, dataset, polyfit
+from urelunet import boucwen, cli, dataset, polyfit, pwl
 from urelunet.dataset import (
     RegressorSpec,
     SimulationDiverged,
@@ -1507,6 +1507,73 @@ class TestRegions:
         assert json.loads(lines[0]) == {"total_cells": q**n, "emitted": 2, "truncated": True}
         assert len(json.loads(lines[1])["cell"]) == n
         assert len(lines) == 3
+
+    @pytest.mark.parametrize("limit", [0, 1, 6, 7, 8, None])
+    def test_one_region_and_one_to_json_per_cell(self, tmp_path, monkeypatch, limit):
+        # the benchmark's tracer wraps pwl.enumerate_regions in the module and
+        # PwlRegion.to_json on the class, and counts the regions and their lines
+        monkeypatch.setattr(pwl, "BLOCK", 7)
+        rng = np.random.default_rng(31)
+        n, q = 2, 4
+        net = make_net(rng.normal(size=(3, n)), q, rng.normal(size=n * q + 1), rng.normal(size=(50, n)))
+        model = tmp_path / "model.json"
+        model.write_text(net.to_json())
+        enumerate_regions, to_json = pwl.enumerate_regions, PwlRegion.to_json
+        passes, rendered = [], []
+
+        def counting_enumerate(*args, **kwargs):
+            passes.append(kwargs)
+            return enumerate_regions(*args, **kwargs)
+
+        def counting_to_json(region):
+            rendered.append(region)
+            return to_json(region)
+
+        monkeypatch.setattr(pwl, "enumerate_regions", counting_enumerate)
+        monkeypatch.setattr(PwlRegion, "to_json", counting_to_json)
+        out = tmp_path / "regions.jsonl"
+        extra = [] if limit is None else ["--limit", str(limit)]
+        rc, _, err = run_main(["--set", f"paths.model={model}", "regions", *extra, "--output", str(out)])
+        assert (rc, err) == (0, "")
+        emitted = q**n if limit is None else limit
+        assert passes == [{"limit": pwl.DEFAULT_LIMIT if limit is None else limit}]
+        assert [r.cell for r in rendered] == list(itertools.product(range(1, q + 1), repeat=n))[:emitted]
+        assert all(type(r) is PwlRegion for r in rendered)
+        assert out.read_text().splitlines()[1:] == [to_json(r) for r in rendered]
+        for region in rendered:
+            moved = dataclasses.replace(region, b=region.b + 1.0)
+            assert to_json(moved) == json.dumps(
+                {
+                    "cell": list(moved.cell),
+                    "x_bounds": [list(bd) for bd in moved.x_bounds],
+                    "affine_x": {"a": moved.a.tolist(), "b": moved.b},
+                    "affine_u": {"c": moved.c.tolist(), "b": moved.b},
+                },
+                sort_keys=True,
+            )
+
+    def test_calls_in_one_process_stay_apart(self, desk_pipeline, tmp_path):
+        # a --limit given to one call does not reach the next
+        base = ["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output"]
+        first, truncated, second = (tmp_path / f"{name}.jsonl" for name in ("first", "truncated", "second"))
+        assert run_main([*base, str(first)])[0] == 0
+        assert run_main([*base, str(truncated), "--limit", "7"])[0] == 0
+        rc, stdout, _ = run_main([*base, str(second)])
+        assert rc == 0
+        assert parse_kv(stdout)["emitted"] == "512"
+        assert len(second.read_text().splitlines()) == 1 + 8**3
+        assert second.read_bytes() == first.read_bytes()
+
+    def test_set_reaches_only_its_own_call(self, desk_pipeline, tmp_path, monkeypatch):
+        # the default paths.model, model.json in the working directory, holds another model
+        monkeypatch.chdir(tmp_path)
+        rng = np.random.default_rng(32)
+        small = make_net(rng.normal(size=(3, 2)), 3, rng.normal(size=7), rng.normal(size=(20, 2)))
+        Path("model.json").write_text(small.to_json())
+        rc, stdout, _ = run_main(["--set", f"paths.model={desk_pipeline['model']}", "regions", "--output", "a.jsonl"])
+        assert (rc, parse_kv(stdout)["total_cells"]) == (0, "512")
+        rc, stdout, _ = run_main(["regions", "--output", "b.jsonl"])
+        assert (rc, parse_kv(stdout)["total_cells"]) == (0, "9")
 
 
 @pytest.mark.parametrize(

@@ -130,6 +130,16 @@ class TestEnumeration:
         net, _ = random_net(3, 2, 4, seed=9)
         assert len(list(enumerate_regions(net, limit=5))) == 5
 
+    @pytest.mark.parametrize("limit", [2.5, True, -0.5, np.float64(3.0)])
+    def test_limit_not_a_count_rejected(self, limit):
+        net, _ = random_net(3, 2, 4, seed=9)
+        with pytest.raises(ValueError, match=f"^limit must be an integer >= 0, not {limit}$"):
+            next(enumerate_regions(net, limit=limit))
+
+    def test_numpy_integer_limit(self):
+        net, _ = random_net(3, 2, 4, seed=9)
+        assert [r.cell for r in enumerate_regions(net, limit=np.int64(3))] == [(1, 1), (1, 2), (1, 3)]
+
     def test_benchmark_scale_count(self):
         net, _ = random_net(30, 5, 10, seed=10, N=100)
         assert region_count(net) == 100_000
@@ -296,6 +306,19 @@ def test_hand_built_and_replaced_regions_render_their_fields():
     moved = dataclasses.replace(first, a=-first.a, x_bounds=((0.0, 1.0), (2.0, 3.0)))
     assert moved.to_json() == json_dumps_of_fields(moved)
     assert moved.to_json() != first.to_json()
+
+
+def test_enumerated_region_is_a_plain_dataclass_instance():
+    # an enumerated region compares, prints and copies like one built by hand
+    net, _ = random_net(2, 2, 3, seed=6, N=20)
+    first = next(enumerate_regions(net))
+    by_hand = PwlRegion(cell=first.cell, x_bounds=first.x_bounds, a=first.a, b=first.b, c=first.c)
+    assert first == by_hand
+    assert repr(first) == repr(by_hand)
+    assert dataclasses.replace(first) == first
+    assert dataclasses.fields(first) == dataclasses.fields(by_hand)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.b = 0.0
 
 
 class TestCondDiagnostics:
