@@ -19,7 +19,7 @@ from .dataset import TimeSeriesData, is_finite_number, parse_json_object
 
 PARAM_KEYS = ("m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu")
 INIT_KEYS = ("y0", "v0", "z0")
-# Every record follows the hysteretic benchmark's recipe (`record`): a random-phase
+# Every record follows the hysteretic benchmark's recipe (`records`): a random-phase
 # multisine over F_MIN_HZ to F_MAX_HZ drives the oscillator, which is simulated at
 # SIM_RATE_HZ, the input and output are decimated by DECIMATION (to 750 Hz), and the
 # first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
@@ -281,22 +281,45 @@ def settled(x_sim: np.ndarray) -> np.ndarray:
     return decimate(x_sim, DECIMATION)[SETTLE_SAMPLES:]
 
 
-def record(params: BoucWenParams, amplitude_rms: float, n_samples: int, seed: int, stages=None) -> TimeSeriesData:
-    """`n_samples` decimated samples of the oscillator driven by the multisine of
-    `amplitude_rms` at `seed`, by the recipe of the constants above: `excitation`,
-    `simulate`, then `settled` on the input and on the output, all in this process.
-    (`datagen` runs the same steps for its training record, but with the simulation in
-    a `SimulationWorker`.)
+def records(params: BoucWenParams, amplitude_rms: float, lengths, seed: int, stages=None) -> list[TimeSeriesData]:
+    """Records by the recipe of the constants above (`excitation`, `simulate`, then
+    `settled` on input and output): record i holds `lengths[i]` decimated samples of the
+    oscillator driven by the multisine of `amplitude_rms` at `seed + i`.
 
-    `stages`, if given, times the excitation, the simulation and the decimation: each
-    runs in `with stages(name):` (`cli.StageClock`)."""
+    Each record but the last is simulated, with the same bits, by a `SimulationWorker`
+    started as soon as its excitation exists, while this process makes the last record;
+    the earliest failing record's error is raised, and no worker outlives the call.
+    `stages` (`cli.StageClock`), if given, times the excitation, simulation and decimation."""
     stages = contextlib.nullcontext if stages is None else stages  # nullcontext(name) times nothing
-    with stages("excitation"):
-        u_sim = excitation(amplitude_rms, n_samples, seed)
-    with stages("simulation"):
-        y_sim = simulate(params, u_sim, SIM_RATE_HZ).y
-    with stages("decimation"):
-        return TimeSeriesData(u=settled(u_sim), y=settled(y_sim))
+    with contextlib.ExitStack() as running:
+        started = []  # (input, worker) of each record but the last
+        try:
+            for i, n_samples in enumerate(lengths[:-1]):
+                with stages("excitation"):
+                    u_sim = excitation(amplitude_rms, n_samples, seed + i)
+                with stages("simulation"):
+                    started.append((u_sim, running.enter_context(SimulationWorker(params, u_sim, SIM_RATE_HZ))))
+            with stages("excitation"):
+                u_sim = excitation(amplitude_rms, lengths[-1], seed + len(started))
+            with stages("simulation"):
+                y_sim = simulate(params, u_sim, SIM_RATE_HZ).y
+            with stages("decimation"):
+                last = TimeSeriesData(u=settled(u_sim), y=settled(y_sim))
+                del u_sim, y_sim  # freed before the earlier records are decimated
+                inputs = [settled(u) for u, _ in started]
+        except Exception:
+            # an earlier record's error wins; when no worker fails, the error keeps its stage
+            for _, worker in started:
+                with stages("simulation"):
+                    worker.result()
+            raise
+        made = []
+        for u, (_, worker) in zip(inputs, started):
+            with stages("simulation"):
+                y_sim = worker.result()
+            with stages("decimation"):
+                made.append(TimeSeriesData(u=u, y=settled(y_sim)))
+    return made + [last]
 
 
 def load_params(path) -> BoucWenParams:

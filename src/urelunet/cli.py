@@ -74,8 +74,9 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
     `strict`, and is otherwise warned about and dropped, so `cfg` keeps the key tree of
     `ref`. An object where `ref` holds a plain value, or the reverse, raises; so does a
     value without its default's type: a float default also takes an int, an int default
-    does not take a bool, a number must be finite as a double (`is_finite_number`), and
-    the NULLABLE_KEYS also take null. The error shows the value cut to SHOWN_VALUE_CHARS."""
+    does not take a bool, a number must be finite as a double (`is_finite_number`), the
+    NULLABLE_KEYS also take null, and `seed` takes no negative integer. The error shows
+    the value cut to SHOWN_VALUE_CHARS."""
     for key, value in doc.items():
         path = prefix + key
         if key.startswith("_"):
@@ -97,8 +98,10 @@ def _apply(cfg: dict, doc: dict, ref: dict, strict: bool, prefix: str = "") -> N
             typed = isinstance(value, str)
         else:
             typed = is_finite_number(value, integer=isinstance(default, int))
+        takes = _TYPE_NAMES[type(default)] + (" or null" if nullable else "")
+        if path == "seed" and typed and value < 0:  # numpy's generators take no negative seed
+            typed, takes = False, "a non-negative integer"
         if not typed and not (value is None and nullable):
-            takes = _TYPE_NAMES[type(default)] + (" or null" if nullable else "")
             shown = json.dumps(value)
             if len(shown) > SHOWN_VALUE_CHARS:
                 shown = f"{shown[:SHOWN_VALUE_CHARS]}... ({len(shown)} characters)"
@@ -145,8 +148,8 @@ class StageClock:
 
     `with clock("name"):` times its body as that stage; a stage that runs again adds to
     its seconds. Every warning raised in a stage is recorded, not shown, in `warnings`
-    as {"stage", "message"}. `clock.stage` names the stage running now, or the last one
-    to start."""
+    as {"stage", "message"}. `clock.stage` names the stage running now; a stage that ends
+    gives back the one it interrupted, unless an error escapes it, which leaves it named."""
 
     def __init__(self):
         self.seconds: dict[str, float] = {}
@@ -156,7 +159,7 @@ class StageClock:
 
     @contextlib.contextmanager
     def __call__(self, stage: str):
-        self.stage, started = stage, time.perf_counter()
+        interrupted, self.stage, started = self.stage, stage, time.perf_counter()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
@@ -166,6 +169,7 @@ class StageClock:
                 # the process's high-water mark so far; Linux reports ru_maxrss in KiB
                 self.peak_rss_mb[stage] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6
                 self.warnings += [{"stage": stage, "message": str(w.message)} for w in caught]
+        self.stage = interrupted
 
 
 def _check_outputs(inputs: dict[str, str], outputs: dict[str, str]) -> None:
@@ -212,13 +216,8 @@ def _files(cfg: dict, args: argparse.Namespace) -> tuple[dict[str, str], dict[st
 
 def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     """Write the training record (at the config's seed), the validation record (seed + 1)
-    and the metadata sidecar; the records are `boucwen.record`'s, bit for bit.
-
-    The training record's Newmark loop runs in a `boucwen.SimulationWorker` while this
-    process makes the whole validation record and decimates the training input, so the
-    stage times are this process's: `simulation` includes the wait for the worker. When
-    both records fail, the training record's error is the one raised; no worker outlives
-    the call."""
+    and the metadata sidecar. The records are those of one `boucwen.records` call, timed
+    on `stages`: when both fail, the training record's error is raised."""
     dg = cfg["datagen"]
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
@@ -242,30 +241,7 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
             "signal": "random-phase multisine", "f_min": boucwen.F_MIN_HZ, "f_max": boucwen.F_MAX_HZ, **exc
         },
     }
-    # the training record's simulation runs in a worker process while this one makes
-    # the validation record and decimates the training input; starting the worker and
-    # waiting for it are simulation time
-    with stages("excitation"):
-        u_train = boucwen.excitation(exc["amplitude_rms"], n_train, seed)
-    with stages("simulation"):
-        worker = boucwen.SimulationWorker(params, u_train, boucwen.SIM_RATE_HZ)
-    with worker:
-        try:
-            val_rec = boucwen.record(params, exc["amplitude_rms"], n_val, seed + 1, stages)
-            with stages("decimation"):
-                u_settled = boucwen.settled(u_train)
-        except Exception:
-            # as when the records were made one after the other, the training record's
-            # error is the one reported; the validation error keeps its own stage
-            failed = stages.stage
-            with stages("simulation"):
-                worker.result()
-            stages.stage = failed
-            raise
-        with stages("simulation"):
-            y_train = worker.result()
-    with stages("decimation"):
-        train_rec = TimeSeriesData(u=u_settled, y=boucwen.settled(y_train))
+    train_rec, val_rec = boucwen.records(params, exc["amplitude_rms"], (n_train, n_val), seed, stages)
     with stages("persist"):
         written = []
         try:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import re
 import subprocess
@@ -406,6 +407,58 @@ class TestWorker:
         assert done.stdout.decode() == "Newton iteration did not converge at step 1" and done.stderr == b""
 
 
+class TestRecords:
+    """`records` makes every record by the one recipe, each but the last in a worker
+    process while this process makes the last."""
+
+    def test_two_records_are_two_one_record_calls(self, workers):
+        started = []  # the stages, in the order they start
+
+        def stages(name):
+            started.append(name)
+            return contextlib.nullcontext()
+
+        both = boucwen.records(desk_params(), 120.0, (64, 48), 2, stages)
+        assert len(workers) == 1
+        assert_reaped(workers)
+        assert started == ["excitation", "simulation", "excitation", "simulation", "decimation", "simulation", "decimation"]
+        for rec, n_samples, seed in zip(both, (64, 48), (2, 3)):
+            [alone] = boucwen.records(desk_params(), 120.0, (n_samples,), seed)
+            assert len(rec) == n_samples
+            assert np.array_equal(rec.u, alone.u) and np.array_equal(rec.y, alone.y)
+        # a one-record call starts no worker
+        assert len(workers) == 1
+
+    def test_earliest_error_wins(self, workers):
+        alone = []
+        for seed in (2, 3):
+            with pytest.raises(IntegrationError) as failed:
+                boucwen.records(desk_params(), 1e6, (64,), seed)
+            alone.append(str(failed.value))
+        assert alone[0] != alone[1]
+        with pytest.raises(IntegrationError) as failed:
+            boucwen.records(desk_params(), 1e6, (64, 64), 2)
+        assert str(failed.value) == alone[0]
+        assert len(workers) == 1
+        assert_reaped(workers)
+
+    @pytest.mark.parametrize("where", ["multisine", "simulate"])
+    def test_last_record_failing_alone_raises_its_own_error(self, monkeypatch, workers, where):
+        # the first record's worker runs to its end and is waited for
+        original = getattr(boucwen, where)
+
+        def fail_the_last(*args, **kwargs):
+            if where == "simulate" or kwargs["seed"] == 3:
+                raise IntegrationError(f"{where} failed")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(boucwen, where, fail_the_last)
+        with pytest.raises(IntegrationError, match=f"^{where} failed$"):
+            boucwen.records(desk_params(), 120.0, (64, 64), 2)
+        assert [proc.returncode for proc in workers] == [0]
+        assert_reaped(workers)
+
+
 class TestMultisine:
     def test_rms_exact(self):
         x = multisine(4096, 750.0, 5.0, 150.0, amplitude_rms=50.0, seed=0)
@@ -531,8 +584,8 @@ class TestDecimateOracle:
         def scipy_decimate(x, factor):
             return signal.sosfiltfilt(signal.butter(4, 0.8 / factor, output="sos"), x)[::factor]
 
-        record = boucwen.record(desk_params(), 120.0, 256, 2)
+        record = boucwen.records(desk_params(), 120.0, (256,), 2)[0]
         monkeypatch.setattr(boucwen, "decimate", scipy_decimate)
-        expected = boucwen.record(desk_params(), 120.0, 256, 2)
+        expected = boucwen.records(desk_params(), 120.0, (256,), 2)[0]
         assert np.array_equal(record.u, expected.u)
         assert np.array_equal(record.y, expected.y)

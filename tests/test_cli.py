@@ -127,6 +127,26 @@ class TestConfig:
         assert rc == 1
         assert err.startswith("error=") and repr(key) in err
 
+    @pytest.mark.parametrize("command", ["datagen", "fit"])
+    def test_negative_seed_rejected_before_any_stage(self, tmp_path, workers, command):
+        # numpy's generators take no negative seed: the config is refused before datagen
+        # starts a worker or fit builds its regressors
+        args = small_datagen_args(tmp_path) if command == "datagen" else small_fit_args(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        rc, out, err = run_main(args + ["--set", "seed=-1", command])
+        assert rc == 1
+        assert err == "error=--set 'seed': config key 'seed' takes a non-negative integer, not -1\n"
+        assert out == ""
+        assert sorted(tmp_path.iterdir()) == before
+        assert workers == []
+
+    def test_negative_seed_in_config_file_rejected(self, tmp_path):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"seed": -3}))
+        with pytest.raises(ValueError) as refused:
+            cli.load_config(str(p), [])
+        assert str(refused.value) == f"config file {p}: config key 'seed' takes a non-negative integer, not -3"
+
     def test_set_key_from_config_file(self, tmp_path):
         # a file key the defaults lack is dropped, so --set cannot reach it either
         p = tmp_path / "c.json"
@@ -351,6 +371,52 @@ def test_unreadable_input_names_its_source(tmp_path, source, defect):
     assert list(tmp_path.iterdir()) == [path]
 
 
+class TestStageClock:
+    def test_a_stage_that_ends_gives_back_the_one_it_interrupted(self):
+        clock = cli.StageClock()
+        with clock("outer"):
+            with clock("inner"):
+                assert clock.stage == "inner"
+            assert clock.stage == "outer"
+        assert clock.stage is None
+
+    def test_an_error_leaves_the_stage_it_escaped_from(self):
+        clock = cli.StageClock()
+        with pytest.raises(ValueError, match="inner failed"):
+            with clock("outer"):
+                with clock("inner"):
+                    raise ValueError("inner failed")
+        assert clock.stage == "inner"
+        # a stage run while the error is handled gives the failed stage back
+        with pytest.raises(ValueError, match="excitation failed"):
+            try:
+                with clock("excitation"):
+                    raise ValueError("excitation failed")
+            except ValueError:
+                with clock("simulation"):
+                    pass
+                raise
+        assert clock.stage == "excitation"
+
+    def test_seconds_add_up_and_warnings_stay_with_their_stage(self, monkeypatch):
+        ticks = iter([0.0, 1.0, 10.0, 10.25, 20.0, 22.5])
+        monkeypatch.setattr(time, "perf_counter", lambda: next(ticks))
+        clock = cli.StageClock()
+        with clock("a"):
+            warnings.warn("one")
+        with clock("b"):
+            warnings.warn("two")
+        with clock("a"):
+            warnings.warn("three")
+        assert clock.seconds == {"a": 3.5, "b": 0.25}
+        assert set(clock.peak_rss_mb) == {"a", "b"}
+        assert clock.warnings == [
+            {"stage": "a", "message": "one"},
+            {"stage": "b", "message": "two"},
+            {"stage": "a", "message": "three"},
+        ]
+
+
 class TestDatagen:
     def test_outputs(self, desk_pipeline):
         kv = desk_pipeline["datagen"]
@@ -387,11 +453,11 @@ class TestDatagen:
         }
 
     def test_writes_the_library_records(self, desk_pipeline, tmp_path):
-        # datagen's records are `boucwen.record`'s: train at the config's seed,
-        # validation at seed + 1, written bit for bit
+        # datagen's records are those of one-record `boucwen.records` calls: train at
+        # the config's seed, validation at seed + 1, written bit for bit
         params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
         for n_samples, seed, written in ((4096, 2, "train_csv"), (1024, 3, "validation_csv")):
-            save_csv(tmp_path / "record.csv", boucwen.record(params, 120.0, n_samples, seed))
+            save_csv(tmp_path / "record.csv", boucwen.records(params, 120.0, (n_samples,), seed)[0])
             assert (tmp_path / "record.csv").read_bytes() == desk_pipeline[written].read_bytes()
 
     def test_deterministic_rerun(self, desk_pipeline, tmp_path):
@@ -543,7 +609,7 @@ class TestDatagen:
         # datagen made it first
         params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
         with pytest.raises(boucwen.IntegrationError, match="did not converge at step 2$"):
-            boucwen.record(params, 1e6, 1024, 3)
+            boucwen.records(params, 1e6, (1024,), 3)
         rc, out, err = run_main(
             desk_datagen_args(tmp_path) + ["--set", "datagen.excitation.amplitude_rms=1e6", "datagen"]
         )
@@ -1240,7 +1306,7 @@ class TestEval:
         # neuron of each dimension is a ramp instead of linear
         dg = cli.load_config(str(cli_config_path()), [])["datagen"]
         params = boucwen.load_params(configs_dir() / "desk_boucwen.json")
-        rec = boucwen.record(params, dg["excitation"]["amplitude_rms"], dg["validation_samples"], seed)
+        rec = boucwen.records(params, dg["excitation"]["amplitude_rms"], (dg["validation_samples"],), seed)[0]
         net = UReluNet.from_json(desk_pipeline["model"].read_text())
         spec = net.regressor_spec
         X = build_regressors(rec, spec).U @ net.V
