@@ -19,14 +19,15 @@ from .dataset import TimeSeriesData, is_finite_number, parse_json_object
 
 PARAM_KEYS = ("m_L", "k_L", "c_L", "alpha", "beta_bw", "gamma", "delta", "nu")
 INIT_KEYS = ("y0", "v0", "z0")
-# Every record follows the hysteretic benchmark's recipe (`records`): a random-phase
-# multisine over F_MIN_HZ to F_MAX_HZ drives the oscillator, which is simulated at
-# SIM_RATE_HZ, the input and output are decimated by DECIMATION (to 750 Hz), and the
-# first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
+# Every record follows the hysteretic benchmark's recipe (`records`; `recipe` states it): a
+# random-phase multisine over F_MIN_HZ to F_MAX_HZ drives the oscillator, simulated at SIM_RATE_HZ;
+# input and output are low-passed at CUTOFF of the decimated Nyquist and decimated by DECIMATION
+# (to 750 Hz), and the first SETTLE_SAMPLES decimated samples are dropped as the start-up transient.
 F_MIN_HZ = 5.0
 F_MAX_HZ = 150.0
 SIM_RATE_HZ = 15000.0
 DECIMATION = 20
+CUTOFF = 0.8
 SETTLE_SAMPLES = 128
 
 # `_newmark.py` as a worker process: this Python, isolated from the environment and the
@@ -241,16 +242,16 @@ def _sosfilt(sos: np.ndarray, zi: np.ndarray, x) -> array:
 
 def decimate(x: np.ndarray, factor: int) -> np.ndarray:
     """Zero-phase low-pass (4th-order Butterworth, applied forward-backward)
-    with cutoff at 0.8 of the post-decimation Nyquist, then keep every
+    with cutoff at CUTOFF of the post-decimation Nyquist, then keep every
     factor-th sample.
 
-    The bits of `scipy.signal.sosfiltfilt(butter(4, 0.8 / factor, output="sos"),
+    The bits of `scipy.signal.sosfiltfilt(butter(4, CUTOFF / factor, output="sos"),
     x)[::factor]`, which `tests/test_boucwen.py` keeps as its oracle: every record
     depends on them."""
     x = np.asarray(x, dtype=float)
     if not isinstance(factor, numbers.Integral) or factor < 1:
         raise ValueError(f"factor must be a positive integer, not {factor!r}")
-    sos = _butter4_sos(0.8 / factor)
+    sos = _butter4_sos(CUTOFF / factor)
     n = 3 * (2 * len(sos) + 1)  # samples of odd extension at each end, as scipy's padlen
     if len(x) <= n:
         raise ValueError(f"series too short for filter warm-up (need > {n} samples)")
@@ -279,6 +280,18 @@ def settled(x_sim: np.ndarray) -> np.ndarray:
     """One simulated signal as a record holds it: decimated by DECIMATION, less the first
     SETTLE_SAMPLES decimated samples."""
     return decimate(x_sim, DECIMATION)[SETTLE_SAMPLES:]
+
+
+def recipe(amplitude_rms: float) -> dict:
+    """The recipe of the records `records` makes at `amplitude_rms`, as `datagen`'s sidecar states it."""
+    return {
+        "fs_simulation": SIM_RATE_HZ, "fs_output": SIM_RATE_HZ / DECIMATION,
+        "decimation": DECIMATION, "settle_samples": SETTLE_SAMPLES,
+        "filter": f"butterworth order 4 forward-backward, cutoff {CUTOFF}x target Nyquist",
+        "excitation": {
+            "signal": "random-phase multisine", "f_min": F_MIN_HZ, "f_max": F_MAX_HZ, "amplitude_rms": amplitude_rms
+        },
+    }
 
 
 def records(params: BoucWenParams, amplitude_rms: float, lengths, seed: int, stages=None) -> list[TimeSeriesData]:

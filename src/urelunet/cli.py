@@ -114,7 +114,9 @@ def load_config(path: str | None, overrides: list[str]) -> dict:
 
     Both sources go through one walk over the defaults (`_apply`): `--set a.b=v` is the
     object {"a": {"b": v}}. A file key that the defaults lack is warned about and dropped;
-    an unknown `--set` key raises. The result has exactly the key tree of the defaults."""
+    an unknown `--set` key raises. Each source is checked as it is read, the file first,
+    so a bad file value raises, naming the file, even when a later `--set` gives that key
+    a good value. The result has exactly the key tree of the defaults."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     sources = []
     if path is not None:
@@ -216,8 +218,9 @@ def _files(cfg: dict, args: argparse.Namespace) -> tuple[dict[str, str], dict[st
 
 def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     """Write the training record (at the config's seed), the validation record (seed + 1)
-    and the metadata sidecar. The records are those of one `boucwen.records` call, timed
-    on `stages`: when both fail, the training record's error is raised."""
+    and the metadata sidecar: the seeds, the params file and `boucwen.recipe`. The records
+    are those of one `boucwen.records` call, timed on `stages`: when both fail, the training
+    record's error is raised. A failed write removes the records written before it."""
     dg = cfg["datagen"]
     for key in ("train_samples", "validation_samples"):
         if dg[key] < 1:
@@ -225,37 +228,20 @@ def cmd_datagen(cfg: dict, stages: StageClock) -> int:
     paths = cfg["paths"]
     meta_path = _meta_path(paths["train"])
     params = boucwen.load_params(dg["params_file"])
-    seed = cfg["seed"]
-    exc = dg["excitation"]
+    seed, amplitude_rms = cfg["seed"], dg["excitation"]["amplitude_rms"]
     n_train, n_val = dg["train_samples"], dg["validation_samples"]
     meta = {
-        "seed": seed,
-        "validation_seed": seed + 1,
-        "fs_simulation": boucwen.SIM_RATE_HZ,
-        "fs_output": boucwen.SIM_RATE_HZ / boucwen.DECIMATION,
-        "decimation": boucwen.DECIMATION,
-        "settle_samples": boucwen.SETTLE_SAMPLES,
-        "filter": "butterworth order 4 forward-backward, cutoff 0.8x target Nyquist",
-        "params_file": str(dg["params_file"]),
-        "excitation": {
-            "signal": "random-phase multisine", "f_min": boucwen.F_MIN_HZ, "f_max": boucwen.F_MAX_HZ, **exc
-        },
+        "seed": seed, "validation_seed": seed + 1, "params_file": str(dg["params_file"]), **boucwen.recipe(amplitude_rms)
     }
-    train_rec, val_rec = boucwen.records(params, exc["amplitude_rms"], (n_train, n_val), seed, stages)
-    with stages("persist"):
-        written = []
-        try:
-            for path, rec in ((paths["train"], train_rec), (paths["validation"], val_rec)):
-                save_csv(path, rec)
-                written.append(path)
-            with open_output(meta_path) as fh:
-                json.dump(meta, fh, sort_keys=True, indent=2)
-        except BaseException:
-            # a partial record set would pass for a whole one; the write that failed
-            # removed its own file
-            for path in written:
-                remove_output(path)
-            raise
+    train_rec, val_rec = boucwen.records(params, amplitude_rms, (n_train, n_val), seed, stages)
+    with stages("persist"), contextlib.ExitStack() as undo:
+        # a failed write removes its own file, and `undo` the records written before it
+        for path, rec in ((paths["train"], train_rec), (paths["validation"], val_rec)):
+            save_csv(path, rec)
+            undo.callback(remove_output, path)
+        with open_output(meta_path) as fh:
+            json.dump(meta, fh, sort_keys=True, indent=2)
+        undo.pop_all()
     print(f"train={paths['train']} rows={len(train_rec)}")
     print(f"validation={paths['validation']} rows={len(val_rec)}")
     print(f"metadata={meta_path}")

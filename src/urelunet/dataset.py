@@ -111,7 +111,6 @@ def build_regressors(data: TimeSeriesData, spec: RegressorSpec) -> RegressionDat
             f"series too short: {L} samples, need at least {t0 + 1} for "
             f"n_u={spec.n_u}, n_y={spec.n_y}"
         )
-    N = L - t0
     cols = []
     for j in range(spec.n_u + 1):
         cols.append(data.u[t0 - j : L - j])

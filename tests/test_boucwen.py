@@ -578,6 +578,16 @@ class TestDecimateOracle:
             assert np.array_equal(sos, signal.butter(4, 0.8 / factor, output="sos")), factor
             assert np.array_equal(boucwen._sosfilt_zi(sos), signal.sosfilt_zi(sos)), factor
 
+    def test_cutoff_is_the_named_constant(self, monkeypatch):
+        # decimate and the recipe that the sidecar states read the one CUTOFF
+        from scipy import signal
+
+        monkeypatch.setattr(boucwen, "CUTOFF", 0.7)
+        x = np.random.default_rng(7).normal(scale=100.0, size=1000)
+        expected = signal.sosfiltfilt(signal.butter(4, 0.7 / 20, output="sos"), x)[::20]
+        assert np.array_equal(decimate(x, 20), expected)
+        assert "cutoff 0.7x" in boucwen.recipe(120.0)["filter"]
+
     def test_record_matches_scipy_pipeline(self, monkeypatch):
         from scipy import signal
 

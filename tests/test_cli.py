@@ -141,11 +141,14 @@ class TestConfig:
         assert workers == []
 
     def test_negative_seed_in_config_file_rejected(self, tmp_path):
+        # each source is checked as it is read, the file first: a later --set of a good
+        # seed does not repair the file's value
         p = tmp_path / "c.json"
         p.write_text(json.dumps({"seed": -3}))
-        with pytest.raises(ValueError) as refused:
-            cli.load_config(str(p), [])
-        assert str(refused.value) == f"config file {p}: config key 'seed' takes a non-negative integer, not -3"
+        for overrides in ([], ["seed=0"]):
+            with pytest.raises(ValueError) as refused:
+                cli.load_config(str(p), overrides)
+            assert str(refused.value) == f"config file {p}: config key 'seed' takes a non-negative integer, not -3"
 
     def test_set_key_from_config_file(self, tmp_path):
         # a file key the defaults lack is dropped, so --set cannot reach it either
@@ -452,6 +455,16 @@ class TestDatagen:
             "amplitude_rms": 120.0,
         }
 
+    def test_metadata_sidecar_states_the_recipe(self, desk_pipeline):
+        # the sidecar is the seeds, the params file and boucwen's one statement of the recipe
+        meta = json.loads((desk_pipeline["work"] / "train.csv.meta.json").read_text())
+        assert meta == {
+            "seed": 2,
+            "validation_seed": 3,
+            "params_file": str(configs_dir() / "desk_boucwen.json"),
+            **boucwen.recipe(120.0),
+        }
+
     def test_writes_the_library_records(self, desk_pipeline, tmp_path):
         # datagen's records are those of one-record `boucwen.records` calls: train at
         # the config's seed, validation at seed + 1, written bit for bit
@@ -592,10 +605,10 @@ class TestDatagen:
         assert err == f"error=stage:persist missing_file={val}\n"
         assert train.is_symlink() and target.is_file()
 
-    @pytest.mark.parametrize("name", ["v.csv", "t.csv.meta.json"])
+    @pytest.mark.parametrize("name", ["t.csv", "v.csv", "t.csv.meta.json"])
     def test_full_disk_leaves_no_record(self, tmp_path, monkeypatch, name):
-        # the 10th write of the validation record or of the meta sidecar fails: the
-        # partial file goes, and so do the files written before it
+        # the 10th write of a record or of the meta sidecar fails: the partial file goes,
+        # and so do the files written before it
         failing = tmp_path / name
         full_disk_on_write(monkeypatch, failing, 10)
         rc, out, err = run_main(small_datagen_args(tmp_path) + ["datagen"])
