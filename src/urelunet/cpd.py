@@ -161,17 +161,24 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
     live = list(range(n_restarts))  # the restart of each stack member
     histories: list[list[float]] = [[] for _ in live]
     runs: list[CpdFactors | None] = [None] * n_restarts
+    eye = np.eye(r)  # for the solves' ridge
+    BtB = _gram(B)  # each Gram once per sweep: B's is carried into the next A update
 
     for _ in range(max_iter):
-        A = _solve_mode(G1 @ _khatri_rao(B, C), _gram(B) * CtC)
-        B = _solve_mode(G2 @ _khatri_rao(A, C), _gram(A) * CtC)
+        A = _solve_mode(G1 @ _khatri_rao(B, C), BtB * CtC, eye)
+        AtA = _gram(A)
+        B = _solve_mode(G2 @ _khatri_rao(A, C), AtA * CtC, eye)
+        BtB = _gram(B)
         AB = _khatri_rao(A, B)
-        C = _solve_mode(G3.T @ AB, _gram(A) * _gram(B))
+        C = _solve_mode(G3.T @ AB, AtA * BtB, eye)
         CtC = _gram(C)
         # direct residual norm, on the core since ||T - [[A,B,QC]]|| = ||G - [[A,B,C]]||;
-        # the Gram-matrix shortcut cancels catastrophically once the fit is tight
-        resid = G3 - AB @ C.transpose(0, 2, 1)
-        err = np.sqrt(np.sum(resid * resid, axis=(1, 2)) / normT2)
+        # the Gram-matrix shortcut cancels catastrophically once the fit is tight. The
+        # residual and its square overwrite the model product
+        resid = AB @ C.transpose(0, 2, 1)
+        np.subtract(G3, resid, out=resid)
+        np.square(resid, out=resid)
+        err = np.sqrt(np.sum(resid, axis=(1, 2)) / normT2)
         going = []
         for s, restart in enumerate(live):
             if not np.isfinite(err[s]):
@@ -189,7 +196,7 @@ def _als_lockstep(G, Q, r, max_iter, tol, seed, n_restarts, normT2) -> list[CpdF
         if len(going) < len(live):
             # indexing keeps each member's memory layout, that of the solve output it would be alone
             live = [live[s] for s in going]
-            A, B, C, CtC = (x[going] for x in (A, B, C, CtC))
+            A, B, C, CtC, BtB = (x[going] for x in (A, B, C, CtC, BtB))
         if not live:
             break
     for s, restart in enumerate(live):
@@ -201,12 +208,12 @@ def _factors(A, B, C, history, status) -> CpdFactors:
     return CpdFactors(A=A, B=B, C=C, rel_error=history[-1], error_history=tuple(history), status=status)
 
 
-def _solve_mode(M, gram):
-    """X_s = M_s gram_s^-1 for each member s of a stack."""
+def _solve_mode(M, gram, eye):
+    """X_s = M_s gram_s^-1 for each member s of a stack; `eye` is the r x r identity."""
     # tiny ridge keeps near-singular normal equations solvable; a solve that raised
     # anyway would end cpd_als with its LinAlgError
     ridge = 1e-14 * np.maximum(np.trace(gram, axis1=1, axis2=2), 1e-300)
-    gram = gram + np.eye(gram.shape[1]) * ridge[:, None, None]
+    gram = gram + eye * ridge[:, None, None]
     return np.linalg.solve(gram, M.transpose(0, 2, 1)).transpose(0, 2, 1)
 
 

@@ -13,13 +13,19 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+# A free run of a model with a training output range (`UReluNet.y_range`) diverges at
+# its first output more than this many widths of that range below or above it.
+DIVERGENCE_WIDTHS = 1.0
+
 
 class SimulationDiverged(RuntimeError):
-    """Free-run simulation produced a non-finite prediction."""
+    """Free-run simulation produced a non-finite prediction at `index`; `outputs` holds
+    the run's outputs before it, seed included."""
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, outputs: np.ndarray):
         super().__init__(f"free-run simulation diverged at index {index}")
         self.index = index
+        self.outputs = outputs
 
 
 @dataclass(frozen=True)
@@ -137,7 +143,7 @@ def simulate_free_run(
     seed values are used; beyond the seed window every output lag comes from
     the simulation itself. A non-finite value in `u_raw` or `y_init` raises
     ValueError naming the array and the index; a non-finite prediction raises
-    `SimulationDiverged`.
+    `SimulationDiverged` with the outputs before it.
 
     Step t reads row t of one (L + n_y) x m regressor matrix, whose input lags
     are filled before the loop; its output is written once into the n_y
@@ -176,7 +182,7 @@ def simulate_free_run(
     for t, row, out in zip(range(t0, L), P[t0:L], slots[t0:L]):
         val = float(step(row))
         if not math.isfinite(val):
-            raise SimulationDiverged(t)
+            raise SimulationDiverged(t, P[1 : t + 1, n_u1].copy())
         out.fill(val)
     # y(t) sits in row t + 1's first output lag
     return P[1 : L + 1, n_u1].copy()
@@ -184,12 +190,24 @@ def simulate_free_run(
 
 def score_free_run(model, data: TimeSeriesData, spec: RegressorSpec):
     """(rmse, None) of `model`'s free run on `data` from its first `spec.max_lag` outputs,
-    or (None, index) when it diverges: a non-finite prediction, or a run too large to square or sum."""
+    or (None, index) when it diverges. For a model with a training output range
+    `y_range`, the run diverges at its first output outside that range widened on each
+    side by DIVERGENCE_WIDTHS times its width. Any run diverges at a non-finite
+    prediction, or where it grows too large to square or sum."""
     seed_len = spec.max_lag
     try:
-        y_s = simulate_free_run(model, data.u, data.y[:seed_len], spec)
+        y_s, failed = simulate_free_run(model, data.u, data.y[:seed_len], spec), None
     except SimulationDiverged as exc:
-        return None, exc.index
+        y_s, failed = exc.outputs, exc.index
+    y_range = getattr(model, "y_range", None)
+    if y_range is not None:
+        low, high = y_range
+        widen = DIVERGENCE_WIDTHS * (high - low)
+        outside = (y_s[seed_len:] < low - widen) | (y_s[seed_len:] > high + widen)
+        if outside.any():
+            return None, seed_len + int(np.argmax(outside))
+    if failed is not None:
+        return None, failed
     with np.errstate(over="ignore"):
         value = rmse(data.y[seed_len:], y_s[seed_len:])
         if np.isfinite(value):

@@ -96,7 +96,9 @@ class UReluNet:
 
     The knot grid is derived from the training data and stored with the model;
     it is never recomputed at inference time. Its first column beta[:, 0] is the
-    bottom of each dimension's training range, x_max the top.
+    bottom of each dimension's training range, x_max the top. `y_range`, when
+    given, is the (low, high) range of the training outputs, by which
+    `dataset.score_free_run` calls a free run diverged.
 
     `forward` evaluates a block of m-vectors; one m-vector goes through the step
     that `free_run_step` hands out, which has scratch of its own.
@@ -108,6 +110,7 @@ class UReluNet:
     w: np.ndarray
     x_max: np.ndarray
     regressor_spec: RegressorSpec | None = field(default=None, compare=False)
+    y_range: tuple[float, float] | None = field(default=None, compare=False)
 
     def __post_init__(self):
         V = np.asarray(self.V, dtype=float)
@@ -137,15 +140,16 @@ class UReluNet:
         return self.V.shape[1]
 
     def free_run_step(self) -> Callable[[np.ndarray], np.float64]:
-        """The network as one free run's step: a function of a float m-vector.
+        """The network as one free run's step: a function of a float64 ndarray m-vector.
 
         The step owns its scratch, `forward`'s `work`: the tuple (x, x as an
         n x 1 column, D, D flattened, V, beta, the activation floor, w[1:],
         float(w[0])), whose fresh n- and n x q buffers x and D each call
         overwrites. So two steps of one net may be used side by side, but one
-        step serves one free run at a time. It converts nothing; numpy's `out=`
-        raises ValueError for a u that is not an m-vector. Each call goes
-        through the module's `forward`.
+        step serves one free run at a time. It converts nothing: u must be a
+        float64 ndarray, as the step calls u's own `dot` method, which skips
+        np.dot's dispatch (see `forward`), and `out=` raises ValueError for one
+        that is not an m-vector. Each call goes through the module's `forward`.
         """
         n, q = self.beta.shape
         x, D = np.empty(n), np.empty((n, q))
@@ -168,6 +172,8 @@ class UReluNet:
             ),
             "x_max": [float(v) for v in self.x_max],
         }
+        if self.y_range is not None:
+            doc["y_range"] = list(self.y_range)
         return json.dumps(doc, sort_keys=True)
 
     @classmethod
@@ -179,8 +185,9 @@ class UReluNet:
         is not a list of m*n, n*q, n*q + 1 or n entries, an entry of them that is not a
         number finite as a double (`dataset.is_finite_number`), a
         regressor_spec other than null or integer lags that `RegressorSpec` accepts with
-        n_u + n_y + 1 = m, and a knot row [beta_i, x_max_i] that decreases raise
-        ValueError naming the field."""
+        n_u + n_y + 1 = m, a knot row [beta_i, x_max_i] that decreases, and a y_range,
+        which may be absent, other than two finite numbers low <= high raise ValueError
+        naming the field."""
         doc = parse_json_object(text, "model JSON")
         missing = [k for k in ("m", "n", "q", "V", "beta", "w", "x_max") if k not in doc]
         if missing:
@@ -210,6 +217,14 @@ class UReluNet:
             except ValueError as exc:
                 shown = json.dumps(raw)
                 raise ValueError(f"model field 'regressor_spec' takes null or lags, not {shown}: {exc}") from None
+        y_range = doc.get("y_range")
+        if "y_range" in doc and not (
+            isinstance(y_range, list)
+            and len(y_range) == 2
+            and all(is_finite_number(v) for v in y_range)
+            and y_range[0] <= y_range[1]
+        ):
+            raise ValueError(f"model field 'y_range' takes two finite numbers low <= high, not {json.dumps(y_range)}")
         net = cls(
             V=np.array(doc["V"], dtype=float).reshape(m, n),
             q=q,
@@ -217,6 +232,7 @@ class UReluNet:
             w=np.array(doc["w"], dtype=float),
             x_max=np.array(doc["x_max"], dtype=float),
             regressor_spec=spec,
+            y_range=None if y_range is None else tuple(y_range),
         )
         falls = (np.diff(np.column_stack([net.beta, net.x_max]), axis=1) < 0).any(axis=1)
         if falls.any():
@@ -230,6 +246,7 @@ def make_net(
     w: np.ndarray,
     X: np.ndarray,
     regressor_spec: RegressorSpec | None = None,
+    y_range: tuple[float, float] | None = None,
 ) -> UReluNet:
     """Construct a network with the knot grid frozen from the given intermediate data X."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -240,6 +257,7 @@ def make_net(
         w=w,
         x_max=X.max(axis=0),
         regressor_spec=regressor_spec,
+        y_range=y_range,
     )
 
 
@@ -248,20 +266,22 @@ def forward(net: UReluNet, U: np.ndarray, work: tuple | None = None) -> np.ndarr
 
     Without `work`, U is an N x m block and the result has N entries. The
     network's own arrays were checked when it was built and are used as they
-    are. With `work`, U is one float m-vector, not converted, and the result
-    is a scalar: a free-run step (`UReluNet.free_run_step`) takes a gemv for
-    u V, a subtract of beta, a max with the activation floor and a ddot with
-    the neuron weights, the first three written with `out=` into `work`; these
-    are the operations of build_B on a 1 x n row, so the bits are those of a
-    one-row block.
+    are. With `work`, U is one float64 ndarray m-vector, not converted, and
+    the result is a scalar: a free-run step (`UReluNet.free_run_step`) takes a
+    gemv for u V, a subtract of beta, a max with the activation floor and a
+    ddot with the neuron weights, the first three written with `out=` into
+    `work`; these are the operations of build_B on a 1 x n row, so the bits are
+    those of a one-row block. The gemv and the ddot are the ndarray `dot`
+    methods, which run np.dot's C routine without its `__array_function__`
+    dispatch, which in a step this small is about a tenth of its time.
     """
     if work is None:
         return net.w[0] + build_B(np.asarray(U, dtype=float) @ net.V, net.beta) @ net.w[1:]
     x, x_col, D, D_flat, V, beta, floor, neuron_w, w0 = work
-    np.dot(U, V, out=x)
+    U.dot(V, out=x)
     np.subtract(x_col, beta, out=D)
     np.maximum(D, floor, out=D)
-    return w0 + np.dot(D_flat, neuron_w)
+    return w0 + D_flat.dot(neuron_w)
 
 
 def param_count(net: UReluNet) -> int:

@@ -388,7 +388,8 @@ def train(
     without its SVD or residual (`vp_residual`'s ceiling). All of them
     run on the one workspace that train's cache keeps (see `vp_jacobian`).
     The returned network has its knot grid frozen from the training data at the final
-    accepted V; the report gives the rank and condition number of [1, B] there.
+    accepted V, and the range of the targets as its `y_range`; the report gives the rank
+    and condition number of [1, B] there.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
@@ -444,7 +445,8 @@ def train(
             break
 
     st = _state(V, dataset, q, cache)
-    net = make_net(V, q, st.proj.w, st.X, regressor_spec=dataset.spec)
+    y_range = (float(dataset.y.min()), float(dataset.y.max()))
+    net = make_net(V, q, st.proj.w, st.X, regressor_spec=dataset.spec, y_range=y_range)
     report = TrainReport(
         iterations=iterations,
         residual_history=history,

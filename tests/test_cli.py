@@ -478,10 +478,11 @@ class TestDatagen:
         assert rc == 0
         # rerun overwrote the same paths with identical bytes, so the model
         # inputs used by fit are reproducible
-        first = desk_pipeline["train_csv"].read_bytes()
+        paths = [desk_pipeline["train_csv"], desk_pipeline["validation_csv"], desk_pipeline["work"] / "train.csv.meta.json"]
+        first = [path.read_bytes() for path in paths]
         rc, _ = desk_pipeline["run"]("datagen")
         assert rc == 0
-        assert desk_pipeline["train_csv"].read_bytes() == first
+        assert [path.read_bytes() for path in paths] == first
 
     def test_unknown_excitation_type_exit_code(self, tmp_path):
         rc, _, err = run_main(
@@ -845,6 +846,23 @@ class TestFit:
         }
         assert 0.0 < cpd["rel_error"] < 1.0
 
+    def test_report_is_strict_json(self, desk_pipeline):
+        # no NaN or Infinity anywhere; each CPD restart error is a finite number, or
+        # null for a failed restart, and the kept error is finite
+        def refuse(name):
+            raise ValueError(f"{name} in the report")
+
+        cpd = json.loads(desk_pipeline["report"].read_text(), parse_constant=refuse)["cpd"]
+        finite = lambda e: isinstance(e, (int, float)) and not isinstance(e, bool) and math.isfinite(e)
+        assert cpd["restart_errors"] and all(e is None or finite(e) for e in cpd["restart_errors"])
+        assert finite(cpd["rel_error"])
+
+    def test_model_holds_the_training_output_range(self, desk_pipeline):
+        net = UReluNet.from_json(desk_pipeline["model"].read_text())
+        ds = build_regressors(load_csv(desk_pipeline["train_csv"]), net.regressor_spec)
+        assert net.y_range == (ds.y.min(), ds.y.max())
+        assert json.loads(desk_pipeline["model"].read_text())["y_range"] == list(net.y_range)
+
     def test_basis_and_conditioning_reported(self, desk_pipeline):
         kv = desk_pipeline["fit"]
         report = json.loads(desk_pipeline["report"].read_text())
@@ -1160,12 +1178,13 @@ class TestEval:
         assert "affine_rmse_db" not in kv and "margin_db" not in kv
 
     @staticmethod
-    def one_lag_eval_args(tmp_path, w):
+    def one_lag_eval_args(tmp_path, w, y_range=None):
         """`eval` arguments for the one-lag network with weights `w` on the knots
-        [-1, 0], w0 + w1 (y(t-1) + 1) + w2 max(0, y(t-1)), freely run from y = 1 with no
-        input for 64 samples; its affine baseline fits a stable first-order record."""
+        [-1, 0], w0 + w1 (y(t-1) + 1) + w2 max(0, y(t-1)), and training output range
+        `y_range`, freely run from y = 1 with no input for 64 samples; its affine
+        baseline fits a stable first-order record."""
         X = np.array([[-1.0], [1.0]])
-        net = make_net(np.array([[0.0], [1.0]]), 2, np.array(w), X, RegressorSpec(0, 1))
+        net = make_net(np.array([[0.0], [1.0]]), 2, np.array(w), X, RegressorSpec(0, 1), y_range)
         model = tmp_path / "model.json"
         model.write_text(net.to_json())
         y = np.zeros(64)
@@ -1195,6 +1214,42 @@ class TestEval:
         assert int(kv["divergence_index"]) == diverged.value.index == 31
         assert "rmse" not in kv and "margin_db" not in kv
         assert kv["affine_diverged"] == "false"
+
+    def test_finite_run_outside_the_training_range_reported_as_divergence(self, tmp_path):
+        # y(t) = 1.5 y(t-1) grows to about 1e11 and stays finite: without a training
+        # output range the run is scored; with [-1, 1] it leaves [-3, 3], the range
+        # widened by dataset.DIVERGENCE_WIDTHS = 1 width on each side, at 1.5**3
+        rc, out, _ = run_main(self.one_lag_eval_args(tmp_path, [-1.5, 1.5, 0.0]))
+        assert rc == 0
+        kv = parse_kv(out)
+        assert kv["diverged"] == "false" and float(kv["rmse"]) > 1e10
+        rc, out, _ = run_main(self.one_lag_eval_args(tmp_path, [-1.5, 1.5, 0.0], (-1.0, 1.0)))
+        assert rc == 0
+        kv = parse_kv(out)
+        assert (kv["diverged"], kv["divergence_index"]) == ("true", "3")
+        assert "rmse" not in kv and "margin_db" not in kv
+        assert kv["affine_diverged"] == "false"
+
+    def test_short_fit_reported_as_divergence(self, desk_pipeline, tmp_path):
+        # the desk config's fit cut to 5 LM iterations, at one BLAS thread: its free run
+        # stays finite but grows far past the measured output (an rmse near 1e49),
+        # which only the training output range flags
+        paths = ["--config", str(cli_config_path()),
+                 "--set", f"paths.train={desk_pipeline['train_csv']}",
+                 "--set", f"paths.validation={desk_pipeline['validation_csv']}",
+                 "--set", f"paths.model={tmp_path / 'model.json'}",
+                 "--set", f"paths.report={tmp_path / 'report.json'}"]
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+        for command in (["--set", "train.max_iter=5", "fit"], ["eval"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "urelunet.cli", *paths, *command],
+                capture_output=True, text=True, env=env, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+        kv = parse_kv(proc.stdout)
+        assert kv["diverged"] == "true"
+        assert int(kv["divergence_index"]) >= 5
+        assert "rmse" not in kv and "margin_db" not in kv
 
     def test_warning_outside_a_stage_printed_as_a_warning_line(self, tmp_path):
         # numpy warns of the overflow in the free run's dot; as a process, so that the
@@ -1275,12 +1330,13 @@ class TestEval:
             ("beta", None, [0.0] * 25, "model field 'beta' takes a list of n*q = 24 numbers, not a list of 25"),
             ("w", None, "0.5", "model field 'w' takes a list of n*q + 1 = 25 numbers, not '0.5'"),
             ("x_max", None, {"0": 1.0}, "model field 'x_max' takes a list of n = 3 numbers, not {'0': 1.0}"),
+            ("y_range", None, [1.0, 0.0], "model field 'y_range' takes two finite numbers low <= high, not [1.0, 0.0]"),
         ],
         ids=[
             "nan-weight", "infinite-knot", "string-entry", "fractional-q",
             "negative-m", "zero-m", "negative-n", "zero-n", "zero-q", "knot-falls", "x_max-falls",
             "401-digit-weight", "fractional-n_u", "no-n_u", "bool-n_u", "spec-not-m",
-            "short-V", "scalar-V", "long-beta", "string-w", "object-x_max",
+            "short-V", "scalar-V", "long-beta", "string-w", "object-x_max", "y_range-falls",
         ],
     )
     def test_corrupt_model_rejected(self, desk_pipeline, tmp_path, key, index, value, detail):
@@ -1461,6 +1517,15 @@ class TestRegions:
         assert header == {"total_cells": 8**3, "emitted": 10, "truncated": True}
         cells = [tuple(json.loads(line)["cell"]) for line in lines[1:]]
         assert cells == list(itertools.product(range(1, 9), repeat=3))[:10]
+        # a limit that ends inside a block of pwl.BLOCK cells: the full export's first
+        # cells, byte for byte
+        assert 300 % pwl.BLOCK
+        full, cut = tmp_path / "regions.jsonl", tmp_path / "regions_300.jsonl"
+        assert desk_pipeline["run"]("regions", "--output", str(full))[0] == 0
+        assert desk_pipeline["run"]("regions", "--limit", "300", "--output", str(cut))[0] == 0
+        lines = cut.read_text().splitlines()
+        assert json.loads(lines[0]) == {"total_cells": 8**3, "emitted": 300, "truncated": True}
+        assert lines[1:] == full.read_text().splitlines()[1:301]
 
     def test_corrupt_model_leaves_no_file(self, desk_pipeline, tmp_path):
         model = tmp_path / "model.json"

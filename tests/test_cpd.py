@@ -272,6 +272,16 @@ class TestLockstep:
         if n_restarts == 5:
             assert len({run.iterations for run in runs}) > 1
 
+    @pytest.mark.parametrize("r", [3, 5])
+    def test_wide_core(self, r):
+        # m = 30, the regressor width of the wide workload: OpenBLAS may pick other
+        # kernels for its Grams and MTTKRPs than at the desk's m = 10
+        tensor, _, _ = symmetric_tensor(30, 60, r, seed=4)
+        noise = 1e-3 * np.random.default_rng(4).normal(size=tensor.data.shape)
+        tensor = HessianTensor(data=tensor.data + noise)
+        fac, _, _ = self._check(tensor, r, 60, seed=4, n_restarts=3)
+        assert len(fac.restart_errors) == 3
+
     def test_exact_tensor_first_restart_reaches_tol(self):
         tensor, _, _ = symmetric_tensor(8, 40, 2, seed=0)
         fac, _, _ = self._check(tensor, 2, 500, seed=0, n_restarts=3)

@@ -1,3 +1,4 @@
+import dataclasses
 import errno
 import math
 import os
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from urelunet import network
 from urelunet.dataset import (
+    DIVERGENCE_WIDTHS,
     RegressorSpec,
     SimulationDiverged,
     TimeSeriesData,
@@ -18,6 +20,7 @@ from urelunet.dataset import (
     rmse,
     rmse_db,
     save_csv,
+    score_free_run,
     simulate_free_run,
 )
 from urelunet.network import build_B, make_net, transform
@@ -135,7 +138,7 @@ def reference_free_run(predict, u, y_init, spec):
         phi[spec.n_u + 1 :] = y_s[t - spec.n_y : t][::-1]
         val = float(predict(phi))
         if not np.isfinite(val):
-            raise SimulationDiverged(t)
+            raise SimulationDiverged(t, y_s[:t].copy())
         y_s[t] = val
     return y_s
 
@@ -240,6 +243,7 @@ class TestFreeRunReference:
             simulate_free_run(net, u, y_init, spec)
         assert 1 < run.value.index < 2000
         assert run.value.index == ref.value.index
+        assert run.value.outputs.tobytes() == ref.value.outputs.tobytes()
 
     @pytest.mark.parametrize(
         "where, index, value", [("u_raw", 300, math.nan), ("y_init", 3, math.inf), ("y_init", 0, -math.inf)]
@@ -253,6 +257,56 @@ class TestFreeRunReference:
         (u if where == "u_raw" else seed)[index] = value
         with pytest.raises(ValueError, match=rf"^{where} has a non-finite value {value!r} at index {index}$"):
             simulate_free_run(net, u, seed, spec)
+
+
+def one_lag_net(w0, w1, y_range):
+    """The one-lag network w0 + w1 (y(t-1) + 1) on the knots [-1, 0], with `y_range`."""
+    X = np.array([[-1.0], [1.0]])
+    return make_net(np.array([[0.0], [1.0]]), 2, np.array([w0, w1, 0.0]), X, RegressorSpec(0, 1), y_range)
+
+
+class TestScoreFreeRun:
+    """A model with a training output range diverges at its first output outside that
+    range widened by DIVERGENCE_WIDTHS widths on each side; any other model, at a
+    non-finite output or one too large to square or sum."""
+
+    spec = RegressorSpec(0, 1)
+
+    def score(self, net, n=64):
+        y = np.zeros(n)
+        y[0] = 1.0
+        return score_free_run(net, TimeSeriesData(u=np.zeros(n), y=y), self.spec)
+
+    def test_finite_geometric_growth_diverges_where_it_leaves_the_range(self):
+        # y(t) = 1.5 y(t-1) from y(0) = 1 reaches 1.5**63, about 1e11: finite, and so
+        # not diverged by the non-finite rule alone
+        net = one_lag_net(-1.5, 1.5, (-1.0, 1.0))
+        without = dataclasses.replace(net, y_range=None)
+        value, index = self.score(without)
+        assert index is None and math.isfinite(value) and value > 1e10
+        # the range [-1, 1] widened by DIVERGENCE_WIDTHS = 1 width is [-3, 3], and
+        # 1.5**3 = 3.375 is the first output past it
+        assert DIVERGENCE_WIDTHS == 1.0
+        assert self.score(net) == (None, 3)
+
+    def test_an_output_on_the_widened_edge_stays_in(self):
+        # y(t) = w0 for t >= 1: the edge of [0, 1] widened by one width on each side
+        # is 2, the next double above it is out
+        assert self.score(one_lag_net(2.0, 0.0, (0.0, 1.0))) == (rmse(np.zeros(63), np.full(63, 2.0)), None)
+        assert self.score(one_lag_net(-1.0, 0.0, (0.0, 1.0)))[1] is None
+        assert self.score(one_lag_net(np.nextafter(2.0, 3.0), 0.0, (0.0, 1.0))) == (None, 1)
+        assert self.score(one_lag_net(np.nextafter(-1.0, -2.0), 0.0, (0.0, 1.0))) == (None, 1)
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    def test_a_run_that_overflows_diverges_where_it_leaves_the_range(self):
+        # y(t) = 2e10 y(t-1) (w1 (y + 1) minus w1 from w0) leaves [-1, 1] widened at
+        # t = 1 and overflows later, at the index the non-finite rule gives
+        net = one_lag_net(-2e10, 2e10, (-1.0, 1.0))
+        with pytest.raises(SimulationDiverged) as exc:
+            simulate_free_run(net, np.zeros(64), [1.0], self.spec)
+        assert exc.value.index > 1
+        assert self.score(dataclasses.replace(net, y_range=None)) == (None, exc.value.index)
+        assert self.score(net) == (None, 1)
 
 
 class TestMetrics:

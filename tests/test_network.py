@@ -139,14 +139,16 @@ class TestForward:
         np.testing.assert_allclose(forward(net, np.array([[0.3]])), [0.3])
         np.testing.assert_allclose(forward(net, np.array([[0.7]])), [0.7])
 
-    def test_one_vector_gives_the_bits_of_a_one_row_block(self):
+    # the bench shapes (m = 10 and 30 with n, q = 3, 8) and the paper's (n, q = 5, 10)
+    @pytest.mark.parametrize("m, n, q", [(10, 3, 8), (10, 5, 10), (30, 3, 8), (30, 5, 10)])
+    def test_one_vector_gives_the_bits_of_a_one_row_block(self, m, n, q):
         # a single m-vector (the free-run step) against the same row as a
         # 1 x m block, including rows below the knot grid; a taller block
         # takes other BLAS kernels and agrees to rounding
         rng = np.random.default_rng(7)
-        V = rng.normal(size=(4, 3))
-        U = rng.normal(size=(60, 4))
-        net = toy_net(V, 5, rng.normal(size=3 * 5 + 1), transform(U[:30], V))
+        V = rng.normal(size=(m, n))
+        U = rng.normal(size=(60, m))
+        net = toy_net(V, q, rng.normal(size=n * q + 1), transform(U[:30], V))
         assert np.any(transform(U, V) < net.beta[:, 0])
         step = net.free_run_step()
         one = np.array([step(u) for u in U])
@@ -273,3 +275,32 @@ def test_from_json_names_a_missing_field():
 def test_from_json_rejects_a_non_object(doc):
     with pytest.raises(ValueError, match="model JSON must hold a JSON object"):
         UReluNet.from_json(json.dumps(doc))
+
+
+@pytest.mark.parametrize("y_range", [None, (-0.5, 2.0), (1.5, 1.5)])
+def test_json_round_trip_keeps_the_training_output_range(y_range):
+    rng = np.random.default_rng(11)
+    U = rng.normal(size=(20, 2))
+    net = make_net(np.eye(2), 3, rng.normal(size=7), U, y_range=y_range)
+    doc = json.loads(net.to_json())
+    # a net without the range writes no field for it, so its file is as before
+    assert ("y_range" in doc) == (y_range is not None)
+    clone = UReluNet.from_json(net.to_json())
+    assert clone.y_range == net.y_range == y_range
+    assert clone.to_json() == net.to_json()
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [(None, "null"), ([1.0], "[1.0]"), ([1.0, 0.5], "[1.0, 0.5]"), ([0.0, float("inf")], "[0.0, Infinity]"),
+     ([True, 1.0], "[true, 1.0]"), ("0,1", '"0,1"')],
+    ids=["null", "one-number", "falls", "infinite", "bool", "string"],
+)
+def test_from_json_rejects_a_bad_y_range(value, shown):
+    rng = np.random.default_rng(13)
+    U = rng.normal(size=(20, 2))
+    doc = json.loads(make_net(np.eye(2), 3, rng.normal(size=7), U).to_json())
+    doc["y_range"] = value
+    with pytest.raises(ValueError) as exc:
+        UReluNet.from_json(json.dumps(doc))
+    assert str(exc.value) == f"model field 'y_range' takes two finite numbers low <= high, not {shown}"
